@@ -10,53 +10,55 @@
 //!   executor's metric), plus the resulting speedup. On a single-core host
 //!   the parallel point is skipped and annotated instead of being reported
 //!   as a meaningless ~1.0x "speedup";
-//! * **calendar vs heap** — the calendar event queue against the binary
-//!   heap it replaced: a raw queue-churn point at 256-node load
-//!   (`calendar_vs_heap_256`, PR 8's headline scaling win) plus
-//!   end-to-end ratios on the existing 16-node points (which must not
-//!   regress);
-//! * **scale** — the adaptive-sharer-set / open-addressed-block-table
-//!   gate: end-to-end hierarchical events/sec at 256, 1024, and 4096
-//!   nodes (sizes the old fixed 256-node bitset could not even build
-//!   past), plus `smallset_vs_bitset_16` — the new `NodeSet` against the
-//!   retired fixed-width bitset on a 16-node working pattern, which must
-//!   hold >= 0.95x so scaling up never taxes the paper-sized runs.
+//! * **calendar vs heap** — a raw queue-churn point at 256-node load
+//!   (`calendar_vs_heap_256`): the calendar event queue the engine runs
+//!   on against the binary heap it replaced;
+//! * **scale** — end-to-end hierarchical events/sec at 256, 1024, and
+//!   4096 nodes (sizes the old fixed 256-node bitset could not even build
+//!   past).
+//!
+//! End-to-end points time only the measured window: building the system
+//! and the warmup run before the clock starts.
 //!
 //! Usage: `engine_baseline [OUTPUT.json]` (default `BENCH_engine.json`).
 //! Run it through `scripts/bench_baseline.sh` for a release build.
 
 use std::time::Instant;
 
-use bash::{
-    Duration, HierarchyConfig, ProtocolKind, QueueKind, SimBuilder, System, SystemConfig, Time,
-};
+use bash::{Duration, HierarchyConfig, ProtocolKind, SimBuilder, System, SystemConfig, Time};
 use bash_coherence::CacheGeometry;
-use bash_kernel::{pool, EventQueue};
-use bash_net::ids::ReferenceBitSet;
-use bash_net::{NodeId, NodeSet};
+use bash_kernel::{pool, EventQueue, QueueKind};
 use bash_workloads::LockingMicrobench;
 
-/// One fixed end-to-end run; returns (events processed, wall seconds).
-fn timed_run(proto: ProtocolKind, queue: QueueKind) -> (u64, f64) {
-    let cfg = SystemConfig::paper_default(proto, 16, 1600)
-        .with_cache(CacheGeometry { sets: 256, ways: 4 })
-        .with_queue(queue);
-    let wl = LockingMicrobench::new(16, 256, Duration::ZERO, 1);
+/// Builds and warms up a system outside the clock, then times only the
+/// measured window; returns (events processed in it, wall seconds).
+fn timed_window(
+    cfg: SystemConfig,
+    wl: LockingMicrobench,
+    warmup: Duration,
+    measure: Duration,
+) -> (u64, f64) {
+    let mut sys = System::new(cfg, wl);
+    sys.run_until(Time::ZERO + warmup);
+    sys.begin_measurement();
     let t0 = Instant::now();
-    let stats = System::run(
-        cfg,
-        wl,
-        Duration::from_ns(10_000),
-        Duration::from_ns(200_000),
-    );
+    let stats = sys.finish(Time::ZERO + warmup + measure);
     (stats.events_processed, t0.elapsed().as_secs_f64())
 }
 
-/// Best-of-`reps` events/sec for one protocol.
-fn events_per_sec(proto: ProtocolKind, queue: QueueKind, reps: usize) -> f64 {
+/// Best-of-`reps` events/sec of the fixed 16-node point for one protocol.
+fn events_per_sec(proto: ProtocolKind, reps: usize) -> f64 {
     (0..reps)
         .map(|_| {
-            let (events, secs) = timed_run(proto, queue);
+            let cfg = SystemConfig::paper_default(proto, 16, 1600)
+                .with_cache(CacheGeometry { sets: 256, ways: 4 });
+            let wl = LockingMicrobench::new(16, 256, Duration::ZERO, 1);
+            let (events, secs) = timed_window(
+                cfg,
+                wl,
+                Duration::from_ns(10_000),
+                Duration::from_ns(200_000),
+            );
             events as f64 / secs.max(1e-9)
         })
         .fold(0.0, f64::max)
@@ -69,8 +71,7 @@ fn events_per_sec(proto: ProtocolKind, queue: QueueKind, reps: usize) -> f64 {
 /// with same-instant bursts from the fan-outs. At this population the
 /// heap's sift path walks ~16 scattered cache lines per op while the
 /// calendar stays on its cursor bucket; this isolates the data structure
-/// — the 16-node end-to-end ratios below measure it diluted by protocol
-/// work.
+/// from protocol work.
 fn queue_churn_ops_per_sec(queue: QueueKind, reps: usize) -> f64 {
     const NODES: u64 = 256;
     const PER_NODE: u64 = 256;
@@ -119,79 +120,11 @@ fn scale_events_per_sec(nodes: u16, cluster: u16, banks: u16, reps: usize) -> f6
             .with_cache(CacheGeometry { sets: 64, ways: 4 })
             .with_hierarchy(HierarchyConfig::new(cluster, banks));
         let wl = LockingMicrobench::new(nodes, nodes as u64 * 4, Duration::ZERO, 1);
-        let t0 = Instant::now();
-        let stats = System::run(cfg, wl, Duration::from_ns(5_000), Duration::from_ns(50_000));
-        stats.events_processed as f64 / t0.elapsed().as_secs_f64().max(1e-9)
+        let (events, secs) =
+            timed_window(cfg, wl, Duration::from_ns(5_000), Duration::from_ns(50_000));
+        events as f64 / secs.max(1e-9)
     };
     (0..reps).map(|_| run()).fold(0.0, f64::max)
-}
-
-/// The protocol-controller set workload at 16 nodes: track sharers one
-/// by one, build request masks, check sufficiency (superset), union a
-/// cluster-cast, walk the members, and periodically invalidate. The two
-/// implementations below run it identically; their ops/sec ratio is the
-/// `smallset_vs_bitset_16` no-regression gate.
-macro_rules! set_kernel {
-    ($iters:expr, $empty:expr, $full:expr, $from2:expr) => {{
-        let full = $full;
-        let mut sharers = $empty;
-        let mut acc = 0u64;
-        let t0 = Instant::now();
-        for i in 0..$iters {
-            let a = NodeId((i % 16) as u16);
-            let b = NodeId(((i.wrapping_mul(7) + 3) % 16) as u16);
-            sharers.insert(a);
-            let mask = $from2(a, b);
-            if full.is_superset(&sharers) {
-                acc += 1;
-            }
-            let u = mask.union(&sharers);
-            acc += u.len() as u64;
-            for n in u.iter() {
-                acc = acc.wrapping_add(n.0 as u64);
-            }
-            if i % 5 == 0 {
-                sharers.remove(b);
-            }
-            if i % 29 == 0 {
-                sharers = $empty;
-            }
-        }
-        std::hint::black_box(acc);
-        $iters as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    }};
-}
-
-/// Ops/sec ratio of the adaptive [`NodeSet`] over the retired fixed
-/// `[u64; 64]` bitset ([`ReferenceBitSet`]) on the 16-node kernel.
-fn smallset_vs_bitset_16(reps: usize) -> f64 {
-    const ITERS: u64 = 1_000_000;
-    let small = (0..reps)
-        .map(|_| {
-            set_kernel!(ITERS, NodeSet::EMPTY, NodeSet::all(16), |a, b| {
-                NodeSet::from_nodes([a, b])
-            })
-        })
-        .fold(0.0, f64::max);
-    let bitset = (0..reps)
-        .map(|_| {
-            set_kernel!(ITERS, ReferenceBitSet::EMPTY, full_reference(16), |a, b| {
-                let mut m = ReferenceBitSet::EMPTY;
-                m.insert(a);
-                m.insert(b);
-                m
-            })
-        })
-        .fold(0.0, f64::max);
-    small / bitset.max(1e-9)
-}
-
-fn full_reference(n: u16) -> ReferenceBitSet {
-    let mut s = ReferenceBitSet::EMPTY;
-    for i in 0..n {
-        s.insert(NodeId(i));
-    }
-    s
 }
 
 const SWEEP_BANDWIDTHS: [u64; 7] = [200, 400, 800, 1600, 3200, 6400, 12800];
@@ -220,17 +153,10 @@ fn main() {
 
     eprintln!("measuring single-threaded events/sec (3 reps per protocol)...");
     let mut proto_lines = Vec::new();
-    let mut ratio_lines = Vec::new();
     for proto in ProtocolKind::ALL {
-        let eps = events_per_sec(proto, QueueKind::Calendar, 3);
+        let eps = events_per_sec(proto, 3);
         eprintln!("  {:9} {:>12.0} events/s", proto.name(), eps);
         proto_lines.push(format!("    \"{}\": {:.0}", proto.name(), eps));
-        // The same point on the heap it replaced: the end-to-end ratio CI
-        // gates at >= 0.95 (the calendar must not cost us the small runs).
-        let heap_eps = events_per_sec(proto, QueueKind::Heap, 3);
-        let ratio = eps / heap_eps.max(1e-9);
-        eprintln!("  {:9} calendar/heap {ratio:>6.3}x", proto.name());
-        ratio_lines.push(format!("    \"{}_16\": {:.3}", proto.name(), ratio));
     }
 
     eprintln!("measuring 256-node queue churn, calendar vs heap (5 reps)...");
@@ -246,9 +172,6 @@ fn main() {
         eprintln!("  {nodes:>5} nodes {eps:>12.0} events/s");
         scale_lines.push(format!("    \"events_per_sec_{nodes}\": {eps:.0}"));
     }
-    let set_ratio = smallset_vs_bitset_16(3);
-    eprintln!("  smallset_vs_bitset_16 {set_ratio:.3}x");
-    scale_lines.push(format!("    \"smallset_vs_bitset_16\": {set_ratio:.3}"));
 
     let grid_points = SWEEP_BANDWIDTHS.len() as u32 * SWEEP_SEEDS;
     eprintln!(
@@ -278,12 +201,11 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"engine\",\n  \"events_per_sec\": {{\n{}\n  }},\n  \"queue\": {{\n    \"calendar_vs_heap_256\": {:.3},\n    \"churn_ops_per_sec_calendar\": {:.0},\n    \"churn_ops_per_sec_heap\": {:.0},\n{}\n  }},\n  \"scale\": {{\n{}\n  }},\n  \"sweep\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"engine\",\n  \"events_per_sec\": {{\n{}\n  }},\n  \"queue\": {{\n    \"calendar_vs_heap_256\": {:.3},\n    \"churn_ops_per_sec_calendar\": {:.0},\n    \"churn_ops_per_sec_heap\": {:.0}\n  }},\n  \"scale\": {{\n{}\n  }},\n  \"sweep\": {{\n{}\n  }}\n}}\n",
         proto_lines.join(",\n"),
         churn_ratio,
         cal_ops,
         heap_ops,
-        ratio_lines.join(",\n"),
         scale_lines.join(",\n"),
         sweep_section,
     );

@@ -128,11 +128,6 @@ impl ActionSink {
         self.actions.is_empty()
     }
 
-    /// The buffered actions, in push order.
-    pub fn as_slice(&self) -> &[Action] {
-        &self.actions
-    }
-
     /// Removes and yields every buffered action in push order, keeping the
     /// buffer's capacity for reuse.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {

@@ -19,11 +19,6 @@ pub enum Mosi {
 }
 
 impl Mosi {
-    /// True for the ownership states (M and O): this cache must supply data.
-    pub fn is_owner(self) -> bool {
-        matches!(self, Mosi::M | Mosi::O)
-    }
-
     /// Short name for traces and the transition registry.
     pub fn name(self) -> &'static str {
         match self {

@@ -3,7 +3,7 @@
 //! per-controller statistics block.
 
 use bash_kernel::Time;
-use bash_net::{NodeId, NodeSet};
+use bash_net::NodeSet;
 use std::collections::VecDeque;
 
 use crate::cache::Mosi;
@@ -140,14 +140,10 @@ pub struct MemStats {
     pub spurious_dropped: u64,
 }
 
-/// Identifies one node's view of who it is relative to a request.
-pub fn is_own(req: &Request, node: NodeId) -> bool {
-    req.requestor == node
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bash_net::NodeId;
 
     #[test]
     fn mshr_initial_state() {

@@ -36,11 +36,6 @@ impl TransitionLog {
         }
     }
 
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one `(state, event) → next_state` occurrence. No-op when
     /// disabled.
     pub fn record(&mut self, state: &'static str, event: &'static str, next: &'static str) {

@@ -3,7 +3,7 @@
 
 use bash_adaptive::AdaptorConfig;
 use bash_coherence::{CacheGeometry, HierarchyConfig, ProtocolKind};
-use bash_kernel::{Duration, QueueKind};
+use bash_kernel::Duration;
 use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
 
 /// Deliberate fault injection — the verification harness's self-test
@@ -156,11 +156,6 @@ pub struct SystemConfig {
     /// wedged run into a structured diagnostic instead of an endless loop
     /// (see [`System::try_run_to_idle`](crate::System::try_run_to_idle)).
     pub watchdog: Option<WatchdogBudget>,
-    /// Event-queue engine. The default calendar queue pops in exactly the
-    /// binary heap's order (FIFO-stable per timestamp), so reports are
-    /// byte-identical across the two — this knob exists for A/B
-    /// benchmarking and as an escape hatch.
-    pub queue: QueueKind,
     /// Master RNG seed.
     pub seed: u64,
 }
@@ -222,7 +217,6 @@ impl SystemConfig {
             fault: None,
             fault_plane: None,
             watchdog: None,
-            queue: QueueKind::default(),
             seed: 0xBA5E,
         }
     }
@@ -308,13 +302,6 @@ impl SystemConfig {
     /// Arms the quiescence watchdog.
     pub fn with_watchdog(mut self, budget: WatchdogBudget) -> Self {
         self.watchdog = Some(budget);
-        self
-    }
-
-    /// Selects the event-queue engine (A/B benchmarking; the calendar
-    /// default and the heap pop in identical order).
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 

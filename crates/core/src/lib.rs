@@ -33,6 +33,7 @@
 //! repository root for the experiment index.
 
 pub mod config;
+mod fault_injector;
 pub mod stats;
 pub mod system;
 

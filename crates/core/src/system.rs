@@ -15,11 +15,11 @@
 
 use bash_coherence::common::{CacheStats, MemStats};
 use bash_coherence::{
-    route, AccessOutcome, Action, ActionSink, CacheCtrl, MemCtrl, Mosi, Owner, ProcOp, ProtoMsg,
-    ProtocolKind, TxnId, TxnKind,
+    route, AccessOutcome, Action, ActionSink, CacheCtrl, MemCtrl, Owner, ProcOp, ProtoMsg,
+    ProtocolKind, TxnId,
 };
 use bash_kernel::stats::{RunningStat, WindowDelta};
-use bash_kernel::{Duration, EventQueue, Time};
+use bash_kernel::{CalendarConfig, Duration, EventQueue, Time};
 use bash_net::{
     FaultStats, Interconnect, Jitter, Message, MsgArena, MsgRef, NetConfig, NetEvent, NetStep,
     NodeId, Ordered, OrderingMode,
@@ -28,6 +28,7 @@ use bash_trace::{Trace, TraceCapture, TraceRecord};
 use bash_workloads::{WorkItem, Workload};
 
 use crate::config::{FaultInjection, SystemConfig, WatchdogBudget};
+use crate::fault_injector::{Admit, FaultInjector, Verdict};
 use crate::stats::{HierarchyStats, LinkStat, RunStats};
 
 /// Why the quiescence watchdog declared a run wedged.
@@ -174,11 +175,6 @@ fn capture_item(capture: &mut Option<TraceCapture>, node: NodeId, item: &WorkIte
     }
 }
 
-/// A delivery held back by [`FaultInjection::ReorderOrdered`]: the
-/// message (whose arena reference stays parked with it) plus the network
-/// order number it arrived with.
-type HeldDelivery = (MsgRef, Option<u64>);
-
 /// An outstanding demand miss at a processor.
 #[derive(Debug)]
 struct PendingMiss {
@@ -257,20 +253,9 @@ pub struct System<W: Workload> {
     /// [`SystemConfig::capture_completions`] each record is additionally
     /// stamped with its issue→complete latency as the op finishes.
     op_capture: Option<TraceCapture>,
-    /// Completed-load counter driving [`FaultInjection::CorruptLoads`].
-    loads_completed: u64,
-    /// Eligible-invalidation counter driving
-    /// [`FaultInjection::DropInvalidations`].
-    invalidations_seen: u64,
-    /// Eligible-delivery counter driving
-    /// [`FaultInjection::DuplicateDeliveries`].
-    duplicates_seen: u64,
-    /// Eligible-request counter driving
-    /// [`FaultInjection::StaleSharerMask`].
-    stale_masks_seen: u64,
-    /// Per-destination hold-back buffers for
-    /// [`FaultInjection::ReorderOrdered`] (empty unless that fault is on).
-    reorder_buf: Vec<Vec<HeldDelivery>>,
+    /// The configured [`FaultInjection`] at run time (`None` in every
+    /// normal run).
+    fault: Option<FaultInjector>,
     /// Bytes delivered inside the sender's cluster (hierarchy runs only).
     hier_intra_bytes: u64,
     /// Bytes delivered across a cluster boundary (hierarchy runs only).
@@ -369,7 +354,7 @@ impl<W: Workload> System<W> {
         // reports the observed high-water mark for re-tuning this factor.
         let queue_cap = (nodes as usize * (16 + fault_timer_load)).max(64);
         let horizon = cfg.traversal + Duration::transmission(72, cfg.link_mbps);
-        let mut events = EventQueue::with_kind(cfg.queue, queue_cap, horizon);
+        let mut events = EventQueue::calendar(CalendarConfig::sized_for(queue_cap, horizon));
         let mut procs: Vec<Processor> = (0..nodes).map(|_| Processor::default()).collect();
         // Capture must start before priming: the first item per node is
         // pulled here, not in `fetch_next`.
@@ -424,11 +409,7 @@ impl<W: Workload> System<W> {
             policy_trace: None,
             delivery_trace: None,
             op_capture,
-            loads_completed: 0,
-            invalidations_seen: 0,
-            duplicates_seen: 0,
-            stale_masks_seen: 0,
-            reorder_buf: (0..nodes).map(|_| Vec::new()).collect(),
+            fault: cfg.fault.map(|f| FaultInjector::new(f, nodes)),
             hier_intra_bytes: 0,
             hier_inter_bytes: 0,
             hier_bank_requests: cfg
@@ -656,16 +637,17 @@ impl<W: Workload> System<W> {
         Ok(())
     }
 
-    /// Releases every delivery still held in the reorder buffers, newest
+    /// Releases every delivery still held in the reorder windows, newest
     /// first (same release order as a full window). Returns true when
     /// anything was released.
     fn flush_reordered(&mut self) -> bool {
-        let mut any = false;
-        for i in 0..self.reorder_buf.len() {
-            while let Some((msg, order)) = self.reorder_buf[i].pop() {
-                any = true;
-                self.deliver_now(NodeId(i as u16), msg, order);
-            }
+        let Some(fault) = &mut self.fault else {
+            return false;
+        };
+        let held = fault.flush();
+        let any = !held.is_empty();
+        for (dst, msg, order) in held {
+            self.deliver_now(dst, msg, order);
         }
         any
     }
@@ -893,65 +875,6 @@ impl<W: Workload> System<W> {
         }
     }
 
-    /// True when this delivery is an invalidation the configured
-    /// [`FaultInjection::DropInvalidations`] fault elects to lose: a GetM
-    /// reaching a bystander cache that holds the block as a pure sharer.
-    /// Owners are never targeted — they must still supply data, so the
-    /// fault produces stale values, not deadlock.
-    fn fault_drops_invalidation(&mut self, dst: NodeId, msg: &Message<ProtoMsg>) -> bool {
-        let Some(FaultInjection::DropInvalidations { period }) = self.cfg.fault else {
-            return false;
-        };
-        let ProtoMsg::Request(req) = &msg.payload else {
-            return false;
-        };
-        if req.kind != TxnKind::GetM || req.requestor == dst {
-            return false;
-        }
-        if self.caches[dst.index()].cache().state(req.block) != Some(Mosi::S) {
-            return false;
-        }
-        self.invalidations_seen += 1;
-        self.invalidations_seen.is_multiple_of(period)
-    }
-
-    /// True when this memory-bound delivery is one the configured
-    /// [`FaultInjection::DuplicateDeliveries`] fault elects to replay: a
-    /// GetM arriving at its home memory controller, the
-    /// ownership-transfer point all three protocols share.
-    fn fault_duplicates_delivery(&mut self, msg: &Message<ProtoMsg>) -> bool {
-        let Some(FaultInjection::DuplicateDeliveries { period }) = self.cfg.fault else {
-            return false;
-        };
-        let ProtoMsg::Request(req) = &msg.payload else {
-            return false;
-        };
-        if req.kind != TxnKind::GetM {
-            return false;
-        }
-        self.duplicates_seen += 1;
-        self.duplicates_seen.is_multiple_of(period)
-    }
-
-    /// True when this memory-bound delivery is one the configured
-    /// [`FaultInjection::StaleSharerMask`] fault elects to corrupt: a
-    /// GetS/GetM reaching its home memory controller. After the home has
-    /// processed it (and recorded the requestor), its record of the
-    /// requestor is silently erased.
-    fn fault_forgets_sharer(&mut self, msg: &Message<ProtoMsg>) -> bool {
-        let Some(FaultInjection::StaleSharerMask { period }) = self.cfg.fault else {
-            return false;
-        };
-        let ProtoMsg::Request(req) = &msg.payload else {
-            return false;
-        };
-        if !matches!(req.kind, TxnKind::GetS | TxnKind::GetM) {
-            return false;
-        }
-        self.stale_masks_seen += 1;
-        self.stale_masks_seen.is_multiple_of(period)
-    }
-
     /// Delivers the fault-injected second copy of a duplicated message to
     /// `dst`'s memory controller. Gated on the home's ownership record:
     /// the duplicate fires only when *another* cache has become the owner
@@ -988,23 +911,19 @@ impl<W: Workload> System<W> {
     }
 
     fn deliver(&mut self, dst: NodeId, msg: MsgRef, order: Option<u64>) {
-        // ReorderOrdered: hold totally ordered deliveries back per node and
-        // release each full window in reverse — every node still sees every
-        // ordered message exactly once, but no longer in the global order
-        // its peers observe. Unordered traffic (data, nacks) is untouched.
+        let Some(fault) = &mut self.fault else {
+            return self.deliver_now(dst, msg, order);
+        };
         // A held-back delivery parks its arena reference with the handle.
-        if let Some(FaultInjection::ReorderOrdered { window }) = self.cfg.fault {
-            if self.arena.get(msg).ordered != Ordered::None {
-                self.reorder_buf[dst.index()].push((msg, order));
-                if self.reorder_buf[dst.index()].len() as u64 >= window {
-                    while let Some((m, o)) = self.reorder_buf[dst.index()].pop() {
-                        self.deliver_now(dst, m, o);
-                    }
+        let ordered = self.arena.get(msg).ordered != Ordered::None;
+        match fault.admit(dst, msg, order, ordered) {
+            Admit::Pass => self.deliver_now(dst, msg, order),
+            Admit::Release(window) => {
+                for (m, o) in window {
+                    self.deliver_now(dst, m, o);
                 }
-                return;
             }
         }
-        self.deliver_now(dst, msg, order);
     }
 
     /// Consumes one delivery: runs the controllers against the message and
@@ -1054,7 +973,13 @@ impl<W: Workload> System<W> {
                 }
             }
         }
-        if routing.to_mem && self.fault_duplicates_delivery(msg) {
+        let verdict = match &mut self.fault {
+            None => Verdict::Deliver,
+            Some(fault) => fault.verdict(dst, &msg.payload, routing, |block| {
+                self.caches[dst.index()].cache().state(block)
+            }),
+        };
+        if verdict == Verdict::DuplicateAtHome {
             // Schedule the duplicate well after the original transaction
             // settles — far enough out that ownership of the block has had
             // time to migrate to another cache (`redeliver` re-checks the
@@ -1071,10 +996,9 @@ impl<W: Workload> System<W> {
                 },
             );
         }
-        if routing.to_cache && self.fault_drops_invalidation(dst, msg) {
-            // The cache never sees the invalidation; its stale copy keeps
-            // serving loads. Memory-side routing proceeds untouched.
-        } else if routing.to_cache {
+        // A skipped cache never sees the invalidation; its stale copy keeps
+        // serving loads. Memory-side routing proceeds untouched.
+        if routing.to_cache && verdict != Verdict::SkipCache {
             let mut sink = std::mem::take(&mut self.sink);
             self.caches[dst.index()].on_delivery(self.now, msg, order, &mut sink);
             self.apply_actions(dst, &mut sink);
@@ -1085,12 +1009,10 @@ impl<W: Workload> System<W> {
             self.mems[dst.index()].on_delivery(self.now, msg, order, &mut sink);
             self.apply_actions(dst, &mut sink);
             self.sink = sink;
-            if self.fault_forgets_sharer(msg) {
-                if let ProtoMsg::Request(req) = &msg.payload {
-                    // The home just recorded the requestor; silently lose
-                    // it again (sharer bit and, if recorded, ownership).
-                    self.mems[dst.index()].fault_forget_sharer(req.block, req.requestor);
-                }
+            if let (Verdict::ForgetSharer, ProtoMsg::Request(req)) = (verdict, &msg.payload) {
+                // The home just recorded the requestor; silently lose it
+                // again (sharer bit and, if recorded, ownership).
+                self.mems[dst.index()].fault_forget_sharer(req.block, req.requestor);
             }
         }
     }
@@ -1166,17 +1088,10 @@ impl<W: Workload> System<W> {
     /// Reports a completed op to the workload, applying any configured
     /// fault injection to the observed value first.
     fn complete_op(&mut self, node: NodeId, op: &ProcOp, value: u64) {
-        let mut value = value;
-        if let (Some(FaultInjection::CorruptLoads { period }), ProcOp::Load { .. }) =
-            (self.cfg.fault, op)
-        {
-            self.loads_completed += 1;
-            if self.loads_completed.is_multiple_of(period) {
-                // Set the top bit: far outside any oracle token range, so
-                // the corruption is unambiguously out-of-thin-air.
-                value ^= 1 << 63;
-            }
-        }
+        let value = match &mut self.fault {
+            None => value,
+            Some(fault) => fault.observed_value(op, value),
+        };
         self.workload.on_complete(node, self.now, op, value);
     }
 

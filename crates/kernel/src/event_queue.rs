@@ -119,14 +119,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The implementation backing this queue.
-    pub fn kind(&self) -> QueueKind {
-        match self.core {
-            Core::Heap(_) => QueueKind::Heap,
-            Core::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-
     /// Schedules `event` to fire at `time`.
     pub fn schedule(&mut self, time: Time, event: E) {
         let seq = self.next_seq;

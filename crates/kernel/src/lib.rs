@@ -7,8 +7,8 @@
 //!   (1 protocol *cycle* = 1 ns, matching the paper's ~1 GHz controllers);
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events;
 //! * [`DetRng`] — a small, seedable, reproducible random-number generator;
-//! * [`stats`] — counters, running means, histograms and busy-time trackers
-//!   used for every number the experiment harness reports.
+//! * [`stats`] — running means and busy-time trackers used for every
+//!   number the experiment harness reports.
 //!
 //! # Example
 //!

@@ -1,39 +1,11 @@
 //! Statistics primitives used throughout the simulator.
 //!
-//! * [`Counter`] — monotonically increasing event count;
 //! * [`RunningStat`] — Welford mean/variance of a stream of samples;
-//! * [`Histogram`] — fixed-width bucket histogram for latency distributions;
 //! * [`BusyTracker`] — busy-time integral of a resource (link, DRAM port),
 //!   supporting windowed queries for the adaptive mechanism and whole-run
 //!   utilization numbers for Figure 6.
 
 use crate::time::{Duration, Time};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Welford online mean / variance over f64 samples.
 #[derive(Debug, Clone, Copy, Default)]
@@ -90,16 +62,6 @@ impl RunningStat {
         }
     }
 
-    /// Coefficient of variation (stddev / mean), 0 when the mean is 0.
-    pub fn coeff_of_variation(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.stddev() / m
-        }
-    }
-
     /// Smallest sample seen (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -108,80 +70,6 @@ impl RunningStat {
     /// Largest sample seen (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-}
-
-/// A fixed-bucket histogram over u64 samples (e.g. latencies in ns).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each;
-    /// values `>= buckets * bucket_width` land in an overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `buckets` is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0 && buckets > 0);
-        Histogram {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (value / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.total += 1;
-    }
-
-    /// Total number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in the overflow bucket.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile (bucket upper bound containing quantile `q`).
-    /// Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i as u64 + 1) * self.bucket_width);
-            }
-        }
-        Some(self.buckets.len() as u64 * self.bucket_width)
-    }
-
-    /// Iterates `(bucket_lower_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (i as u64 * self.bucket_width, c))
     }
 }
 
@@ -297,14 +185,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn running_stat_mean_stddev() {
         let mut s = RunningStat::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -323,20 +203,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(10, 10);
-        for v in [1, 5, 15, 25, 25, 95, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.overflow_count(), 1);
-        // Median of 7 samples is the 4th = 25 → bucket [20,30).
-        assert_eq!(h.quantile(0.5), Some(30));
-        let nonempty: Vec<_> = h.iter().collect();
-        assert_eq!(nonempty[0], (0, 2));
     }
 
     #[test]

@@ -99,6 +99,76 @@ pub enum Jitter {
     },
 }
 
+/// The per-message cost rules both interconnect engines share: the
+/// bandwidth footprint of a message (full broadcasts are inflated by the
+/// broadcast cost multiplier, Figure 11) and the seeded [`Jitter`] draws.
+/// A zero bound never draws, so the random stream advances only where a
+/// delay can actually be added.
+#[derive(Debug)]
+pub(crate) struct MsgCost {
+    full_mask: NodeSet,
+    broadcast_multiplier: u64,
+    injection_max_ps: u64,
+    traversal_max_ps: u64,
+    rng: Option<DetRng>,
+}
+
+impl MsgCost {
+    pub(crate) fn new(cfg: &NetConfig) -> Self {
+        let (injection_max_ps, traversal_max_ps, rng) = match &cfg.jitter {
+            Jitter::None => (0, 0, None),
+            Jitter::Uniform {
+                injection_max,
+                traversal_max,
+                seed,
+            } => (
+                injection_max.as_ps(),
+                traversal_max.as_ps(),
+                Some(DetRng::seed_from(*seed)),
+            ),
+        };
+        MsgCost {
+            full_mask: NodeSet::all(cfg.nodes as usize),
+            broadcast_multiplier: cfg.broadcast_cost_multiplier as u64,
+            injection_max_ps,
+            traversal_max_ps,
+            rng,
+        }
+    }
+
+    /// The bytes `msg` occupies on every link it crosses.
+    pub(crate) fn effective_size<P>(&self, msg: &Message<P>) -> u64 {
+        if msg.dests == self.full_mask {
+            msg.size as u64 * self.broadcast_multiplier
+        } else {
+            msg.size as u64
+        }
+    }
+
+    // The engines' generic `send`/`handle` are instantiated in the driver's
+    // crate; `#[inline]` lets these per-message calls inline there.
+
+    /// Extra delay before a message starts transmitting.
+    #[inline]
+    pub(crate) fn injection_jitter(&mut self) -> Duration {
+        Self::draw(&mut self.rng, self.injection_max_ps)
+    }
+
+    /// Extra per-destination delay for an unordered message.
+    #[inline]
+    pub(crate) fn traversal_jitter(&mut self) -> Duration {
+        Self::draw(&mut self.rng, self.traversal_max_ps)
+    }
+
+    #[inline]
+    fn draw(rng: &mut Option<DetRng>, max_ps: u64) -> Duration {
+        match rng {
+            Some(rng) if max_ps > 0 => Duration::from_ps(rng.below(max_ps + 1)),
+            _ => Duration::ZERO,
+        }
+    }
+}
+
 /// Internal crossbar events, scheduled on the driver's event queue.
 ///
 /// Past the core the message lives in the driver's [`MsgArena`]: a
@@ -218,10 +288,9 @@ struct LinkState {
 #[derive(Debug)]
 pub struct Crossbar<P> {
     cfg: NetConfig,
-    full_mask: NodeSet,
+    cost: MsgCost,
     links: Vec<LinkState>,
     next_order: u64,
-    rng: Option<DetRng>,
     _marker: std::marker::PhantomData<P>,
 }
 
@@ -235,15 +304,10 @@ impl<P> Crossbar<P> {
         assert!(cfg.nodes > 0, "need at least one node");
         assert!(cfg.link_mbps > 0, "bandwidth must be positive");
         assert!(cfg.broadcast_cost_multiplier >= 1);
-        let rng = match &cfg.jitter {
-            Jitter::None => None,
-            Jitter::Uniform { seed, .. } => Some(DetRng::seed_from(*seed)),
-        };
         Crossbar {
-            full_mask: NodeSet::all(cfg.nodes as usize),
+            cost: MsgCost::new(&cfg),
             links: vec![LinkState::default(); cfg.nodes as usize],
             next_order: 0,
-            rng,
             cfg,
             _marker: std::marker::PhantomData,
         }
@@ -264,9 +328,9 @@ impl<P> Crossbar<P> {
     pub fn send(&mut self, now: Time, msg: Message<P>, out: &mut NetStep<P>) {
         assert!(!msg.dests.is_empty(), "message with no destinations");
         assert!((msg.src.index()) < self.links.len(), "bad source node");
-        let eff = self.effective_size(&msg);
+        let eff = self.cost.effective_size(&msg);
         let tx_time = Duration::transmission(eff, self.cfg.link_mbps);
-        let inject_delay = self.injection_jitter();
+        let inject_delay = self.cost.injection_jitter();
         let link = &mut self.links[msg.src.index()];
         let start = (now + inject_delay).max(link.busy.busy_until());
         let end = start + tx_time;
@@ -305,20 +369,6 @@ impl<P> Crossbar<P> {
         &self.links[node.index()].busy
     }
 
-    /// Whole-run utilization of a node's link over `[0, t)`.
-    pub fn link_utilization(&self, node: NodeId, t: Time) -> f64 {
-        self.links[node.index()].busy.utilization(t)
-    }
-
-    /// Mean link utilization across all nodes over `[0, t)` (Figure 6's
-    /// y-axis).
-    pub fn mean_utilization(&self, t: Time) -> f64 {
-        let sum: f64 = (0..self.cfg.nodes)
-            .map(|i| self.link_utilization(NodeId(i), t))
-            .sum();
-        sum / self.cfg.nodes as f64
-    }
-
     /// Total effective bytes pushed through a node's link (both directions).
     pub fn link_bytes(&self, node: NodeId) -> u64 {
         self.links[node.index()].bytes
@@ -327,11 +377,6 @@ impl<P> Crossbar<P> {
     /// Total messages (tx + rx) through a node's link.
     pub fn link_messages(&self, node: NodeId) -> u64 {
         self.links[node.index()].messages
-    }
-
-    /// Number of totally ordered messages sequenced so far.
-    pub fn orders_assigned(&self) -> u64 {
-        self.next_order
     }
 
     fn enter_core(
@@ -358,7 +403,7 @@ impl<P> Crossbar<P> {
             let extra = match ordered {
                 // Per-destination jitter would break the total order.
                 Ordered::Total => Duration::ZERO,
-                Ordered::None => self.traversal_jitter(),
+                Ordered::None => self.cost.traversal_jitter(),
             };
             let at = now + self.cfg.traversal + extra;
             out.schedule
@@ -375,7 +420,7 @@ impl<P> Crossbar<P> {
         arena: &MsgArena<P>,
         out: &mut NetStep<P>,
     ) {
-        let eff = self.effective_size(arena.get(msg));
+        let eff = self.cost.effective_size(arena.get(msg));
         let rx_time = Duration::transmission(eff, self.cfg.link_mbps);
         let link = &mut self.links[dst.index()];
         let start = now.max(link.busy.busy_until());
@@ -385,44 +430,6 @@ impl<P> Crossbar<P> {
         link.messages += 1;
         out.schedule
             .push((end, NetEvent::Deliver { dst, msg, order }));
-    }
-
-    /// The bandwidth footprint of a message: full broadcasts are inflated by
-    /// the broadcast cost multiplier (Figure 11).
-    fn effective_size(&self, msg: &Message<P>) -> u64 {
-        if msg.dests == self.full_mask {
-            msg.size as u64 * self.cfg.broadcast_cost_multiplier as u64
-        } else {
-            msg.size as u64
-        }
-    }
-
-    fn injection_jitter(&mut self) -> Duration {
-        match &self.cfg.jitter {
-            Jitter::None => Duration::ZERO,
-            Jitter::Uniform { injection_max, .. } => {
-                let max = injection_max.as_ps();
-                if max == 0 {
-                    return Duration::ZERO;
-                }
-                let rng = self.rng.as_mut().expect("jitter rng");
-                Duration::from_ps(rng.below(max + 1))
-            }
-        }
-    }
-
-    fn traversal_jitter(&mut self) -> Duration {
-        match &self.cfg.jitter {
-            Jitter::None => Duration::ZERO,
-            Jitter::Uniform { traversal_max, .. } => {
-                let max = traversal_max.as_ps();
-                if max == 0 {
-                    return Duration::ZERO;
-                }
-                let rng = self.rng.as_mut().expect("jitter rng");
-                Duration::from_ps(rng.below(max + 1))
-            }
-        }
     }
 }
 
@@ -584,11 +591,11 @@ mod tests {
         let end = out[0].0; // 10 + 50 + 10 = 70 ns
         assert_eq!(end.as_ns(), 70);
         // Sender link busy 10 of 70 ns; receiver link busy 10 of 70 ns.
-        assert!((net.link_utilization(NodeId(0), end) - 10.0 / 70.0).abs() < 1e-9);
-        assert!((net.link_utilization(NodeId(1), end) - 10.0 / 70.0).abs() < 1e-9);
+        for node in [NodeId(0), NodeId(1)] {
+            assert!((net.link_tracker(node).utilization(end) - 10.0 / 70.0).abs() < 1e-9);
+        }
         assert_eq!(net.link_bytes(NodeId(0)), 8);
         assert_eq!(net.link_messages(NodeId(1)), 1);
-        assert!((net.mean_utilization(end) - 10.0 / 70.0).abs() < 1e-9);
     }
 
     #[test]

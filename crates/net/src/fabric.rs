@@ -48,12 +48,12 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bash_kernel::stats::BusyTracker;
-use bash_kernel::{DetRng, Duration, Time};
+use bash_kernel::{Duration, Time};
 
 use crate::arena::{MsgArena, MsgRef};
-use crate::crossbar::{Crossbar, Delivery, Jitter, NetConfig, NetEvent, NetStep};
+use crate::crossbar::{Crossbar, Delivery, MsgCost, NetConfig, NetEvent, NetStep};
 use crate::fault::{DropCause, Fate, FaultPlane, FaultStats};
-use crate::ids::{NodeId, NodeSet};
+use crate::ids::NodeId;
 use crate::message::{Message, Ordered};
 use crate::topology::{OrderingMode, Topology, TopologyKind};
 
@@ -127,7 +127,7 @@ impl FabLink {
 pub struct Fabric<P> {
     cfg: NetConfig,
     topo: Box<dyn Topology>,
-    full_mask: NodeSet,
+    cost: MsgCost,
     links: Vec<FabLink>,
     /// Dense `(from * vertices + to) → link id` map (`u32::MAX` = no link).
     link_index: Vec<u32>,
@@ -144,7 +144,6 @@ pub struct Fabric<P> {
     entry_node: Vec<u32>,
     entry_gen: Vec<u32>,
     gen: u32,
-    rng: Option<DetRng>,
     /// The deterministic fault plane, when `cfg.fault` configures one.
     fault: Option<FaultPlane>,
     /// Failover routing table, built after the first link death:
@@ -184,16 +183,12 @@ impl<P> Fabric<P> {
             links.push(FabLink::new(from, to));
         }
         let n = cfg.nodes as usize;
-        let rng = match &cfg.jitter {
-            Jitter::None => None,
-            Jitter::Uniform { seed, .. } => Some(DetRng::seed_from(*seed)),
-        };
         let fault = cfg
             .fault
             .as_ref()
             .map(|fc| FaultPlane::new(fc, topo.links()));
         Fabric {
-            full_mask: NodeSet::all(n),
+            cost: MsgCost::new(&cfg),
             links,
             link_index,
             incident,
@@ -204,7 +199,6 @@ impl<P> Fabric<P> {
             entry_node: vec![0; v],
             entry_gen: vec![0; v],
             gen: 0,
-            rng,
             fault,
             reroute: None,
             topo,
@@ -227,11 +221,6 @@ impl<P> Fabric<P> {
     /// guarantee is always a total order; see the module docs).
     pub fn ordering(&self) -> OrderingMode {
         self.topo.ordering()
-    }
-
-    /// Number of totally ordered messages sequenced so far.
-    pub fn orders_assigned(&self) -> u64 {
-        self.next_order
     }
 
     /// Number of directed links.
@@ -264,24 +253,6 @@ impl<P> Fabric<P> {
         &self.links[i].busy
     }
 
-    /// Cumulative busy time of directed link `i` over `[0, t)`, in ps.
-    pub fn link_busy_ps(&self, i: usize, t: Time) -> u64 {
-        self.links[i].busy.busy_time_until(t).as_ps()
-    }
-
-    /// Whole-run utilization of directed link `i` over `[0, t)`.
-    pub fn link_utilization(&self, i: usize, t: Time) -> f64 {
-        self.links[i].busy.utilization(t)
-    }
-
-    /// Mean utilization across all directed links over `[0, t)`.
-    pub fn mean_utilization(&self, t: Time) -> f64 {
-        let sum: f64 = (0..self.links.len())
-            .map(|i| self.link_utilization(i, t))
-            .sum();
-        sum / self.links.len().max(1) as f64
-    }
-
     /// Ids of the directed links incident to endpoint `node` (both
     /// directions) — the adaptive mechanism's local-utilization inputs.
     pub fn incident_links(&self, node: NodeId) -> &[u32] {
@@ -291,11 +262,6 @@ impl<P> Fabric<P> {
     /// Cumulative fault-plane counters, when a fault plane is configured.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.fault.as_ref().map(|f| f.stats())
-    }
-
-    /// The runtime fault plane, when one is configured.
-    pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.fault.as_ref()
     }
 
     /// Injects a message at `now`; appends the first link-crossing
@@ -317,8 +283,8 @@ impl<P> Fabric<P> {
             msg.src.index() < self.topo.nodes() as usize,
             "bad source node"
         );
-        let eff = self.effective_size(&msg);
-        let inject_delay = self.injection_jitter();
+        let eff = self.cost.effective_size(&msg);
+        let inject_delay = self.cost.injection_jitter();
         let order = match msg.ordered {
             Ordered::Total => {
                 let o = self.next_order;
@@ -745,7 +711,7 @@ impl<P> Fabric<P> {
     ) {
         match order {
             None => {
-                let extra = self.traversal_jitter();
+                let extra = self.cost.traversal_jitter();
                 if extra.as_ps() == 0 {
                     out.deliveries.push(Delivery {
                         dst,
@@ -800,44 +766,6 @@ impl<P> Fabric<P> {
         let li = self.link_index[from as usize * v + to as usize];
         debug_assert_ne!(li, u32::MAX, "route used nonexistent link {from}->{to}");
         li
-    }
-
-    /// Bandwidth footprint (same rule as the crossbar: full broadcasts
-    /// are inflated by the broadcast cost multiplier).
-    fn effective_size(&self, msg: &Message<P>) -> u64 {
-        if msg.dests == self.full_mask {
-            msg.size as u64 * self.cfg.broadcast_cost_multiplier as u64
-        } else {
-            msg.size as u64
-        }
-    }
-
-    fn injection_jitter(&mut self) -> Duration {
-        match &self.cfg.jitter {
-            Jitter::None => Duration::ZERO,
-            Jitter::Uniform { injection_max, .. } => {
-                let max = injection_max.as_ps();
-                if max == 0 {
-                    return Duration::ZERO;
-                }
-                let rng = self.rng.as_mut().expect("jitter rng");
-                Duration::from_ps(rng.below(max + 1))
-            }
-        }
-    }
-
-    fn traversal_jitter(&mut self) -> Duration {
-        match &self.cfg.jitter {
-            Jitter::None => Duration::ZERO,
-            Jitter::Uniform { traversal_max, .. } => {
-                let max = traversal_max.as_ps();
-                if max == 0 {
-                    return Duration::ZERO;
-                }
-                let rng = self.rng.as_mut().expect("jitter rng");
-                Duration::from_ps(rng.below(max + 1))
-            }
-        }
     }
 }
 
@@ -906,27 +834,11 @@ impl<P> Interconnect<P> {
         }
     }
 
-    /// Number of totally ordered messages sequenced so far.
-    pub fn orders_assigned(&self) -> u64 {
-        match self {
-            Interconnect::Crossbar(c) => c.orders_assigned(),
-            Interconnect::Fabric(f) => f.orders_assigned(),
-        }
-    }
-
     /// Ordering capability (the crossbar orders natively at its core).
     pub fn ordering(&self) -> OrderingMode {
         match self {
             Interconnect::Crossbar(_) => OrderingMode::NativeTotalOrder,
             Interconnect::Fabric(f) => f.ordering(),
-        }
-    }
-
-    /// The fabric engine, when one is selected.
-    pub fn as_fabric(&self) -> Option<&Fabric<P>> {
-        match self {
-            Interconnect::Crossbar(_) => None,
-            Interconnect::Fabric(f) => Some(f),
         }
     }
 
@@ -937,19 +849,13 @@ impl<P> Interconnect<P> {
             Interconnect::Fabric(f) => f.fault_stats(),
         }
     }
-
-    /// The crossbar engine, when one is selected.
-    pub fn as_crossbar(&self) -> Option<&Crossbar<P>> {
-        match self {
-            Interconnect::Crossbar(c) => Some(c),
-            Interconnect::Fabric(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::Jitter;
+    use crate::ids::NodeSet;
     use crate::VnetId;
     use bash_kernel::EventQueue;
 
@@ -1107,7 +1013,7 @@ mod tests {
             .unwrap();
         assert_eq!(net.link_bytes(down), 8);
         assert_eq!(net.link_peak_demand(down), 1);
-        assert!(net.link_busy_ps(up, Time::from_ns(200)) > 0);
+        assert!(net.link_tracker(up).busy_time_until(Time::from_ns(200)) > Duration::ZERO);
         assert_eq!(net.incident_links(NodeId(0)).len(), 2);
     }
 
@@ -1330,10 +1236,10 @@ mod tests {
     #[test]
     fn interconnect_dispatches_on_topology() {
         let xbar: Interconnect<&'static str> = Interconnect::new(NetConfig::new(4, 800));
-        assert!(xbar.as_crossbar().is_some());
+        assert!(matches!(xbar, Interconnect::Crossbar(_)));
         assert_eq!(xbar.ordering(), OrderingMode::NativeTotalOrder);
         let fab: Interconnect<&'static str> = Interconnect::new(cfg(TopologyKind::Mesh2D, 4, 800));
-        assert!(fab.as_fabric().is_some());
+        assert!(matches!(fab, Interconnect::Fabric(_)));
         assert_eq!(fab.ordering(), OrderingMode::Resequenced);
     }
 

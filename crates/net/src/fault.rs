@@ -73,15 +73,6 @@ impl LinkFaultProfile {
         }
     }
 
-    /// True when the profile can never alter a crossing.
-    pub fn is_benign(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.corrupt_prob == 0.0
-            && self.extra_delay.is_zero()
-            && self.delay_jitter.is_zero()
-            && self.down.is_empty()
-    }
-
     fn is_down_at(&self, t: Time) -> bool {
         self.down.iter().any(|&(from, to)| t >= from && t < to)
     }
@@ -243,13 +234,6 @@ pub struct FaultStats {
     pub undeliverable: u64,
 }
 
-impl FaultStats {
-    /// Total crossings the plane discarded, over all causes.
-    pub fn total_discarded(&self) -> u64 {
-        self.dropped + self.corrupted + self.down_drops
-    }
-}
-
 /// Per-link runtime fault state.
 #[derive(Debug)]
 struct LinkFault {
@@ -303,11 +287,6 @@ impl FaultPlane {
     /// Cumulative fault counters.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Number of links currently declared dead.
-    pub fn dead_link_count(&self) -> usize {
-        self.links.iter().filter(|l| l.dead).count()
     }
 
     /// True when link `li` has been declared dead.

@@ -17,9 +17,6 @@ pub const MAX_NODES: usize = 4096;
 /// Number of inline ids the small representation holds before spilling.
 const SMALL_CAP: usize = 10;
 
-/// Bitset words needed to cover [`MAX_NODES`] ids.
-const WORDS_MAX: usize = MAX_NODES / 64;
-
 /// Identifies one integrated processor/memory node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
@@ -870,101 +867,91 @@ impl Iterator for NodeSetIter<'_> {
     }
 }
 
-/// Plain fixed-size bitset covering [`MAX_NODES`] ids — the old
-/// `NodeSet` representation, kept as the reference/baseline for the
-/// equivalence proptests and the `smallset_vs_bitset` bench ratio. Not
-/// part of the public API surface.
-#[doc(hidden)]
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct ReferenceBitSet {
-    words: [u64; WORDS_MAX],
-}
-
-#[doc(hidden)]
-impl ReferenceBitSet {
-    /// The empty reference set.
-    pub const EMPTY: ReferenceBitSet = ReferenceBitSet {
-        words: [0; WORDS_MAX],
-    };
-
-    /// Adds `node`; returns true if newly inserted.
-    pub fn insert(&mut self, node: NodeId) -> bool {
-        let (w, b) = (node.index() / 64, 1u64 << (node.index() % 64));
-        let was = self.words[w] & b != 0;
-        self.words[w] |= b;
-        !was
-    }
-
-    /// Removes `node`; returns true if it was present.
-    pub fn remove(&mut self, node: NodeId) -> bool {
-        let (w, b) = (node.index() / 64, 1u64 << (node.index() % 64));
-        let was = self.words[w] & b != 0;
-        self.words[w] &= !b;
-        was
-    }
-
-    /// True if `node` is a member.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.words[node.index() / 64] & (1u64 << (node.index() % 64)) != 0
-    }
-
-    /// Member count.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Set union.
-    pub fn union(&self, other: &ReferenceBitSet) -> ReferenceBitSet {
-        let mut out = *self;
-        for (a, b) in out.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-        out
-    }
-
-    /// Set difference (`self - other`).
-    pub fn difference(&self, other: &ReferenceBitSet) -> ReferenceBitSet {
-        let mut out = *self;
-        for (a, b) in out.words.iter_mut().zip(other.words.iter()) {
-            *a &= !b;
-        }
-        out
-    }
-
-    /// True if every member of `other` is in `self`.
-    pub fn is_superset(&self, other: &ReferenceBitSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .all(|(a, b)| a & b == *b)
-    }
-
-    /// Ascending-order member iterator.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    Some(NodeId((wi * 64) as u16 + b as u16))
-                }
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Bitset words needed to cover [`MAX_NODES`] ids.
+    const WORDS_MAX: usize = MAX_NODES / 64;
+
+    /// Plain fixed-size bitset covering [`MAX_NODES`] ids — the old
+    /// `NodeSet` representation, kept as the reference the equivalence
+    /// proptests pin the adaptive set against.
+    #[derive(Clone, Copy)]
+    struct ReferenceBitSet {
+        words: [u64; WORDS_MAX],
+    }
+
+    impl ReferenceBitSet {
+        const EMPTY: ReferenceBitSet = ReferenceBitSet {
+            words: [0; WORDS_MAX],
+        };
+
+        fn insert(&mut self, node: NodeId) -> bool {
+            let (w, b) = (node.index() / 64, 1u64 << (node.index() % 64));
+            let was = self.words[w] & b != 0;
+            self.words[w] |= b;
+            !was
+        }
+
+        fn remove(&mut self, node: NodeId) -> bool {
+            let (w, b) = (node.index() / 64, 1u64 << (node.index() % 64));
+            let was = self.words[w] & b != 0;
+            self.words[w] &= !b;
+            was
+        }
+
+        fn contains(&self, node: NodeId) -> bool {
+            self.words[node.index() / 64] & (1u64 << (node.index() % 64)) != 0
+        }
+
+        fn len(&self) -> usize {
+            self.words.iter().map(|w| w.count_ones() as usize).sum()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.words.iter().all(|&w| w == 0)
+        }
+
+        fn union(&self, other: &ReferenceBitSet) -> ReferenceBitSet {
+            let mut out = *self;
+            for (a, b) in out.words.iter_mut().zip(other.words.iter()) {
+                *a |= b;
+            }
+            out
+        }
+
+        fn difference(&self, other: &ReferenceBitSet) -> ReferenceBitSet {
+            let mut out = *self;
+            for (a, b) in out.words.iter_mut().zip(other.words.iter()) {
+                *a &= !b;
+            }
+            out
+        }
+
+        fn is_superset(&self, other: &ReferenceBitSet) -> bool {
+            self.words
+                .iter()
+                .zip(other.words.iter())
+                .all(|(a, b)| a & b == *b)
+        }
+
+        fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.words.iter().enumerate().flat_map(|(wi, &w)| {
+                let mut bits = w;
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        None
+                    } else {
+                        let b = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        Some(NodeId((wi * 64) as u16 + b as u16))
+                    }
+                })
+            })
+        }
+    }
 
     #[test]
     fn insert_contains_remove() {

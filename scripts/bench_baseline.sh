@@ -23,11 +23,9 @@ if ! grep -q '"events_per_sec"' "$OUT"; then
   exit 1
 fi
 
-# Calendar-queue gates. Ratios (not absolute timings) so shared-runner
-# noise mostly cancels:
-#   * calendar_vs_heap_256 — queue churn at 256-node load must hold the
-#     tentpole's scaling win (>= 3.0x over the heap it replaced);
-#   * each 16-node end-to-end point must not regress (>= 0.95x heap).
+# Calendar-queue gate, a ratio (not an absolute timing) so shared-runner
+# noise mostly cancels: queue churn at 256-node load must hold the
+# calendar's scaling win (>= 3.0x over the heap it replaced).
 ratio() { # ratio <key>  -> prints the numeric value of "key": N.NNN
   sed -n 's/^[[:space:]]*"'"$1"'":[[:space:]]*\([0-9.]*\).*/\1/p' "$OUT" | head -n1
 }
@@ -40,33 +38,12 @@ elif awk -v r="$r256" 'BEGIN { exit !(r < 3.0) }'; then
   echo "bench_baseline: calendar_vs_heap_256 = $r256 < 3.0 — calendar queue lost its scaling win" >&2
   fail=1
 fi
-for key in Snooping_16 BASH_16 Directory_16; do
-  r="$(ratio "$key")"
-  if [[ -z "$r" ]]; then
-    echo "bench_baseline: $OUT has no $key ratio — bench output is malformed" >&2
-    fail=1
-  elif awk -v r="$r" 'BEGIN { exit !(r < 0.95) }'; then
-    echo "bench_baseline: $key = $r < 0.95 — calendar queue regressed a 16-node point" >&2
-    fail=1
-  fi
-done
 
-# Scale gates (adaptive sharer sets + open-addressed block tables):
-#   * the 1024-node hierarchical point must exist — its absence means the
-#     scale sweep silently stopped running past the old 256-node cap;
-#   * smallset_vs_bitset_16 — the adaptive NodeSet against the retired
-#     fixed bitset on a 16-node working pattern must hold >= 0.95x, so
-#     scaling to 4096 nodes never taxes the paper-sized runs.
+# Scale gate: the 1024-node hierarchical point must exist — its absence
+# means the scale sweep silently stopped running past the old 256-node
+# cap.
 if [[ -z "$(ratio events_per_sec_1024)" ]]; then
   echo "bench_baseline: $OUT has no events_per_sec_1024 — scale section missing" >&2
-  fail=1
-fi
-rset="$(ratio smallset_vs_bitset_16)"
-if [[ -z "$rset" ]]; then
-  echo "bench_baseline: $OUT has no smallset_vs_bitset_16 ratio — scale section malformed" >&2
-  fail=1
-elif awk -v r="$rset" 'BEGIN { exit !(r < 0.95) }'; then
-  echo "bench_baseline: smallset_vs_bitset_16 = $rset < 0.95 — adaptive NodeSet regressed the 16-node pattern" >&2
   fail=1
 fi
 exit "$fail"

@@ -17,7 +17,7 @@ use bash_adaptive::AdaptorConfig;
 use bash_coherence::{CacheGeometry, HierarchyConfig, ProtocolKind};
 use bash_kernel::pool;
 use bash_kernel::stats::RunningStat;
-use bash_kernel::{Duration, QueueKind, Time};
+use bash_kernel::{Duration, Time};
 use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
 use bash_sim::{RunError, RunStats, System, SystemConfig, WatchdogBudget};
 use bash_trace::{Trace, TraceReader};
@@ -120,8 +120,8 @@ pub enum BuildError {
         /// Node count the builder is configured for.
         nodes: u16,
     },
-    /// [`SimBuilder::trace_out_all_points`] was enabled without a
-    /// [`SimBuilder::trace_out`] path to derive the bundle paths from.
+    /// [`CaptureSpec::all_points`] was enabled without a
+    /// [`CaptureSpec::ops_out`] path to derive the bundle paths from.
     AllPointsWithoutTraceOut,
     /// [`SimBuilder::trace_in_path`] could not open or decode the trace
     /// file's header.
@@ -184,7 +184,7 @@ impl fmt::Display for BuildError {
                 "trace was captured on {trace} nodes but the builder is configured for {nodes}"
             ),
             BuildError::AllPointsWithoutTraceOut => {
-                f.write_str("trace_out_all_points needs a trace_out path to derive bundle paths")
+                f.write_str("CaptureSpec::all_points needs an ops_out path to derive bundle paths")
             }
             BuildError::TraceUnreadable { path, error } => {
                 write!(f, "trace file {}: {error}", path.display())
@@ -284,7 +284,7 @@ pub struct RunReport {
     /// Fraction of cache requests broadcast (1 = snooping-like behaviour).
     pub broadcast_fraction: Metric,
     /// Per-sampling-window mean policy-counter trace of the first seed,
-    /// when enabled with [`SimBuilder::trace_policy`].
+    /// when enabled with [`CaptureSpec::policy`].
     pub policy_trace: Option<Vec<(Time, f64)>>,
     /// The raw measured-window statistics of every seed that completed,
     /// in seed order. Failed seeds appear in [`errors`](Self::errors)
@@ -630,77 +630,6 @@ impl HierarchySpec {
     }
 }
 
-/// Values set through the deprecated per-field [`SimBuilder`] shims that
-/// must survive a later [`SimBuilder::fabric`] replacing the whole spec —
-/// without this, `.topology(Mesh2D).fabric(spec)` and
-/// `.fabric(spec).topology(Mesh2D)` would disagree.
-#[derive(Debug, Clone, Default)]
-struct FabricOverrides {
-    topology: Option<TopologyKind>,
-    broadcast_cost: Option<u32>,
-    jitter: Option<Jitter>,
-}
-
-impl FabricOverrides {
-    fn apply(&self, spec: &mut FabricSpec) {
-        if let Some(topology) = self.topology {
-            spec.topology = topology;
-        }
-        if let Some(cost) = self.broadcast_cost {
-            spec.broadcast_cost = cost;
-        }
-        if let Some(jitter) = &self.jitter {
-            spec.jitter = Some(jitter.clone());
-        }
-    }
-}
-
-/// Shim values that must survive [`SimBuilder::robustness`] (see
-/// [`FabricOverrides`]).
-#[derive(Debug, Clone, Default)]
-struct RobustnessOverrides {
-    fault_plane: Option<FaultPlaneConfig>,
-    watchdog: Option<WatchdogBudget>,
-}
-
-impl RobustnessOverrides {
-    fn apply(&self, spec: &mut RobustnessSpec) {
-        if let Some(plane) = &self.fault_plane {
-            spec.fault_plane = Some(plane.clone());
-        }
-        if let Some(budget) = self.watchdog {
-            spec.watchdog = Some(budget);
-        }
-    }
-}
-
-/// Shim values that must survive [`SimBuilder::capture`] (see
-/// [`FabricOverrides`]).
-#[derive(Debug, Clone, Default)]
-struct CaptureOverrides {
-    ops_out: Option<PathBuf>,
-    all_points: Option<bool>,
-    completions: Option<bool>,
-    policy: Option<bool>,
-}
-
-impl CaptureOverrides {
-    fn apply(&self, spec: &mut CaptureSpec) {
-        if let Some(path) = &self.ops_out {
-            spec.ops_out = Some(path.clone());
-        }
-        if let Some(all) = self.all_points {
-            spec.all_points = all;
-        }
-        if let Some(completions) = self.completions {
-            spec.completions = completions;
-        }
-        if let Some(policy) = self.policy {
-            spec.policy = policy;
-        }
-    }
-}
-
 /// Fluent configuration of one simulation campaign.
 ///
 /// Defaults mirror [`SystemConfig::paper_default`]: the paper's latencies,
@@ -711,7 +640,7 @@ impl CaptureOverrides {
 /// [`FabricSpec`] ([`fabric`](Self::fabric)), [`RobustnessSpec`]
 /// ([`robustness`](Self::robustness)) and [`CaptureSpec`]
 /// ([`capture`](Self::capture)) — whose interactions are validated
-/// together. The historical per-field setters remain as deprecated shims.
+/// together.
 pub struct SimBuilder {
     protocol: ProtocolKind,
     nodes: u16,
@@ -719,9 +648,6 @@ pub struct SimBuilder {
     robustness: RobustnessSpec,
     capture: CaptureSpec,
     hierarchy: Option<HierarchySpec>,
-    fabric_overrides: FabricOverrides,
-    robustness_overrides: RobustnessOverrides,
-    capture_overrides: CaptureOverrides,
     warmup: Duration,
     measure: Duration,
     seeds: u32,
@@ -733,7 +659,6 @@ pub struct SimBuilder {
     serialize_dram: Option<bool>,
     coverage: bool,
     threads: Option<usize>,
-    queue: QueueKind,
     workload: Option<WorkloadSpec>,
 }
 
@@ -748,9 +673,6 @@ impl SimBuilder {
             robustness: RobustnessSpec::default(),
             capture: CaptureSpec::default(),
             hierarchy: None,
-            fabric_overrides: FabricOverrides::default(),
-            robustness_overrides: RobustnessOverrides::default(),
-            capture_overrides: CaptureOverrides::default(),
             warmup: Duration::from_ns(100_000),
             measure: Duration::from_ns(400_000),
             seeds: 1,
@@ -762,20 +684,14 @@ impl SimBuilder {
             serialize_dram: None,
             coverage: false,
             threads: None,
-            queue: QueueKind::default(),
             workload: None,
         }
     }
 
     /// Replaces the whole interconnect configuration (topology, bandwidth
-    /// sweep, broadcast cost, jitter) with `spec`. Fields previously set
-    /// through the deprecated per-field shims
-    /// ([`topology`](Self::topology), [`broadcast_cost`](Self::broadcast_cost),
-    /// [`jitter`](Self::jitter)) survive the replacement — setter order
-    /// never changes the configuration.
+    /// sweep, broadcast cost, jitter) with `spec`.
     pub fn fabric(mut self, spec: FabricSpec) -> Self {
         self.fabric = spec;
-        self.fabric_overrides.apply(&mut self.fabric);
         self
     }
 
@@ -783,25 +699,16 @@ impl SimBuilder {
     /// panic retries) with `spec`. The cross-field rules — a fault plane
     /// needs a fabric topology; an unprotected lossy plane needs a
     /// watchdog or an explicit opt-out — are checked at
-    /// [`validate`](Self::validate) / run time. Fields previously set
-    /// through the deprecated [`fault_plane`](Self::fault_plane) /
-    /// [`watchdog`](Self::watchdog) shims survive the replacement.
+    /// [`validate`](Self::validate) / run time.
     pub fn robustness(mut self, spec: RobustnessSpec) -> Self {
         self.robustness = spec;
-        self.robustness_overrides.apply(&mut self.robustness);
         self
     }
 
     /// Replaces the whole capture configuration (op-trace output,
-    /// completion stamps, policy trace) with `spec`. Fields previously
-    /// set through the deprecated [`trace_out`](Self::trace_out) /
-    /// [`trace_out_all_points`](Self::trace_out_all_points) /
-    /// [`capture_completions`](Self::capture_completions) /
-    /// [`trace_policy`](Self::trace_policy) shims survive the
-    /// replacement.
+    /// completion stamps, policy trace) with `spec`.
     pub fn capture(mut self, spec: CaptureSpec) -> Self {
         self.capture = spec;
-        self.capture_overrides.apply(&mut self.capture);
         self
     }
 
@@ -831,14 +738,6 @@ impl SimBuilder {
     /// Sets the system size in nodes.
     pub fn nodes(mut self, nodes: u16) -> Self {
         self.nodes = nodes;
-        self
-    }
-
-    /// Sets the interconnect topology.
-    #[deprecated(note = "use `.fabric(FabricSpec::new(topology))` (or set it on a FabricSpec)")]
-    pub fn topology(mut self, topology: TopologyKind) -> Self {
-        self.fabric.topology = topology;
-        self.fabric_overrides.topology = Some(topology);
         self
     }
 
@@ -908,36 +807,20 @@ impl SimBuilder {
         self
     }
 
-    /// Forces an explicit message-latency jitter on *every* run,
-    /// overriding the multi-seed perturbation default.
-    #[deprecated(note = "use `.fabric(...)` with `FabricSpec::jitter`")]
-    pub fn jitter(mut self, jitter: Jitter) -> Self {
-        self.fabric.jitter = Some(jitter.clone());
-        self.fabric_overrides.jitter = Some(jitter);
-        self
-    }
-
-    /// Sets the bandwidth multiplier for full broadcasts (4 in Figure 11).
-    #[deprecated(note = "use `.fabric(...)` with `FabricSpec::broadcast_cost`")]
-    pub fn broadcast_cost(mut self, multiplier: u32) -> Self {
-        self.fabric.broadcast_cost = multiplier;
-        self.fabric_overrides.broadcast_cost = Some(multiplier);
-        self
-    }
-
-    /// Overrides the adaptive mechanism's configuration (BASH only).
+    /// Replaces the paper-default adaptive mechanism configuration (BASH
+    /// only).
     pub fn adaptor(mut self, adaptor: AdaptorConfig) -> Self {
         self.adaptor = Some(adaptor);
         self
     }
 
-    /// Overrides the L2 cache geometry.
+    /// Replaces the paper-default L2 cache geometry.
     pub fn cache(mut self, geometry: CacheGeometry) -> Self {
         self.cache = Some(geometry);
         self
     }
 
-    /// Overrides the BASH home retry-buffer capacity.
+    /// Replaces the paper-default BASH home retry-buffer capacity.
     pub fn retry_capacity(mut self, capacity: usize) -> Self {
         self.retry_capacity = Some(capacity);
         self
@@ -952,16 +835,6 @@ impl SimBuilder {
     /// Records transition coverage (Table 1 runs).
     pub fn coverage(mut self, on: bool) -> Self {
         self.coverage = on;
-        self
-    }
-
-    /// Records the mean policy-counter trace (one point per adaptive
-    /// sampling window) of the first seed into
-    /// [`RunReport::policy_trace`].
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::policy`")]
-    pub fn trace_policy(mut self, on: bool) -> Self {
-        self.capture.policy = on;
-        self.capture_overrides.policy = Some(on);
         self
     }
 
@@ -1030,57 +903,6 @@ impl SimBuilder {
         Ok(self)
     }
 
-    /// Captures the op stream of the first grid point (first bandwidth,
-    /// seed 0) and writes it to `path` in the compact binary form when the
-    /// run finishes. Capture once, then feed the file back through
-    /// [`trace_in`](Self::trace_in) to replay it under any protocol,
-    /// bandwidth, or thread count. To capture **every** (bandwidth × seed)
-    /// grid point instead of just the first, add
-    /// [`trace_out_all_points`](Self::trace_out_all_points). See
-    /// [`try_run_captured`](Self::try_run_captured) for what the capture
-    /// covers on multi-seed runs.
-    ///
-    /// The run (including `try_run`/`try_run_sweep`) **panics** if `path`
-    /// cannot be opened for writing (probed up front, before any
-    /// simulation runs) or the capture turns out unusable (the workload
-    /// yielded no ops) — capture failures are programmer errors, not
-    /// configuration errors, so they are not `BuildError`s.
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::ops_to`")]
-    pub fn trace_out(mut self, path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        self.capture.ops_out = Some(path.clone());
-        self.capture_overrides.ops_out = Some(path);
-        self
-    }
-
-    /// Stamps every captured op with its issue→complete latency, so
-    /// [`trace_out`](Self::trace_out) /
-    /// [`run_captured`](Self::run_captured) produce **completion-bearing**
-    /// traces — the input the differential latency pass
-    /// ([`bash_tester::differential_trace`]) summarizes per protocol.
-    /// Off by default: reference-stream goldens stay lean and
-    /// timing-free.
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::completions`")]
-    pub fn capture_completions(mut self, on: bool) -> Self {
-        self.capture.completions = on;
-        self.capture_overrides.completions = Some(on);
-        self
-    }
-
-    /// Captures **every** (bandwidth × seed) grid point of the run into a
-    /// trace bundle, not just the first. Each point is written next to the
-    /// [`trace_out`](Self::trace_out) path with a `.b<mbps>.s<seed>`
-    /// infix — `traces/run.trace` becomes `traces/run.b400.s0.trace`,
-    /// `traces/run.b400.s1.trace`, … — and the first grid point is still
-    /// written to the plain path itself. Requires `trace_out`;
-    /// [`validate`](Self::validate) rejects the combination otherwise.
-    #[deprecated(note = "use `.capture(...)` with `CaptureSpec::all_points`")]
-    pub fn trace_out_all_points(mut self, on: bool) -> Self {
-        self.capture.all_points = on;
-        self.capture_overrides.all_points = Some(on);
-        self
-    }
-
     /// Uses an arbitrary workload factory, called once per run with the
     /// system size and that run's seed. The factory must be `Send + Sync`
     /// because runs of a sweep may build their workloads on worker threads.
@@ -1089,35 +911,6 @@ impl SimBuilder {
         factory: impl Fn(u16, u64) -> BoxedWorkload + Send + Sync + 'static,
     ) -> Self {
         self.workload = Some(WorkloadSpec::Factory(Box::new(factory)));
-        self
-    }
-
-    /// Injects deterministic link faults (drops, corruption, delay,
-    /// outages) into the routed fabric, per the plane's per-directed-link
-    /// profiles. With [`FaultPlaneConfig::lossy`] (transport enabled) the
-    /// reliable-delivery layer retransmits until every message lands and
-    /// results stay byte-identical to the fault-free run; with
-    /// [`FaultPlaneConfig::unprotected`] messages are simply lost —
-    /// combine that with [`watchdog`](Self::watchdog) to turn the
-    /// resulting wedges into structured [`PointError`] rows. Requires a
-    /// fabric topology ([`validate`](Self::validate) rejects the
-    /// crossbar, which has no links).
-    #[deprecated(note = "use `.robustness(...)` with `RobustnessSpec::fault_plane`")]
-    pub fn fault_plane(mut self, plane: FaultPlaneConfig) -> Self {
-        self.robustness.fault_plane = Some(plane.clone());
-        self.robustness_overrides.fault_plane = Some(plane);
-        self
-    }
-
-    /// Arms the quiescence watchdog: a run exceeding the budget (events
-    /// processed or virtual time) is cut off with a structured
-    /// [`bash_sim::WedgeDiagnostic`] instead of spinning forever. In a
-    /// sweep the wedge becomes a [`PointError`] row of the report; the
-    /// other grid points keep running.
-    #[deprecated(note = "use `.robustness(...)` with `RobustnessSpec::watchdog`")]
-    pub fn watchdog(mut self, budget: WatchdogBudget) -> Self {
-        self.robustness.watchdog = Some(budget);
-        self.robustness_overrides.watchdog = Some(budget);
         self
     }
 
@@ -1133,16 +926,6 @@ impl SimBuilder {
     /// to `.threads(1)`.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
-        self
-    }
-
-    /// Selects the kernel's event-queue implementation — an engine A/B
-    /// knob, not a modeling one. The default calendar queue pops in
-    /// exactly the binary heap's order, so reports are byte-identical
-    /// either way; switch to [`QueueKind::Heap`] to measure the
-    /// difference.
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -1256,7 +1039,6 @@ impl SimBuilder {
         let mut cfg = SystemConfig::paper_default(self.protocol, self.nodes, mbps)
             .with_topology(self.fabric.topology)
             .with_broadcast_cost(self.fabric.broadcast_cost)
-            .with_queue(self.queue)
             .with_seed(self.base_seed.wrapping_add(seed_index as u64 * 7919));
         if let Some(h) = &self.hierarchy {
             cfg = cfg.with_hierarchy(h.config());
@@ -1437,7 +1219,7 @@ impl SimBuilder {
 
     /// Runs the first bandwidth point and also returns the reference
     /// trace captured from its first seed — the programmatic form of
-    /// [`trace_out`](Self::trace_out). Feed the trace back through
+    /// [`CaptureSpec::ops_out`]. Feed the trace back through
     /// [`trace_in`](Self::trace_in) (same plan and config) and the replay
     /// reproduces the returned report byte-for-byte, at any thread count.
     ///
@@ -1531,7 +1313,7 @@ impl SimBuilder {
     ///
     /// With `capture`, the first grid point (first bandwidth, seed 0) also
     /// records its op stream; the trace is returned and, when
-    /// [`trace_out`](Self::trace_out) is set, written to disk.
+    /// [`CaptureSpec::ops_out`] is set, written to disk.
     fn run_grid(&self, bandwidths: &[u64], capture: bool) -> (Vec<RunReport>, Option<Trace>) {
         if let (true, Some(path)) = (capture, &self.capture.ops_out) {
             // Probe the output path before burning the whole grid's
@@ -1542,7 +1324,7 @@ impl SimBuilder {
                 .create(true)
                 .append(true)
                 .open(path)
-                .unwrap_or_else(|e| panic!("trace_out path {} unwritable: {e}", path.display()));
+                .unwrap_or_else(|e| panic!("ops_out path {} unwritable: {e}", path.display()));
         }
         let seeds = self.seeds as usize;
         let tasks = bandwidths.len() * seeds;
@@ -1628,7 +1410,7 @@ impl SimBuilder {
         (reports, captured)
     }
 
-    /// Writes one grid point's captured trace next to the `trace_out`
+    /// Writes one grid point's captured trace next to the `ops_out`
     /// base path, tagged with its bandwidth and seed index:
     /// `run.trace` → `run.b<mbps>.s<seed>.trace`.
     fn write_point_trace(&self, base: &Path, mbps: u64, seed_index: u32, trace: &Trace) {
@@ -1770,40 +1552,5 @@ mod tests {
         let h = cfg.hierarchy.expect("hierarchy configured");
         assert_eq!((h.cluster_size, h.banks), (4, 2));
         assert!(b.flat().config(1600, 0).hierarchy.is_none());
-    }
-
-    /// The order-dependence regression: a deprecated per-field shim
-    /// followed by a grouped-spec setter used to lose the shim's value
-    /// (the spec replacement overwrote it), so `.topology(..).fabric(..)`
-    /// and `.fabric(..).topology(..)` built different systems.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_then_spec_equals_spec_then_shim() {
-        let spec = FabricSpec::new(TopologyKind::Mesh2D).bandwidths([400, 800]);
-        let shim_first = SimBuilder::new(ProtocolKind::Bash)
-            .broadcast_cost(4)
-            .fabric(spec.clone());
-        let spec_first = SimBuilder::new(ProtocolKind::Bash)
-            .fabric(spec)
-            .broadcast_cost(4);
-        assert_eq!(shim_first.fabric.broadcast_cost, 4);
-        assert_eq!(shim_first.fabric.topology, TopologyKind::Mesh2D);
-        assert_eq!(
-            shim_first.fabric.broadcast_cost,
-            spec_first.fabric.broadcast_cost
-        );
-        assert_eq!(shim_first.fabric.topology, spec_first.fabric.topology);
-        assert_eq!(shim_first.fabric.bandwidths, spec_first.fabric.bandwidths);
-
-        let budget = WatchdogBudget::events(1_000_000);
-        let shim_first = SimBuilder::new(ProtocolKind::Bash)
-            .watchdog(budget)
-            .robustness(RobustnessSpec::new());
-        assert_eq!(shim_first.robustness.watchdog, Some(budget));
-
-        let shim_first = SimBuilder::new(ProtocolKind::Bash)
-            .trace_policy(true)
-            .capture(CaptureSpec::new());
-        assert!(shim_first.capture.policy);
     }
 }

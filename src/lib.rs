@@ -60,9 +60,8 @@ pub use bash_coherence::{
 };
 // Kernel internals (the event queue, the deterministic RNG, busy-time
 // trackers) stay behind [`kernel`]: the facade's flat namespace carries
-// only the vocabulary a simulation user configures or reads back
-// (`QueueKind` qualifies — it is a `SystemConfig`/builder knob).
-pub use bash_kernel::{Duration, QueueKind, Time};
+// only the vocabulary a simulation user configures or reads back.
+pub use bash_kernel::{Duration, Time};
 pub use bash_net::{
     FaultPlaneConfig, FaultStats, Jitter, LinkFaultProfile, NodeId, NodeSet, OrderingMode,
     TopologyKind, TransportConfig,

@@ -28,8 +28,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bash::{
-    sweep_canonical_text, FabricSpec, HierarchySpec, ProtocolKind, QueueKind, SimBuilder,
-    TopologyKind, Trace,
+    sweep_canonical_text, FabricSpec, HierarchySpec, ProtocolKind, SimBuilder, TopologyKind, Trace,
 };
 
 /// The scenarios with committed mini-traces. `phase-shift` is the
@@ -280,15 +279,15 @@ fn hier_mini_trace() -> Trace {
 /// mini-trace replayed as 4 snooping clusters of 16 under a 4-bank
 /// directory spine, through all three protocol personalities, byte for
 /// byte against its own blessed golden (which carries the hierarchy
-/// stats block). Thread counts and the queue implementation must not
-/// change a byte. Any drift in cluster-cast delivery, spine routing,
-/// per-cluster adaptation, or the cluster/bank statistics shows up here.
+/// stats block). Thread counts must not change a byte. Any drift in
+/// cluster-cast delivery, spine routing, per-cluster adaptation, or the
+/// cluster/bank statistics shows up here.
 #[test]
 fn hierarchy_golden_reports_match_and_are_thread_invariant() {
     let trace = hier_mini_trace();
     let mut failures = Vec::new();
     for proto in PROTOCOLS {
-        let render = |threads: usize, queue: QueueKind| {
+        let render = |threads: usize| {
             sweep_canonical_text(
                 &SimBuilder::new(proto)
                     .trace_in(trace.clone())
@@ -298,20 +297,14 @@ fn hierarchy_golden_reports_match_and_are_thread_invariant() {
                     .warmup_ns(WARMUP_NS)
                     .measure_ns(MEASURE_NS)
                     .threads(threads)
-                    .queue(queue)
                     .run_sweep(),
             )
         };
-        let serial = render(1, QueueKind::Calendar);
+        let serial = render(1);
         assert_eq!(
             serial,
-            render(4, QueueKind::Calendar),
+            render(4),
             "migratory64-hier/{proto:?}: threads=4 replay diverged from threads=1"
-        );
-        assert_eq!(
-            serial,
-            render(4, QueueKind::Heap),
-            "migratory64-hier/{proto:?}: heap-queue replay diverged from calendar"
         );
         assert!(
             serial.contains("hierarchy clusters=4 banks=4"),
@@ -343,41 +336,6 @@ fn hierarchy_golden_reports_match_and_are_thread_invariant() {
          and commit the diff:\n{}",
         failures.join("\n")
     );
-}
-
-/// The calendar queue is a drop-in replacement for the binary heap: on
-/// the committed mini-traces, through every protocol, at `threads(1)`
-/// and `threads(4)`, `QueueKind::Heap` and the default calendar produce
-/// byte-identical canonical reports. Paired with the kernel's
-/// heap-vs-calendar pop-order proptest, this pins the whole engine — not
-/// just the queue — to exact FIFO-stable equivalence.
-#[test]
-fn heap_and_calendar_queues_produce_identical_reports() {
-    for scenario in SCENARIOS {
-        let trace = mini_trace(scenario);
-        for proto in PROTOCOLS {
-            for threads in [1usize, 4] {
-                let render = |queue: QueueKind| {
-                    sweep_canonical_text(
-                        &SimBuilder::new(proto)
-                            .trace_in(trace.clone())
-                            .bandwidths(BANDWIDTHS)
-                            .seed(SEED)
-                            .warmup_ns(WARMUP_NS)
-                            .measure_ns(MEASURE_NS)
-                            .threads(threads)
-                            .queue(queue)
-                            .run_sweep(),
-                    )
-                };
-                assert_eq!(
-                    render(QueueKind::Heap),
-                    render(QueueKind::Calendar),
-                    "{scenario}/{proto:?}: heap and calendar reports diverged at threads={threads}"
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -246,25 +246,6 @@ fn fault_plane_still_needs_a_routed_fabric() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_flat_setters_still_land_in_the_specs() {
-    // The pre-spec flat setters survive one deprecation cycle as shims;
-    // they must write through to the grouped specs.
-    let b = valid()
-        .topology(TopologyKind::Mesh2D)
-        .broadcast_cost(4)
-        .fault_plane(FaultPlaneConfig::lossy(0xFA57, 0.01))
-        .watchdog(WatchdogBudget::events(1_000_000))
-        .trace_policy(true)
-        .capture_completions(true);
-    let cfg = b.config(800, 0);
-    assert_eq!(cfg.broadcast_cost_multiplier, 4);
-    assert!(cfg.fault_plane.is_some());
-    assert!(cfg.watchdog.is_some());
-    assert!(b.validate().is_ok());
-}
-
-#[test]
 fn trace_policy_lands_in_the_report() {
     let report = valid()
         .capture(CaptureSpec::new().policy(true))
