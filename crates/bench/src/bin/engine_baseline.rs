@@ -7,9 +7,10 @@
 //!   metric);
 //! * **sweep wall time** — the same (bandwidth × seed) grid executed with
 //!   `.threads(1)` and with the default thread pool (the parallel sweep
-//!   executor's metric), plus the resulting speedup. On a single-core host
-//!   the parallel point is skipped and annotated instead of being reported
-//!   as a meaningless ~1.0x "speedup";
+//!   executor's metric), plus the resulting speedup. A spin test first
+//!   measures the host's effective parallelism; below 1.5 the parallel
+//!   point is skipped and annotated instead of publishing noise as a
+//!   "speedup";
 //! * **calendar vs heap** — a raw queue-churn point at 256-node load
 //!   (`calendar_vs_heap_256`): the calendar event queue the engine runs
 //!   on against the binary heap it replaced;
@@ -127,6 +128,37 @@ fn scale_events_per_sec(nodes: u16, cluster: u16, banks: u16, reps: usize) -> f6
     (0..reps).map(|_| run()).fold(0.0, f64::max)
 }
 
+/// Below this measured parallelism a sweep "speedup" is host noise.
+const MIN_EFFECTIVE_PARALLELISM: f64 = 1.5;
+
+/// A fixed CPU-bound task (~0.1 s of xorshift steps) for the spin test.
+fn spin() {
+    let mut x = std::hint::black_box(0x9E37_79B9_7F4A_7C15u64);
+    for _ in 0..100_000_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    std::hint::black_box(x);
+}
+
+/// How many cores' worth of work `threads` threads really get: one spin
+/// on one thread, then one spin on each of `threads` threads at once.
+/// `available_threads()` counts logical CPUs, not what a shared host
+/// actually grants.
+fn effective_parallelism(threads: usize) -> f64 {
+    let t0 = Instant::now();
+    spin();
+    let one = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(spin);
+        }
+    });
+    threads as f64 * one / t0.elapsed().as_secs_f64().max(1e-9)
+}
+
 const SWEEP_BANDWIDTHS: [u64; 7] = [200, 400, 800, 1600, 3200, 6400, 12800];
 const SWEEP_SEEDS: u32 = 4;
 
@@ -179,24 +211,30 @@ fn main() {
         SWEEP_BANDWIDTHS.len(),
         SWEEP_SEEDS
     );
-    let serial_s = sweep(1);
     let threads = pool::available_threads();
-    // On a single-core host the pool degenerates to serial execution, so
-    // a "parallel" point would only publish run-to-run noise as a bogus
-    // ~1.0x speedup. Skip it and say so in the artifact.
-    let sweep_section = if threads <= 1 {
-        eprintln!("  serial {serial_s:.3}s; 1 thread available — parallel point skipped");
+    let parallelism = effective_parallelism(threads);
+    let serial_s = sweep(1);
+    let head = format!(
+        "    \"grid_points\": {grid_points},\n    \"available_threads\": {threads},\n    \"effective_parallelism\": {parallelism:.2},\n    \"wall_s_threads1\": {serial_s:.4}"
+    );
+    // A host that grants less than 1.5 cores' worth of spin throughput
+    // would only publish run-to-run noise as a speedup. Skip the point
+    // and say so in the artifact.
+    let sweep_section = if parallelism < MIN_EFFECTIVE_PARALLELISM {
+        eprintln!(
+            "  serial {serial_s:.3}s; effective parallelism {parallelism:.2} on {threads} threads — parallel point skipped"
+        );
         format!(
-            "    \"grid_points\": {grid_points},\n    \"available_threads\": {threads},\n    \"wall_s_threads1\": {serial_s:.4},\n    \"parallel\": \"skipped: single-core host, speedup would be noise\""
+            "{head},\n    \"parallel\": \"skipped: effective parallelism {parallelism:.2} < {MIN_EFFECTIVE_PARALLELISM}, speedup would be noise\""
         )
     } else {
         let parallel_s = sweep(0);
         let speedup = serial_s / parallel_s.max(1e-9);
         eprintln!(
-            "  serial {serial_s:.3}s, parallel {parallel_s:.3}s on {threads} threads ({speedup:.2}x)"
+            "  serial {serial_s:.3}s, parallel {parallel_s:.3}s on {threads} threads ({speedup:.2}x, effective parallelism {parallelism:.2})"
         );
         format!(
-            "    \"grid_points\": {grid_points},\n    \"available_threads\": {threads},\n    \"wall_s_threads1\": {serial_s:.4},\n    \"wall_s_parallel\": {parallel_s:.4},\n    \"speedup\": {speedup:.3},\n    \"speedup_threads\": {threads}"
+            "{head},\n    \"wall_s_parallel\": {parallel_s:.4},\n    \"speedup\": {speedup:.3},\n    \"speedup_threads\": {threads}"
         )
     };
 

@@ -1,4 +1,6 @@
-//! The **BASH** hybrid's home memory controller (§3.3–3.4).
+//! The home memory controller of the ordered-network engine: the **BASH**
+//! hybrid's home (§3.3–3.4), which is also the Snooping home (§3.1) and
+//! every hierarchy's directory-spine bank.
 //!
 //! Like the Directory protocol it keeps an owner + sharer-superset per
 //! block; like Snooping it observes requests on the totally ordered request
@@ -18,10 +20,17 @@
 //! * if no retry buffer can be allocated → **nack** the requestor on the
 //!   data network; it reissues as a broadcast (deadlock resolution).
 //!
+//! Under Snooping every request is a full broadcast, so every request is
+//! sufficient: no retry or nack can occur, and the home answers only when
+//! memory owns the block, as the paper's snooping memory does.
+//!
 //! Writebacks: a PutM from the recorded owner opens a `WbPending` window
 //! (requests stall at the home until the data arrives on the response
 //! network); a PutM from anyone else is stale — the writer was overtaken by
-//! an earlier-ordered GetM and sent no data.
+//! an earlier-ordered GetM and sent no data. The paper models snooping
+//! memory after the Synapse N+1 owner bit; this home keeps the owner's
+//! *identity* instead, because with a split-transaction ordered network a
+//! stale PutM is otherwise indistinguishable from a valid one.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -78,7 +87,7 @@ impl Default for BlockState {
     }
 }
 
-/// The BASH home memory controller for one node's slice of memory.
+/// The ordered-network home controller for one node's slice of memory.
 #[derive(Debug)]
 pub struct BashMemCtrl {
     node: NodeId,
@@ -107,53 +116,12 @@ pub struct BashMemCtrl {
 }
 
 impl BashMemCtrl {
-    /// Builds the controller. `retry_capacity` is the number of retry
-    /// buffers (the deadlock-avoidance resource; the paper nacks when none
-    /// can be allocated).
+    /// Builds the controller. `hier` makes it a hierarchy's spine
+    /// **bank**: bank-mapped homes and cluster-granularity sharer records.
+    /// `retry_capacity` is the number of retry buffers (the
+    /// deadlock-avoidance resource; the paper nacks when none can be
+    /// allocated).
     pub fn new(
-        node: NodeId,
-        nodes: u16,
-        dram_latency: Duration,
-        serialize_dram: bool,
-        retry_capacity: usize,
-        coverage: bool,
-    ) -> Self {
-        Self::build(
-            node,
-            nodes,
-            None,
-            dram_latency,
-            serialize_dram,
-            retry_capacity,
-            coverage,
-        )
-    }
-
-    /// Builds a hierarchical spine **bank**: the BASH home controller
-    /// with bank-mapped homes and cluster-granularity sharer records.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_hierarchical(
-        node: NodeId,
-        nodes: u16,
-        hier: HierarchyConfig,
-        dram_latency: Duration,
-        serialize_dram: bool,
-        retry_capacity: usize,
-        coverage: bool,
-    ) -> Self {
-        Self::build(
-            node,
-            nodes,
-            Some(hier),
-            dram_latency,
-            serialize_dram,
-            retry_capacity,
-            coverage,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
         node: NodeId,
         nodes: u16,
         hier: Option<HierarchyConfig>,
@@ -265,7 +233,7 @@ impl BashMemCtrl {
             ProtoMsg::WbData { block, from, data } => {
                 self.on_wb_data(now, *block, *from, *data, sink)
             }
-            other => unreachable!("unexpected message at BASH memory: {other:?}"),
+            other => unreachable!("unexpected message at an ordered-network home: {other:?}"),
         }
     }
 
@@ -350,8 +318,11 @@ impl BashMemCtrl {
 
         if is_sufficient(req.kind, mask, owner, &sharers, self.node) {
             // The request reached everyone that must see it: commit the
-            // directory update; respond if memory owns the data.
-            self.retry_slots.remove(&req.txn);
+            // directory update; respond if memory owns the data. (Skip the
+            // slot lookup when no retry is outstanding, as under Snooping.)
+            if !self.retry_slots.is_empty() {
+                self.retry_slots.remove(&req.txn);
+            }
             if owner == Owner::Memory {
                 self.respond_with_data(now, req, order, sink);
             }

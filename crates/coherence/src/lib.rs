@@ -2,6 +2,11 @@
 //! **Snooping** (§3.1), a GS320-style **Directory** (§3.2), and the
 //! **Bandwidth Adaptive Snooping Hybrid** itself (§3.3).
 //!
+//! Snooping is not a separate engine: it is the BASH engine
+//! ([`snoopcache`] + [`bash`]) with the cast decision pinned to
+//! always-broadcast, under which every request is sufficient and no retry
+//! or nack can occur. The flat Directory is the only distinct protocol.
+//!
 //! All three protocols are write-invalidate MOSI with silent S→I downgrade,
 //! GetS / GetM / PutM transactions, blocking processors and sequential
 //! consistency, exactly as assumed by the paper. Controllers are pure state
@@ -15,14 +20,12 @@
 //! * [`types`] — blocks, transactions, protocol messages, the sufficiency
 //!   predicate at the heart of BASH;
 //! * [`cache`] — the set-associative data array;
-//! * [`snoopcache`] — the ordered-network cache controller shared by
-//!   Snooping and BASH (the paper: processors "react identically to
-//!   requests, regardless of whether they are unicasts, multicasts, or
-//!   broadcasts");
-//! * [`snooping`] — the snooping memory controller;
-//! * [`directory`] — the directory cache + home controllers;
-//! * [`bash`] — the BASH home controller (sufficiency check, retries,
-//!   broadcast escalation, nacks);
+//! * [`snoopcache`] — the ordered-network cache controller (the paper:
+//!   processors "react identically to requests, regardless of whether they
+//!   are unicasts, multicasts, or broadcasts");
+//! * [`bash`] — the ordered-network home controller (sufficiency check,
+//!   retries, broadcast escalation, nacks);
+//! * [`directory`] — the flat directory cache + home controllers;
 //! * [`blocktable`] — the open-addressed combined per-block state table
 //!   all controllers resolve block state through (one probe per event);
 //! * [`hierarchy`] — cluster/bank geometry for two-level coherence
@@ -46,7 +49,6 @@ pub mod registry;
 pub mod snoopcache;
 #[cfg(test)]
 mod snoopcache_tests;
-pub mod snooping;
 #[cfg(test)]
 mod test_support;
 pub mod types;

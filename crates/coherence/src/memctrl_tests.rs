@@ -1,4 +1,6 @@
-//! White-box unit tests for the three memory/home controllers.
+//! White-box unit tests for the memory/home controllers: the ordered-network
+//! home under Snooping's broadcast traffic and under BASH's, and the
+//! directory.
 
 use bash_kernel::{Duration, Time};
 use bash_net::{Message, NodeId, NodeSet};
@@ -6,7 +8,6 @@ use bash_net::{Message, NodeId, NodeSet};
 use crate::actions::Action;
 use crate::bash::BashMemCtrl;
 use crate::directory::DirectoryCtrl;
-use crate::snooping::SnoopingMemCtrl;
 use crate::test_support::Deliver;
 use crate::types::{
     BlockAddr, BlockData, Owner, ProtoMsg, Request, TxnId, TxnKind, CONTROL_MSG_BYTES,
@@ -16,7 +17,7 @@ use crate::types::{
 const NODES: u16 = 4;
 const DRAM: Duration = Duration::from_ns(80);
 
-crate::test_support::impl_deliver!(SnoopingMemCtrl, DirectoryCtrl, BashMemCtrl);
+crate::test_support::impl_deliver!(DirectoryCtrl, BashMemCtrl);
 
 fn t(ns: u64) -> Time {
     Time::from_ns(ns)
@@ -79,13 +80,13 @@ fn sent_payloads(actions: &[Action]) -> Vec<&ProtoMsg> {
 }
 
 // ---------------------------------------------------------------------
-// Snooping memory
+// Snooping memory: the ordered-network home under broadcast traffic
 // ---------------------------------------------------------------------
 
 #[test]
 fn snooping_memory_owner_responds_and_tracks_transfer() {
     // Block 0 homes at node 0.
-    let mut m = SnoopingMemCtrl::new(NodeId(0), NODES, DRAM, false, true);
+    let mut m = bash_mem(4);
     // GetM from P2 when memory owns: respond + owner := P2.
     let acts = m.deliver(
         t(0),
@@ -106,7 +107,7 @@ fn snooping_memory_owner_responds_and_tracks_transfer() {
 
 #[test]
 fn snooping_memory_stalls_requests_during_writeback_window() {
-    let mut m = SnoopingMemCtrl::new(NodeId(0), NODES, DRAM, false, true);
+    let mut m = bash_mem(4);
     m.deliver(
         t(0),
         &req(TxnKind::GetM, 0, 2, 1, NodeSet::all(4), 0),
@@ -144,7 +145,7 @@ fn snooping_memory_stalls_requests_during_writeback_window() {
 
 #[test]
 fn snooping_memory_ignores_stale_putm() {
-    let mut m = SnoopingMemCtrl::new(NodeId(0), NODES, DRAM, false, true);
+    let mut m = bash_mem(4);
     m.deliver(
         t(0),
         &req(TxnKind::GetM, 0, 2, 1, NodeSet::all(4), 0),
@@ -257,7 +258,7 @@ fn directory_acks_valid_and_stale_writebacks() {
 // ---------------------------------------------------------------------
 
 fn bash_mem(retry_capacity: usize) -> BashMemCtrl {
-    BashMemCtrl::new(NodeId(0), NODES, DRAM, false, retry_capacity, true)
+    BashMemCtrl::new(NodeId(0), NODES, None, DRAM, false, retry_capacity, true)
 }
 
 fn dualcast(requestor: u16) -> NodeSet {

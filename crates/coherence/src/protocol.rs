@@ -12,7 +12,6 @@ use crate::directory::{DirectoryCacheCtrl, DirectoryCtrl};
 use crate::hierarchy::{home_of, HierarchyConfig};
 use crate::registry::TransitionLog;
 use crate::snoopcache::SnoopCacheCtrl;
-use crate::snooping::SnoopingMemCtrl;
 use crate::types::{ProcOp, ProtoMsg};
 
 /// The three protocols the paper evaluates.
@@ -55,10 +54,11 @@ pub struct Routing {
 
 /// Computes message routing for a delivery at `node`.
 ///
-/// Under a two-level hierarchy (`hier` set) every protocol personality
-/// rides the BASH engine, so requests route snooping-style — to the cache
-/// always, and additionally to the memory side on the node hosting the
-/// block's directory-spine bank.
+/// Every personality but the flat Directory rides the ordered-network
+/// BASH engine, so requests route snooping-style — to the cache always,
+/// and additionally to the memory side on the block's home node (its
+/// directory-spine bank under a hierarchy). The flat Directory splits its
+/// requests by virtual network: home-bound to memory, forwarded to caches.
 pub fn route(
     kind: ProtocolKind,
     node: NodeId,
@@ -68,23 +68,14 @@ pub fn route(
 ) -> Routing {
     match &msg.payload {
         ProtoMsg::Request(req) => match (hier, kind) {
-            (Some(_), _) | (None, ProtocolKind::Snooping | ProtocolKind::Bash) => Routing {
+            (None, ProtocolKind::Directory) => Routing {
+                to_cache: req.from_dir,
+                to_mem: !req.from_dir,
+            },
+            _ => Routing {
                 to_cache: true,
                 to_mem: home_of(req.block, nodes, hier) == node,
             },
-            (None, ProtocolKind::Directory) => {
-                if req.from_dir {
-                    Routing {
-                        to_cache: true,
-                        to_mem: false,
-                    }
-                } else {
-                    Routing {
-                        to_cache: false,
-                        to_mem: true,
-                    }
-                }
-            }
         },
         ProtoMsg::Data { .. } | ProtoMsg::WbAck { .. } | ProtoMsg::Nack { .. } => Routing {
             to_cache: true,
@@ -100,19 +91,21 @@ pub fn route(
 /// A cache controller of any protocol.
 #[derive(Debug)]
 pub enum CacheCtrl {
-    /// Snooping or BASH (the shared ordered-network engine).
+    /// The ordered-network engine: Snooping, BASH, and every hierarchical
+    /// personality.
     Snoop(SnoopCacheCtrl),
-    /// Directory.
+    /// The flat GS320-style Directory.
     Directory(DirectoryCacheCtrl),
 }
 
 impl CacheCtrl {
     /// Builds the cache controller for `kind`.
     ///
-    /// With a hierarchy every personality uses the hierarchical BASH
-    /// engine; the protocol only pins the cast decision — Snooping always
-    /// cluster-casts, Directory always dualcasts to the spine bank, and
-    /// BASH adapts per cluster.
+    /// Every personality but the flat Directory runs on the ordered-network
+    /// BASH engine; the protocol only pins the cast decision — Snooping
+    /// always broadcasts (cluster-casts under a hierarchy), a hierarchy's
+    /// Directory always dualcasts to the spine bank, and BASH keeps the
+    /// configured mode.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         kind: ProtocolKind,
@@ -124,47 +117,33 @@ impl CacheCtrl {
         hier: Option<HierarchyConfig>,
         coverage: bool,
     ) -> Self {
-        if let Some(h) = hier {
-            let mut cfg = adaptor.clone();
-            cfg.mode = match kind {
-                ProtocolKind::Snooping => DecisionMode::AlwaysBroadcast,
-                ProtocolKind::Directory => DecisionMode::AlwaysUnicast,
-                ProtocolKind::Bash => cfg.mode,
-            };
-            return CacheCtrl::Snoop(SnoopCacheCtrl::new_hierarchical(
-                node,
-                nodes,
-                geometry,
-                provide_latency,
-                &cfg,
-                h,
-                coverage,
-            ));
-        }
-        match kind {
-            ProtocolKind::Snooping => CacheCtrl::Snoop(SnoopCacheCtrl::new_snooping(
-                node,
-                nodes,
-                geometry,
-                provide_latency,
-                coverage,
-            )),
-            ProtocolKind::Bash => CacheCtrl::Snoop(SnoopCacheCtrl::new_bash(
-                node,
-                nodes,
-                geometry,
-                provide_latency,
-                adaptor,
-                coverage,
-            )),
-            ProtocolKind::Directory => CacheCtrl::Directory(DirectoryCacheCtrl::new(
-                node,
-                nodes,
-                geometry,
-                provide_latency,
-                coverage,
-            )),
-        }
+        let mode = match (kind, hier) {
+            (ProtocolKind::Snooping, _) => DecisionMode::AlwaysBroadcast,
+            (ProtocolKind::Bash, _) => adaptor.mode,
+            (ProtocolKind::Directory, Some(_)) => DecisionMode::AlwaysUnicast,
+            (ProtocolKind::Directory, None) => {
+                return CacheCtrl::Directory(DirectoryCacheCtrl::new(
+                    node,
+                    nodes,
+                    geometry,
+                    provide_latency,
+                    coverage,
+                ))
+            }
+        };
+        let cfg = AdaptorConfig {
+            mode,
+            ..adaptor.clone()
+        };
+        CacheCtrl::Snoop(SnoopCacheCtrl::new(
+            node,
+            nodes,
+            geometry,
+            provide_latency,
+            &cfg,
+            hier,
+            coverage,
+        ))
     }
 
     /// Processor access (see the per-protocol docs). Actions are emitted
@@ -190,10 +169,10 @@ impl CacheCtrl {
         }
     }
 
-    /// The adaptive mechanism, when this is a BASH controller.
+    /// The adaptive mechanism, when this is an ordered-network cache.
     pub fn adaptor_mut(&mut self) -> Option<&mut BandwidthAdaptor> {
         match self {
-            CacheCtrl::Snoop(c) => c.adaptor_mut(),
+            CacheCtrl::Snoop(c) => Some(c.adaptor_mut()),
             CacheCtrl::Directory(_) => None,
         }
     }
@@ -244,18 +223,17 @@ impl CacheCtrl {
 /// A memory/directory controller of any protocol.
 #[derive(Debug)]
 pub enum MemCtrl {
-    /// Snooping memory (owner tracking).
-    Snooping(SnoopingMemCtrl),
-    /// Directory controller.
+    /// The flat GS320-style Directory controller.
     Directory(DirectoryCtrl),
-    /// BASH home controller (directory state + sufficiency/retry logic).
+    /// The ordered-network home (directory state + sufficiency/retry
+    /// logic): Snooping, BASH, and every hierarchy's spine bank.
     Bash(BashMemCtrl),
 }
 
 impl MemCtrl {
-    /// Builds the memory-side controller for `kind`. With a hierarchy the
-    /// node hosts a directory-spine bank, which is always the BASH home
-    /// controller regardless of personality.
+    /// Builds the memory-side controller for `kind`. Only a flat Directory
+    /// gets the directory controller; every other personality, and every
+    /// node under a hierarchy, gets the ordered-network home.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         kind: ProtocolKind,
@@ -267,35 +245,18 @@ impl MemCtrl {
         hier: Option<HierarchyConfig>,
         coverage: bool,
     ) -> Self {
-        if let Some(h) = hier {
-            return MemCtrl::Bash(BashMemCtrl::new_hierarchical(
-                node,
-                nodes,
-                h,
-                dram_latency,
-                serialize_dram,
-                retry_capacity,
-                coverage,
-            ));
-        }
-        match kind {
-            ProtocolKind::Snooping => MemCtrl::Snooping(SnoopingMemCtrl::new(
+        match (kind, hier) {
+            (ProtocolKind::Directory, None) => MemCtrl::Directory(DirectoryCtrl::new(
                 node,
                 nodes,
                 dram_latency,
                 serialize_dram,
                 coverage,
             )),
-            ProtocolKind::Directory => MemCtrl::Directory(DirectoryCtrl::new(
+            _ => MemCtrl::Bash(BashMemCtrl::new(
                 node,
                 nodes,
-                dram_latency,
-                serialize_dram,
-                coverage,
-            )),
-            ProtocolKind::Bash => MemCtrl::Bash(BashMemCtrl::new(
-                node,
-                nodes,
+                hier,
                 dram_latency,
                 serialize_dram,
                 retry_capacity,
@@ -313,7 +274,6 @@ impl MemCtrl {
         sink: &mut ActionSink,
     ) {
         match self {
-            MemCtrl::Snooping(m) => m.on_delivery(now, msg, order, sink),
             MemCtrl::Directory(m) => m.on_delivery(now, msg, order, sink),
             MemCtrl::Bash(m) => m.on_delivery(now, msg, order, sink),
         }
@@ -322,7 +282,6 @@ impl MemCtrl {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &MemStats {
         match self {
-            MemCtrl::Snooping(m) => m.stats(),
             MemCtrl::Directory(m) => m.stats(),
             MemCtrl::Bash(m) => m.stats(),
         }
@@ -331,7 +290,6 @@ impl MemCtrl {
     /// The transition coverage log.
     pub fn log(&self) -> &TransitionLog {
         match self {
-            MemCtrl::Snooping(m) => m.log(),
             MemCtrl::Directory(m) => m.log(),
             MemCtrl::Bash(m) => m.log(),
         }
@@ -340,7 +298,6 @@ impl MemCtrl {
     /// True when no writeback windows / retry buffers are outstanding.
     pub fn is_quiescent(&self) -> bool {
         match self {
-            MemCtrl::Snooping(m) => m.is_quiescent(),
             MemCtrl::Directory(_) => true, // the directory has no transient state
             MemCtrl::Bash(m) => m.is_quiescent(),
         }
@@ -352,7 +309,6 @@ impl MemCtrl {
     /// legal in every state), so it has nothing to relax.
     pub fn set_tolerant(&mut self, tolerant: bool) {
         match self {
-            MemCtrl::Snooping(m) => m.set_tolerant(tolerant),
             MemCtrl::Directory(_) => {}
             MemCtrl::Bash(m) => m.set_tolerant(tolerant),
         }
@@ -367,7 +323,6 @@ impl MemCtrl {
     /// outside harness self-tests.
     pub fn fault_forget_sharer(&mut self, block: crate::types::BlockAddr, node: NodeId) {
         match self {
-            MemCtrl::Snooping(m) => m.fault_forget_sharer(block, node),
             MemCtrl::Directory(m) => m.fault_forget_sharer(block, node),
             MemCtrl::Bash(m) => m.fault_forget_sharer(block, node),
         }
@@ -376,17 +331,14 @@ impl MemCtrl {
     /// The recorded owner of a home block (invariant checks).
     pub fn owner_record(&self, block: crate::types::BlockAddr) -> crate::types::Owner {
         match self {
-            MemCtrl::Snooping(m) => m.owner_of(block),
             MemCtrl::Directory(m) => m.entry(block).owner,
             MemCtrl::Bash(m) => m.owner_of(block),
         }
     }
 
-    /// The sharer superset recorded for a home block (empty for Snooping,
-    /// which does not track sharers).
+    /// The sharer superset recorded for a home block.
     pub fn sharer_record(&self, block: crate::types::BlockAddr) -> bash_net::NodeSet {
         match self {
-            MemCtrl::Snooping(_) => bash_net::NodeSet::EMPTY,
             MemCtrl::Directory(m) => m.entry(block).sharers,
             MemCtrl::Bash(m) => m.sharers_of(block),
         }
@@ -395,7 +347,6 @@ impl MemCtrl {
     /// The stored memory contents of a home block.
     pub fn stored_data(&self, block: crate::types::BlockAddr) -> crate::types::BlockData {
         match self {
-            MemCtrl::Snooping(m) => m.stored_data(block),
             MemCtrl::Directory(m) => m.stored_data(block),
             MemCtrl::Bash(m) => m.stored_data(block),
         }
@@ -405,8 +356,86 @@ impl MemCtrl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{BlockAddr, Request, TxnId, TxnKind};
+    use crate::actions::Action;
+    use crate::types::{BlockAddr, BlockData, Request, TxnId, TxnKind, DATA_MSG_BYTES};
     use bash_net::{NodeSet, Ordered, VnetId};
+
+    /// The personality table: which engine each protocol builds, flat and
+    /// hierarchical, and the cast mode its adaptor runs in. A Snooping
+    /// cache handed an adaptor that would unicast nearly every request
+    /// still broadcasts every one.
+    #[test]
+    fn personalities_map_to_engines_and_cast_modes() {
+        let leaning = AdaptorConfig {
+            mode: DecisionMode::Adaptive,
+            initial_policy: 255,
+            ..AdaptorConfig::paper_default()
+        };
+        let bash_p = BandwidthAdaptor::new(&leaning, 1).unicast_probability();
+        assert!(bash_p > 0.9, "left adaptive, it unicasts nearly always");
+        let geometry = CacheGeometry { sets: 4, ways: 2 };
+        let (provide, dram) = (Duration::from_ns(25), Duration::from_ns(80));
+        let cache = |kind, nodes, hier| {
+            CacheCtrl::new(
+                kind,
+                NodeId(0),
+                nodes,
+                geometry,
+                provide,
+                &leaning,
+                hier,
+                false,
+            )
+        };
+        for hier in [None, Some(HierarchyConfig::new(4, 2))] {
+            for kind in ProtocolKind::ALL {
+                let mut c = cache(kind, 8, hier);
+                let m = MemCtrl::new(kind, NodeId(0), 8, dram, false, 4, hier, false);
+                let flat_directory = kind == ProtocolKind::Directory && hier.is_none();
+                let engines = if flat_directory {
+                    matches!((&c, &m), (CacheCtrl::Directory(_), MemCtrl::Directory(_)))
+                } else {
+                    matches!((&c, &m), (CacheCtrl::Snoop(_), MemCtrl::Bash(_)))
+                };
+                assert!(engines, "{kind:?} hier={hier:?}: {c:?} / {m:?}");
+                let expected = match kind {
+                    _ if flat_directory => None,
+                    ProtocolKind::Snooping => Some(0.0),
+                    ProtocolKind::Bash => Some(bash_p),
+                    ProtocolKind::Directory => Some(1.0),
+                };
+                let unicast_p = c.adaptor_mut().map(|a| a.unicast_probability());
+                assert_eq!(unicast_p, expected, "{kind:?} hier={hier:?}");
+            }
+        }
+
+        let mut c = cache(ProtocolKind::Snooping, 4, None);
+        let mut sink = ActionSink::new();
+        for (order, block) in (0..64).map(|b| (b, BlockAddr(b))) {
+            c.access(Time::ZERO, ProcOp::Load { block, word: 0 }, &mut sink);
+            let sent: Vec<Action> = sink.drain().collect();
+            let [Action::SendAfter { msg, .. }] = sent.as_slice() else {
+                panic!("one request per miss, got {sent:?}");
+            };
+            assert_eq!(msg.dests, NodeSet::all(4), "request {order}");
+            let ProtoMsg::Request(req) = msg.payload else {
+                panic!("expected a request, got {msg:?}");
+            };
+            // Complete the miss: the own marker, then memory's data.
+            c.on_delivery(Time::ZERO, msg, Some(order), &mut sink);
+            let data = ProtoMsg::Data {
+                txn: req.txn,
+                block,
+                data: BlockData::ZERO,
+                from_cache: false,
+                serialized_at: Some(order),
+            };
+            let reply =
+                Message::unordered(NodeId(1), NodeId(0), VnetId::DATA, DATA_MSG_BYTES, data);
+            c.on_delivery(Time::ZERO, &reply, None, &mut sink);
+            assert!(sink.drain().any(|a| matches!(a, Action::MissDone { .. })));
+        }
+    }
 
     fn req_msg(from_dir: bool, block: u64) -> Message<ProtoMsg> {
         Message {

@@ -1,16 +1,18 @@
-//! The ordered-request-network cache controller used by both **Snooping**
-//! and **BASH** (the paper derives BASH from its snooping protocol, §3.3;
-//! processors "react identically to requests, regardless of whether they are
-//! unicasts, multicasts, or broadcasts").
+//! The ordered-request-network cache controller: the one engine behind
+//! **Snooping**, **BASH**, and every hierarchical personality (the paper
+//! derives BASH from its snooping protocol, §3.3; processors "react
+//! identically to requests, regardless of whether they are unicasts,
+//! multicasts, or broadcasts").
 //!
 //! # Protocol walk-through
 //!
 //! A demand miss issues a GetS/GetM on the totally ordered request network.
-//! Snooping always broadcasts; BASH consults the adaptive mechanism and
-//! either broadcasts or *dualcasts* to {home, self} (the paper's "unicast" —
-//! the self-copy is needed as the order **marker**). The requestor's own
-//! copy returning from the network fixes the transaction's place in the
-//! total order.
+//! The adaptive mechanism decides the cast: it either broadcasts or
+//! *dualcasts* to {home, self} (the paper's "unicast" — the self-copy is
+//! needed as the order **marker**). The protocol personality is the
+//! mechanism's decision mode: Snooping pins it to always-broadcast, BASH
+//! adapts. The requestor's own copy returning from the network fixes the
+//! transaction's place in the total order.
 //!
 //! ## Responding and the defer discipline
 //!
@@ -19,9 +21,10 @@
 //! at the request's order point:
 //!
 //! * a cache in stable M/O (or holding a still-valid writeback buffer entry)
-//!   responds directly — in BASH only if the request's destination mask
-//!   covers the sharers it tracks (paper footnote 2), since an insufficient
-//!   request will be retried by the home and must not be answered twice;
+//!   responds directly — only if the request's destination mask covers the
+//!   sharers it tracks (paper footnote 2), since an insufficient request
+//!   will be retried by the home and must not be answered twice (a full
+//!   broadcast always covers them);
 //! * a cache that has seen its own GetM marker but not yet its data (an
 //!   *owner-elect*) cannot respond yet; it **defers** such requests and
 //!   replays them when its data arrives;
@@ -41,13 +44,14 @@
 //!
 //! ## Writebacks
 //!
-//! PutM travels on the ordered network (broadcast in Snooping, dualcast in
-//! BASH). Until its own PutM marker arrives the evicting cache remains the
-//! owner and serves requests from the writeback buffer; a foreign GetM
-//! ordered first *squashes* the writeback (the entry turns invalid and no
-//! data is sent — the home, which tracks the owner's identity, ignores the
-//! stale PutM). On an unsquashed marker the cache sends the data to the
-//! home, which stalls the block until the data arrives.
+//! PutM travels on the ordered network as a dualcast to {home, self} in
+//! every personality. Until its own PutM marker arrives the evicting cache
+//! remains the owner and serves requests from the writeback buffer; a
+//! foreign GetM ordered first *squashes* the writeback (the entry turns
+//! invalid and no data is sent — the home, which tracks the owner's
+//! identity, ignores the stale PutM). On an unsquashed marker the cache
+//! sends the data to the home, which stalls the block until the data
+//! arrives.
 
 use bash_adaptive::{AdaptorConfig, BandwidthAdaptor, Cast};
 use bash_kernel::{Duration, Time};
@@ -63,16 +67,6 @@ use crate::types::{
     BlockAddr, BlockData, ProcOp, ProtoMsg, Request, TxnId, TxnKind, CONTROL_MSG_BYTES,
     DATA_MSG_BYTES,
 };
-
-/// Which protocol personality this controller runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnoopMode {
-    /// Pure snooping: every request broadcast, no retries or nacks exist.
-    Snooping,
-    /// BASH: adaptive broadcast/dualcast, sufficiency checks, retries,
-    /// nack-triggered broadcast reissue.
-    Bash,
-}
 
 /// Per-block side state combined into one open-addressed table entry:
 /// the writeback buffer slot and (BASH footnote 2) the sharer set
@@ -90,18 +84,18 @@ struct OrderedDeferred {
     order: u64,
 }
 
-/// The cache-side controller for Snooping and BASH.
+/// The cache-side controller of the ordered-network engine.
 #[derive(Debug)]
 pub struct SnoopCacheCtrl {
     node: NodeId,
     nodes: u16,
-    mode: SnoopMode,
     /// Two-level hierarchy, when configured: "broadcast" requests become
     /// cluster-casts (own cluster ∪ home bank), home lookups go through
     /// the bank map, and tracked sharer sets are kept cluster-expanded in
     /// lockstep with the spine bank's records.
     hier: Option<HierarchyConfig>,
-    adaptor: Option<BandwidthAdaptor>,
+    /// The cast decision; its mode carries the protocol personality.
+    adaptor: BandwidthAdaptor,
     cache: CacheArray,
     mshr: Option<Mshr>,
     deferred: Vec<OrderedDeferred>,
@@ -126,93 +120,24 @@ pub struct SnoopCacheCtrl {
 }
 
 impl SnoopCacheCtrl {
-    /// Builds a pure-snooping cache controller.
-    pub fn new_snooping(
-        node: NodeId,
-        nodes: u16,
-        geometry: CacheGeometry,
-        provide_latency: Duration,
-        coverage: bool,
-    ) -> Self {
-        Self::build(
-            node,
-            nodes,
-            geometry,
-            provide_latency,
-            SnoopMode::Snooping,
-            None,
-            None,
-            coverage,
-        )
-    }
-
-    /// Builds a BASH cache controller with the given adaptive mechanism
-    /// configuration (shared by reference across every node's controller).
-    pub fn new_bash(
+    /// Builds the controller. `adaptor` configures the cast decision and
+    /// with it the personality: `AlwaysBroadcast` is Snooping, `Adaptive`
+    /// is BASH, and `AlwaysUnicast` is a hierarchy's Directory. `hier`
+    /// turns "broadcasts" into cluster-casts and maps homes to spine banks.
+    pub fn new(
         node: NodeId,
         nodes: u16,
         geometry: CacheGeometry,
         provide_latency: Duration,
         adaptor: &AdaptorConfig,
-        coverage: bool,
-    ) -> Self {
-        let a = BandwidthAdaptor::new(adaptor, node.0 as u64 + 1);
-        Self::build(
-            node,
-            nodes,
-            geometry,
-            provide_latency,
-            SnoopMode::Bash,
-            None,
-            Some(a),
-            coverage,
-        )
-    }
-
-    /// Builds a hierarchical cache controller: the BASH engine with
-    /// cluster-cast "broadcasts" and bank-mapped homes. The protocol
-    /// personality is carried entirely by `adaptor.mode` (pinned
-    /// AlwaysBroadcast for Snooping, AlwaysUnicast for Directory,
-    /// Adaptive for BASH).
-    pub fn new_hierarchical(
-        node: NodeId,
-        nodes: u16,
-        geometry: CacheGeometry,
-        provide_latency: Duration,
-        adaptor: &AdaptorConfig,
-        hier: HierarchyConfig,
-        coverage: bool,
-    ) -> Self {
-        let a = BandwidthAdaptor::new(adaptor, node.0 as u64 + 1);
-        Self::build(
-            node,
-            nodes,
-            geometry,
-            provide_latency,
-            SnoopMode::Bash,
-            Some(hier),
-            Some(a),
-            coverage,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        node: NodeId,
-        nodes: u16,
-        geometry: CacheGeometry,
-        provide_latency: Duration,
-        mode: SnoopMode,
         hier: Option<HierarchyConfig>,
-        adaptor: Option<BandwidthAdaptor>,
         coverage: bool,
     ) -> Self {
         SnoopCacheCtrl {
             node,
             nodes,
-            mode,
             hier,
-            adaptor,
+            adaptor: BandwidthAdaptor::new(adaptor, node.0 as u64 + 1),
             cache: CacheArray::new(geometry),
             mshr: None,
             deferred: Vec::new(),
@@ -247,10 +172,9 @@ impl SnoopCacheCtrl {
         &self.log
     }
 
-    /// The adaptive mechanism (BASH only); the driver feeds it utilization
-    /// samples.
-    pub fn adaptor_mut(&mut self) -> Option<&mut BandwidthAdaptor> {
-        self.adaptor.as_mut()
+    /// The adaptive mechanism; the simulator feeds it utilization samples.
+    pub fn adaptor_mut(&mut self) -> &mut BandwidthAdaptor {
+        &mut self.adaptor
     }
 
     /// Read access to the cache array (invariant checks in tests).
@@ -371,25 +295,16 @@ impl SnoopCacheCtrl {
 
     /// Chooses the destination mask for a demand request.
     fn request_mask(&mut self, block: BlockAddr) -> NodeSet {
-        match self.mode {
-            SnoopMode::Snooping => {
+        match self.adaptor.decide() {
+            Cast::Broadcast => {
                 self.stats.broadcasts_sent += 1;
                 self.broadcast_mask(block)
             }
-            SnoopMode::Bash => {
-                let cast = self.adaptor.as_mut().expect("bash adaptor").decide();
-                match cast {
-                    Cast::Broadcast => {
-                        self.stats.broadcasts_sent += 1;
-                        self.broadcast_mask(block)
-                    }
-                    Cast::Unicast => {
-                        self.stats.unicasts_sent += 1;
-                        // The paper's "unicast" is a dualcast: home for the
-                        // data, self for the order marker.
-                        NodeSet::from_nodes([self.home(block), self.node])
-                    }
-                }
+            Cast::Unicast => {
+                self.stats.unicasts_sent += 1;
+                // The paper's "unicast" is a dualcast: home for the data,
+                // self for the order marker.
+                NodeSet::from_nodes([self.home(block), self.node])
             }
         }
     }
@@ -448,7 +363,7 @@ impl SnoopCacheCtrl {
             } => self.on_data(now, *txn, *block, *data, *from_cache, msg, sink),
             ProtoMsg::Nack { txn, block } => self.on_nack(now, *txn, *block, sink),
             ProtoMsg::WbAck { .. } => {
-                unreachable!("WbAck does not exist in Snooping/BASH")
+                unreachable!("WbAck does not exist on the ordered network")
             }
             ProtoMsg::WbData { .. } => {
                 unreachable!("WbData is addressed to memory controllers")
@@ -475,12 +390,7 @@ impl SnoopCacheCtrl {
                     .map(|m| m.txn == req.txn)
                     .unwrap_or(false);
                 if !matches {
-                    // A retry copy of a transaction that already completed,
-                    // or (impossible in Snooping) a stray marker.
-                    debug_assert!(
-                        self.mode == SnoopMode::Bash,
-                        "snooping saw an unmatched own request"
-                    );
+                    // A retry copy of a transaction that already completed.
                     return;
                 }
                 if req.retry == 0 {
@@ -513,14 +423,7 @@ impl SnoopCacheCtrl {
         // Owner upgrade (O → M): we already hold the data; the question is
         // only whether this request copy reached every tracked sharer.
         if req.kind == TxnKind::GetM && self.cache.state(block) == Some(Mosi::O) {
-            let sufficient = match self.mode {
-                SnoopMode::Snooping => true,
-                SnoopMode::Bash => {
-                    let sharers = self.tracked_sharers(block);
-                    mask.is_superset(&sharers)
-                }
-            };
-            if sufficient {
+            if self.covers_tracked(block, mask) {
                 self.complete_upgrade(now, sink);
                 self.log.record(before, "OwnReq", self.label(block));
                 return;
@@ -541,7 +444,7 @@ impl SnoopCacheCtrl {
         self.log.record(before, "OwnReq", self.label(block));
     }
 
-    /// A home-injected retry of our own transaction (BASH).
+    /// A home-injected retry of our own transaction.
     fn on_own_retry(
         &mut self,
         now: Time,
@@ -550,16 +453,12 @@ impl SnoopCacheCtrl {
         _order: u64,
         sink: &mut ActionSink,
     ) {
-        debug_assert_eq!(self.mode, SnoopMode::Bash);
         let block = req.block;
         let m = self.mshr.as_ref().expect("checked");
-        if m.awaiting_sufficient_upgrade {
-            let sharers = self.tracked_sharers(block);
-            if mask.is_superset(&sharers) {
-                let before = self.label(block);
-                self.complete_upgrade(now, sink);
-                self.log.record(before, "OwnRetry", self.label(block));
-            }
+        if m.awaiting_sufficient_upgrade && self.covers_tracked(block, mask) {
+            let before = self.label(block);
+            self.complete_upgrade(now, sink);
+            self.log.record(before, "OwnRetry", self.label(block));
         }
         // Otherwise informational only: the responder acts on this copy.
     }
@@ -655,22 +554,13 @@ impl SnoopCacheCtrl {
         };
 
         if self.is_local_owner(block) {
-            // BASH: answer only sufficient requests; the home retries the
-            // rest and our silence prevents a double response. The check
-            // must mirror `is_sufficient` exactly: a GetS only needs the
-            // owner (which received this very message), a GetM additionally
+            // Answer only sufficient requests; the home retries the rest
+            // and our silence prevents a double response. The check must
+            // mirror `is_sufficient` exactly: a GetS only needs the owner
+            // (which received this very message), a GetM additionally
             // needs every tracked sharer covered so invalidations reach
             // them.
-            let sufficient = match (self.mode, req.kind) {
-                (SnoopMode::Snooping, _) => true,
-                (SnoopMode::Bash, TxnKind::GetS) => true,
-                (SnoopMode::Bash, TxnKind::GetM) => {
-                    let sharers = self.tracked_sharers(block);
-                    mask.is_superset(&sharers)
-                }
-                (SnoopMode::Bash, TxnKind::PutM) => unreachable!(),
-            };
-            if sufficient {
+            if req.kind == TxnKind::GetS || self.covers_tracked(block, mask) {
                 self.respond_with_data(req, order, sink);
                 match req.kind {
                     TxnKind::GetS => {
@@ -737,12 +627,12 @@ impl SnoopCacheCtrl {
         self.side.get(block).and_then(|b| b.wb.as_ref())
     }
 
-    /// The sharer set tracked for `block` (footnote 2), empty when none.
-    fn tracked_sharers(&self, block: BlockAddr) -> NodeSet {
+    /// True when `mask` reaches every sharer tracked for `block`
+    /// (footnote 2). A full broadcast always does.
+    fn covers_tracked(&self, block: BlockAddr, mask: &NodeSet) -> bool {
         self.side
             .get(block)
-            .map(|b| b.tracked.clone())
-            .unwrap_or(NodeSet::EMPTY)
+            .is_none_or(|b| mask.is_superset(&b.tracked))
     }
 
     fn respond_with_data(&mut self, req: &Request, order: u64, sink: &mut ActionSink) {
@@ -809,7 +699,6 @@ impl SnoopCacheCtrl {
     }
 
     fn on_nack(&mut self, now: Time, txn: TxnId, block: BlockAddr, sink: &mut ActionSink) {
-        assert_eq!(self.mode, SnoopMode::Bash, "nacks exist only in BASH");
         let before = self.label(block);
         if self.tolerant && self.mshr.as_ref().is_none_or(|m| m.txn != txn) {
             // A nack for a transaction that already completed (duplicated
@@ -871,7 +760,7 @@ impl SnoopCacheCtrl {
 
     /// Completes a miss once both the marker and the data have arrived.
     /// `serialized_at` is the order number of the sufficient request copy
-    /// (None when original == sufficient, as in Snooping).
+    /// (None when original == sufficient).
     fn complete_miss(&mut self, now: Time, serialized_at: Option<u64>, sink: &mut ActionSink) {
         let m = self.mshr.take().expect("complete without mshr");
         let block = m.block;
@@ -935,7 +824,7 @@ impl SnoopCacheCtrl {
                         valid: true,
                     });
                     self.wb_in_flight += 1;
-                    // Writebacks are dualcast {home, self} in both modes:
+                    // Writebacks are dualcast {home, self} in every mode:
                     // the PutM still takes a slot in the request total order
                     // (the self-copy is the squash-detection marker), but
                     // only the home must observe it — other caches ignore

@@ -1,4 +1,4 @@
-//! White-box unit tests for the Snooping/BASH cache controller: drive it
+//! White-box unit tests for the ordered-network cache controller: drive it
 //! with hand-crafted deliveries and assert on the emitted actions.
 
 use bash_adaptive::{AdaptorConfig, DecisionMode};
@@ -19,25 +19,21 @@ const NODES: u16 = 4;
 crate::test_support::impl_deliver!(SnoopCacheCtrl);
 crate::test_support::impl_access_collect!(SnoopCacheCtrl);
 
+/// Snooping is the shared engine pinned to broadcast.
 fn snooping(node: u16) -> SnoopCacheCtrl {
-    SnoopCacheCtrl::new_snooping(
-        NodeId(node),
-        NODES,
-        CacheGeometry { sets: 4, ways: 2 },
-        Duration::from_ns(25),
-        true,
-    )
+    bash(node, DecisionMode::AlwaysBroadcast)
 }
 
 fn bash(node: u16, mode: DecisionMode) -> SnoopCacheCtrl {
     let mut cfg = AdaptorConfig::paper_default();
     cfg.mode = mode;
-    SnoopCacheCtrl::new_bash(
+    SnoopCacheCtrl::new(
         NodeId(node),
         NODES,
         CacheGeometry { sets: 4, ways: 2 },
         Duration::from_ns(25),
         &cfg,
+        None,
         true,
     )
 }

@@ -290,9 +290,8 @@ impl<W: Workload> System<W> {
         net_cfg.traversal = cfg.traversal;
         net_cfg.broadcast_cost_multiplier = cfg.broadcast_cost_multiplier;
         // The interconnect is the sole consumer of the jitter and fault
-        // plane, so it takes ownership instead of a per-run clone (the
-        // same single-owner discipline `AdaptorConfig` gets by reference);
-        // both stay reachable through `net.config()`.
+        // plane, so it takes ownership instead of a per-run clone; both
+        // stay reachable through `net.config()`.
         net_cfg.jitter = std::mem::replace(&mut cfg.jitter, Jitter::None);
         net_cfg.topology = cfg.topology;
         net_cfg.fault = cfg.fault_plane.take();
@@ -306,8 +305,9 @@ impl<W: Workload> System<W> {
                     nodes,
                     cfg.cache_geometry,
                     cfg.cache_provide_latency,
-                    // One shared config for the whole system; only BASH
-                    // controllers read it, none of them clone it.
+                    // Each ordered-network cache builds its adaptor from a
+                    // copy carrying its personality's decision mode; the
+                    // flat Directory ignores it.
                     &cfg.adaptor,
                     cfg.hierarchy,
                     cfg.coverage,

@@ -219,7 +219,6 @@ pub fn authoritative_data<W: Workload>(system: &System<W>, block: BlockAddr) -> 
 /// workload — random tester, catalog scenario, or replayed trace).
 pub fn sweep_structural<W: Workload>(system: &System<W>, oracle: &mut Oracle) {
     let nodes = system.config().nodes;
-    let protocol = system.config().protocol;
     let hier = system.config().hierarchy;
     for block in oracle.touched_blocks() {
         // Under a hierarchy the authoritative home is the block's spine
@@ -276,15 +275,13 @@ pub fn sweep_structural<W: Workload>(system: &System<W>, oracle: &mut Oracle) {
                 }
             }
         }
-        if protocol != ProtocolKind::Snooping {
-            let recorded = system.mems()[home.index()].sharer_record(block);
-            // The owner itself may appear in stale sharer supersets; only
-            // require recorded ⊇ actual.
-            if !recorded.union(&NodeSet::EMPTY).is_superset(&actual_sharers) {
-                oracle.report(format!(
-                    "{block}: sharer record {recorded} misses actual sharers {actual_sharers}"
-                ));
-            }
+        // The owner itself may appear in stale sharer supersets; only
+        // require recorded ⊇ actual.
+        let recorded = system.mems()[home.index()].sharer_record(block);
+        if !recorded.is_superset(&actual_sharers) {
+            oracle.report(format!(
+                "{block}: sharer record {recorded} misses actual sharers {actual_sharers}"
+            ));
         }
 
         // Final values: 0 or some writer's last store, per word.

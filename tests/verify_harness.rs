@@ -12,8 +12,8 @@
 
 use bash::tester::{minimize_trace, run_verify_scenario, run_verify_trace, VerifyConfig};
 use bash::{
-    differential_trace, verify_catalog, verify_scenario, BuildError, FaultInjection, ProtocolKind,
-    SimBuilder, Trace,
+    differential_trace, verify_catalog, verify_scenario, BuildError, FaultInjection,
+    HierarchyConfig, ProtocolKind, SimBuilder, Trace,
 };
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -265,6 +265,31 @@ fn stale_sharer_masks_are_caught_for_every_protocol() {
         assert!(
             run_verify_trace(&clean_cfg, &report.trace).passed(),
             "{proto:?}: the captured stream must be clean without the fault"
+        );
+    }
+}
+
+/// Snooping homes keep sharer records like every other personality, so
+/// the structural sweep checks them too: a home that forgets sharers
+/// under Snooping must show up as a sharer-record violation, flat and
+/// hierarchical alike.
+#[test]
+fn snooping_sharer_records_are_checked() {
+    for hierarchy in [None, Some(HierarchyConfig::new(4, 2))] {
+        let mut cfg = VerifyConfig::new(ProtocolKind::Snooping, 0xD1FF);
+        cfg.fault = Some(FaultInjection::StaleSharerMask { period: 2 });
+        if hierarchy.is_some() {
+            cfg.nodes = 16;
+            cfg.hierarchy = hierarchy;
+        }
+        let report = run_verify_scenario(&cfg, "zipf");
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.what.contains("sharer record")),
+            "hierarchy={hierarchy:?}: no sharer-record violation among {:?}",
+            report.violations.first()
         );
     }
 }
