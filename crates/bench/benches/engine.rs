@@ -76,8 +76,8 @@ fn crossbar_broadcast(c: &mut Criterion) {
         let mut now = Time::ZERO;
         b.iter(|| {
             now += Duration::from_ns(1000);
-            let msg = Message::ordered(NodeId(0), NodeSet::all(64), 8, 42u64);
-            net.send(now, msg, &mut step);
+            let msg = arena.alloc(Message::ordered(NodeId(0), NodeSet::all(64), 8, 42u64), 1);
+            net.send(now, msg, &arena, &mut step);
             for (t, e) in step.schedule.drain(..) {
                 q.schedule(t, e);
             }
@@ -109,8 +109,11 @@ fn unicast_point_to_point(c: &mut Criterion) {
         let mut now = Time::ZERO;
         b.iter(|| {
             now += Duration::from_ns(500);
-            let msg = Message::unordered(NodeId(0), NodeId(2), VnetId::DATA, 72, 1u64);
-            net.send(now, msg, &mut step);
+            let msg = arena.alloc(
+                Message::unordered(NodeId(0), NodeId(2), VnetId::DATA, 72, 1u64),
+                1,
+            );
+            net.send(now, msg, &arena, &mut step);
             for (t, e) in step.schedule.drain(..) {
                 q.schedule(t, e);
             }

@@ -16,7 +16,8 @@
 //!   on against the binary heap it replaced;
 //! * **scale** — end-to-end hierarchical events/sec at 256, 1024, and
 //!   4096 nodes (sizes the old fixed 256-node bitset could not even build
-//!   past).
+//!   past), then the process's peak resident set (`peak_rss_mb`, read
+//!   from `VmHWM`), which the 4096-node point dominates.
 //!
 //! End-to-end points time only the measured window: building the system
 //! and the warmup run before the clock starts.
@@ -128,6 +129,20 @@ fn scale_events_per_sec(nodes: u16, cluster: u16, banks: u16, reps: usize) -> f6
     (0..reps).map(|_| run()).fold(0.0, f64::max)
 }
 
+/// The process's peak resident set so far (`VmHWM`) in MB, or `None`
+/// where `/proc/self/status` does not exist.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Below this measured parallelism a sweep "speedup" is host noise.
 const MIN_EFFECTIVE_PARALLELISM: f64 = 1.5;
 
@@ -204,6 +219,9 @@ fn main() {
         eprintln!("  {nodes:>5} nodes {eps:>12.0} events/s");
         scale_lines.push(format!("    \"events_per_sec_{nodes}\": {eps:.0}"));
     }
+    let rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
+    eprintln!("  peak RSS {rss} MB");
+    scale_lines.push(format!("    \"peak_rss_mb\": {rss}"));
 
     let grid_points = SWEEP_BANDWIDTHS.len() as u32 * SWEEP_SEEDS;
     eprintln!(

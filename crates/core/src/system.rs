@@ -5,6 +5,8 @@
 //! It dispatches four event kinds:
 //!
 //! * `Inject` — a controller-delayed message enters the node's link queue;
+//!   it has sat in the message arena since the controller emitted it, so
+//!   the queued event is an 8-byte handle;
 //! * `Net` — internal crossbar progress (transmit/traverse/deliver);
 //! * `ProcIssue` — a processor finished thinking and issues its operation;
 //! * `Sample` — the adaptive mechanism's per-512-cycle utilization sample
@@ -141,13 +143,15 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Driver events.
+/// Driver events. Every payload lives in the message arena, so an event
+/// is a few handles and ids; `event_sizes_stay_compact` pins the size.
 #[derive(Debug)]
 enum Event {
-    /// Crossbar-internal progress.
+    /// Interconnect-internal progress.
     Net(NetEvent<ProtoMsg>),
     /// A message enters the sender's link queue (after controller latency).
-    Inject(Message<ProtoMsg>),
+    /// The handle carries the one arena reference taken at emission.
+    Inject(MsgRef),
     /// A processor issues its queued operation.
     ProcIssue(NodeId),
     /// Adaptive-mechanism sampling tick (all nodes).
@@ -228,7 +232,7 @@ pub struct System<W: Workload> {
     workload: W,
     events: EventQueue<Event>,
     /// The in-flight message slab shared with the interconnect: payloads
-    /// live here from switch entry until the last delivery consumes them.
+    /// live here from emission until the last delivery consumes them.
     arena: MsgArena<ProtoMsg>,
     now: Time,
     /// Reusable action buffer shared by every controller handler call —
@@ -238,6 +242,9 @@ pub struct System<W: Workload> {
     /// half.
     net_step: NetStep<ProtoMsg>,
     window_deltas: Vec<WindowDelta>,
+    /// Reusable per-node `(busy estimate, local peak)` buffer of the
+    /// adaptive sampling tick.
+    sample_inputs: Vec<(u64, u64)>,
     /// Per-node × per-incident-link window trackers feeding the adaptive
     /// mechanism's local-utilization input (fabric topologies only).
     local_deltas: Vec<Vec<WindowDelta>>,
@@ -391,6 +398,7 @@ impl<W: Workload> System<W> {
 
         System {
             window_deltas: (0..nodes).map(|_| WindowDelta::new()).collect(),
+            sample_inputs: Vec::with_capacity(nodes as usize),
             local_deltas,
             net,
             caches,
@@ -850,7 +858,7 @@ impl<W: Workload> System<W> {
                 // the call (borrow discipline) and put back afterwards, so
                 // its capacity is reused by every event.
                 let mut step = std::mem::take(&mut self.net_step);
-                self.net.send(self.now, msg, &mut self.arena, &mut step);
+                self.net.inject(self.now, msg, &mut self.arena, &mut step);
                 self.absorb_net(&mut step);
                 self.net_step = step;
             }
@@ -986,7 +994,7 @@ impl<W: Workload> System<W> {
             // ownership record then; a same-owner duplicate is idempotent
             // and proves nothing). The duplicate keeps the message alive
             // past this delivery, so it retains a reference.
-            self.arena.retain(mref);
+            self.arena.retain(mref, 1);
             self.events.schedule(
                 self.now + Duration::from_ns(20_000),
                 Event::Redeliver {
@@ -1021,6 +1029,10 @@ impl<W: Workload> System<W> {
         for act in sink.drain() {
             match act {
                 Action::SendAfter { delay, msg } => {
+                    // The message enters the arena once, here, with one
+                    // reference; the interconnect raises it to one per
+                    // delivery.
+                    let msg = self.arena.alloc(msg, 1);
                     self.events.schedule(self.now + delay, Event::Inject(msg));
                 }
                 Action::MissDone { txn, value, .. } => self.miss_done(node, txn, value),
@@ -1114,7 +1126,8 @@ impl<W: Workload> System<W> {
         // node. The window trackers must advance for every node each tick
         // regardless of how the inputs are consumed below.
         let n = self.cfg.nodes as usize;
-        let mut inputs: Vec<(u64, u64)> = Vec::with_capacity(n);
+        let mut inputs = std::mem::take(&mut self.sample_inputs);
+        inputs.clear();
         for i in 0..self.cfg.nodes {
             let node = NodeId(i);
             match &self.net {
@@ -1182,6 +1195,7 @@ impl<W: Workload> System<W> {
                 policy_n += 1;
             }
         }
+        self.sample_inputs = inputs;
         if let Some(trace) = self.policy_trace.as_mut() {
             if policy_n > 0 {
                 trace.push((self.now, policy_sum / policy_n as f64));
@@ -1214,6 +1228,96 @@ impl<W: Workload> System<W> {
             0.0
         } else {
             sum / n as f64
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::mem::size_of;
+
+    use bash_coherence::{CacheGeometry, HierarchyConfig};
+    use bash_net::{FaultPlaneConfig, TopologyKind};
+    use bash_workloads::LockingMicrobench;
+
+    use super::*;
+
+    /// Queued events are the calendar's unit of memory: each one is a few
+    /// words because every payload lives in the message arena.
+    #[test]
+    fn event_sizes_stay_compact() {
+        const RULE: &str = "a message enters the MsgArena when a controller emits it, \
+            and queued events carry its MsgRef; no Event or NetEvent variant may carry \
+            a payload by value";
+        let event = size_of::<Event>();
+        assert!(event <= 40, "Event is {event} B (limit 40): {RULE}");
+        let net = size_of::<NetEvent<ProtoMsg>>();
+        assert!(
+            net <= 32,
+            "NetEvent<ProtoMsg> is {net} B (limit 32): {RULE}"
+        );
+    }
+
+    /// `LockingMicrobench` cut off after a fixed number of items per node,
+    /// so a run drains to idle.
+    struct Capped {
+        inner: LockingMicrobench,
+        left: Vec<u32>,
+    }
+
+    impl Workload for Capped {
+        fn next_item(&mut self, node: NodeId, now: Time) -> Option<bash_workloads::WorkItem> {
+            let left = &mut self.left[node.index()];
+            *left = left.checked_sub(1)?;
+            self.inner.next_item(node, now)
+        }
+
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// Every message that enters the arena leaves it: after a run drains,
+    /// on each interconnect engine, under loss with retransmission, and
+    /// under a hierarchy, no reference is left behind.
+    #[test]
+    fn runs_to_idle_leave_the_arena_empty() {
+        for proto in ProtocolKind::ALL {
+            let flat = || SystemConfig::paper_default(proto, 16, 1600);
+            let mesh = || flat().with_topology(TopologyKind::Mesh2D);
+            let cases = [
+                ("crossbar", flat()),
+                ("mesh", mesh()),
+                (
+                    "lossy mesh",
+                    mesh().with_fault_plane(FaultPlaneConfig::lossy(7, 0.02)),
+                ),
+                (
+                    "64-node hierarchy",
+                    SystemConfig::paper_default(proto, 64, 1600)
+                        .with_hierarchy(HierarchyConfig::new(16, 4)),
+                ),
+            ];
+            for (name, cfg) in cases {
+                let nodes = cfg.nodes;
+                let cfg = cfg.with_cache(CacheGeometry { sets: 16, ways: 2 });
+                let wl = Capped {
+                    inner: LockingMicrobench::new(nodes, nodes as u64 * 2, Duration::ZERO, 1),
+                    left: vec![24; nodes as usize],
+                };
+                let mut sys = System::new(cfg, wl);
+                sys.run_to_idle();
+                assert!(sys.is_quiescent(), "{proto:?} on {name} did not drain");
+                assert!(
+                    sys.arena.allocated() > 0,
+                    "{proto:?} on {name} sent nothing"
+                );
+                assert_eq!(
+                    sys.arena.live(),
+                    0,
+                    "{proto:?} on {name} left messages in the arena"
+                );
+            }
         }
     }
 }

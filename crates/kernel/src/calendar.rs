@@ -25,6 +25,9 @@
 //!   reorders.
 //! * An occupancy bitmap (one bit per bucket) lets the cursor skip
 //!   empty buckets 64 at a time, so a sparse wheel stays cheap.
+//! * A bucket that drains frees its buffer, so the wheel's memory follows
+//!   the live event count rather than the largest same-instant burst each
+//!   bucket ever absorbed.
 //!
 //! This module is the raw engine; [`crate::EventQueue`] wraps it (and
 //! the heap) behind one facade that owns the FIFO sequence numbers, so
@@ -344,10 +347,20 @@ impl<E> CalendarQueue<E> {
             .expect("settle() guarantees a nonempty cursor bucket");
         self.len -= 1;
         if self.buckets[idx].is_empty() {
+            // Give the buffer back: a fan-out burst must not leave its
+            // capacity parked in a bucket the wheel revisits once a
+            // rotation.
+            self.buckets[idx] = Vec::new();
             self.clear_bit(idx);
             self.cur_sorted = false;
         }
         Some((slot.time, slot.event))
+    }
+
+    /// Slots of buffer capacity held across all wheel buckets.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -393,5 +406,43 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ps(30), "b")));
         assert_eq!(q.pop(), Some((Time::from_ps(30), "c")));
         assert_eq!(q.pop(), None);
+    }
+
+    /// A lockstep fan-out lands a huge same-instant burst in one bucket.
+    /// Once it drains and the wheel turns a full rotation with one event
+    /// live at a time, the buckets hold no more buffer than the live
+    /// events need: nothing of the burst, and nothing in the buckets the
+    /// single events passed through.
+    #[test]
+    fn drained_buckets_retain_no_capacity() {
+        const BURST: u64 = 32_768;
+        let cfg = CalendarConfig {
+            buckets: 256,
+            width_ps: 1_000,
+        };
+        let mut q = CalendarQueue::new(cfg);
+        for seq in 0..BURST {
+            q.schedule(Time::from_ps(500), seq, seq);
+        }
+        assert!(q.retained_capacity() >= BURST as usize);
+        for seq in 0..BURST {
+            assert_eq!(q.pop(), Some((Time::from_ps(500), seq)));
+        }
+        assert_eq!(
+            q.retained_capacity(),
+            0,
+            "the drained burst kept its buffer"
+        );
+        // One full rotation, one event per bucket, each popped before the
+        // next is scheduled.
+        for k in 0..cfg.buckets as u64 {
+            let seq = BURST + k;
+            let at = Time::from_ps(1_500 + k * cfg.width_ps);
+            q.schedule(at, seq, seq);
+            // A one-slot bucket: Vec's smallest nonzero capacity.
+            assert!(q.retained_capacity() <= 4 * q.len(), "bucket {k}");
+            assert_eq!(q.pop(), Some((at, seq)));
+            assert_eq!(q.retained_capacity(), 0, "bucket {k}");
+        }
     }
 }

@@ -336,10 +336,12 @@ mod tests {
 
     /// An operation script a queue can replay: schedule (with a time
     /// offset from the last pop, so runs stay roughly monotonic like a
-    /// real simulation) or pop.
+    /// real simulation), schedule a same-instant burst of `count` events
+    /// (a lockstep fan-out), or pop.
     #[derive(Debug, Clone)]
     enum Op {
         Schedule(u64),
+        Burst { offset: u64, count: usize },
         Pop,
     }
 
@@ -350,6 +352,8 @@ mod tests {
             4 => (0u64..200).prop_map(Op::Schedule),
             1 => Just(Op::Schedule(0)),
             1 => (10_000u64..200_000).prop_map(Op::Schedule),
+            // Bursts big enough that draining them frees a large buffer.
+            1 => (0u64..200, 1usize..=512).prop_map(|(offset, count)| Op::Burst { offset, count }),
             3 => Just(Op::Pop),
         ]
     }
@@ -378,7 +382,8 @@ mod tests {
 
         /// Heap and calendar produce byte-identical pop sequences for any
         /// interleaved schedule/pop script, including same-timestamp FIFO
-        /// ties and far-future overflow promotion. This is the property
+        /// ties, same-instant bursts whose drained buckets free their
+        /// buffers, and far-future overflow promotion. This is the property
         /// that lets the engine swap queues without disturbing goldens.
         #[test]
         fn prop_calendar_matches_heap(
@@ -397,6 +402,14 @@ mod tests {
                         heap.schedule(t, next_id);
                         cal.schedule(t, next_id);
                         next_id += 1;
+                    }
+                    Op::Burst { offset, count } => {
+                        let t = Time::from_ns(clock + offset);
+                        for _ in 0..count {
+                            heap.schedule(t, next_id);
+                            cal.schedule(t, next_id);
+                            next_id += 1;
+                        }
                     }
                     Op::Pop => {
                         prop_assert_eq!(heap.peek_time(), cal.peek_time());

@@ -9,9 +9,13 @@
 //! nothing, keeps payloads dense, and shrinks every in-flight event by a
 //! pointer's worth of indirection.
 //!
-//! Reference discipline: [`MsgArena::alloc`] stores the message with an
-//! explicit initial count — one reference per delivery the transmission
-//! is expected to produce. Every [`crate::Delivery`] handed to the driver
+//! Reference discipline: a message enters the arena when a controller
+//! emits it, through [`MsgArena::alloc`] with one reference, and every
+//! queued event from then on carries the 8-byte handle rather than the
+//! message. When the interconnect plans the transmission's deliveries it
+//! raises that one reference to one per planned delivery with
+//! [`MsgArena::retain`]; a transmission with no reachable destination
+//! releases it instead. Every [`crate::Delivery`] handed to the driver
 //! *transfers* one reference; the driver releases it once the controllers
 //! have seen the message. Holding a copy beyond that (a resequencer
 //! hold-back, a scheduled re-delivery) retains first. The generation
@@ -66,8 +70,8 @@ impl<P> MsgArena<P> {
         }
     }
 
-    /// Stores `msg` with an initial reference count of `refs` (the number
-    /// of deliveries this transmission will produce). `refs` must be
+    /// Stores `msg` with an initial reference count of `refs` (the driver
+    /// passes 1 at emission; see the module docs). `refs` must be
     /// positive — a message nobody will consume should not enter the
     /// arena.
     pub fn alloc(&mut self, msg: Message<P>, refs: u32) -> MsgRef {
@@ -118,12 +122,13 @@ impl<P> MsgArena<P> {
         self.slot(r).msg.as_ref().expect("MsgRef to a freed slot")
     }
 
-    /// Adds one reference to `r` (a hold-back or re-delivery keeping the
-    /// message alive beyond its delivery). Legal while the message is
-    /// temporarily moved out with [`MsgArena::take`] — the slot's
-    /// generation still guards against staleness.
-    pub fn retain(&mut self, r: MsgRef) {
-        self.slot_mut(r).refs += 1;
+    /// Adds `n` references to `r`: a fan-out raising the emission
+    /// reference to one per planned delivery, or a hold-back or
+    /// re-delivery keeping the message alive beyond its delivery. Legal
+    /// while the message is temporarily moved out with [`MsgArena::take`]
+    /// — the slot's generation still guards against staleness.
+    pub fn retain(&mut self, r: MsgRef, n: u32) {
+        self.slot_mut(r).refs += n;
     }
 
     /// Drops one reference to `r`, freeing the slot when the count hits
@@ -226,7 +231,8 @@ mod tests {
     fn retain_keeps_a_message_alive() {
         let mut a = MsgArena::new();
         let r = a.alloc(msg("a"), 1);
-        a.retain(r);
+        a.retain(r, 2);
+        a.release(r);
         a.release(r);
         assert_eq!(a.get(r).payload, "a");
         a.release(r);

@@ -22,10 +22,12 @@
 //! [`Crossbar::handle`] append to a caller-owned [`NetStep`] the future
 //! events to schedule and the finished deliveries to hand to node
 //! controllers. The driver reuses one `NetStep` buffer across every call,
-//! so the steady-state event loop allocates nothing; fan-out past the
-//! crossbar core stores the message once in the driver-owned
-//! [`MsgArena`] and hands every destination a [`MsgRef`] handle instead
-//! of deep-cloning the payload once per destination.
+//! so the steady-state event loop allocates nothing. The message itself
+//! lives once in the driver-owned [`MsgArena`] from the moment it is
+//! sent: every event, and every destination of a fan-out, carries the
+//! same 8-byte [`MsgRef`] handle instead of the payload.
+
+use std::marker::PhantomData;
 
 use bash_kernel::stats::BusyTracker;
 use bash_kernel::{DetRng, Duration, Time};
@@ -169,15 +171,18 @@ impl MsgCost {
     }
 }
 
-/// Internal crossbar events, scheduled on the driver's event queue.
+/// Internal interconnect events, scheduled on the driver's event queue.
 ///
-/// Past the core the message lives in the driver's [`MsgArena`]: a
-/// broadcast fans out as `dests.len()` copies of one 8-byte [`MsgRef`],
-/// not `dests.len()` deep clones of the payload.
+/// Every variant is a small handle: the message lives in the driver's
+/// [`MsgArena`], so a broadcast fans out as `dests.len()` copies of one
+/// 8-byte [`MsgRef`], not `dests.len()` deep clones of the payload. A
+/// variant that carried a message by value would grow every queued
+/// event to the payload's size.
 #[derive(Debug, Clone)]
 pub enum NetEvent<P> {
     /// The sender link finished transmitting: the message enters the core.
-    TxDone(Message<P>),
+    /// The marker ties the handle to the arena's payload type `P`.
+    TxDone(MsgRef, PhantomData<fn() -> P>),
     /// The message reached `dst`'s link after the core traversal.
     RxArrive {
         /// Receiving node.
@@ -291,7 +296,7 @@ pub struct Crossbar<P> {
     cost: MsgCost,
     links: Vec<LinkState>,
     next_order: u64,
-    _marker: std::marker::PhantomData<P>,
+    _marker: PhantomData<P>,
 }
 
 impl<P> Crossbar<P> {
@@ -309,7 +314,7 @@ impl<P> Crossbar<P> {
             links: vec![LinkState::default(); cfg.nodes as usize],
             next_order: 0,
             cfg,
-            _marker: std::marker::PhantomData,
+            _marker: PhantomData,
         }
     }
 
@@ -318,32 +323,35 @@ impl<P> Crossbar<P> {
         &self.cfg
     }
 
-    /// Injects a message at `now`, appending the event that must be
-    /// scheduled (the sender-link completion) to `out`.
+    /// Injects the arena-resident message `msg` at `now`, appending the
+    /// event that must be scheduled (the sender-link completion) to `out`.
+    /// The handle carries one arena reference, which the core raises to
+    /// one per destination.
     ///
     /// # Panics
     ///
     /// Panics if the destination set is empty or the source id is out of
     /// range.
-    pub fn send(&mut self, now: Time, msg: Message<P>, out: &mut NetStep<P>) {
-        assert!(!msg.dests.is_empty(), "message with no destinations");
-        assert!((msg.src.index()) < self.links.len(), "bad source node");
-        let eff = self.cost.effective_size(&msg);
+    pub fn send(&mut self, now: Time, msg: MsgRef, arena: &MsgArena<P>, out: &mut NetStep<P>) {
+        let m = arena.get(msg);
+        assert!(!m.dests.is_empty(), "message with no destinations");
+        assert!((m.src.index()) < self.links.len(), "bad source node");
+        let eff = self.cost.effective_size(m);
         let tx_time = Duration::transmission(eff, self.cfg.link_mbps);
         let inject_delay = self.cost.injection_jitter();
-        let link = &mut self.links[msg.src.index()];
+        let link = &mut self.links[m.src.index()];
         let start = (now + inject_delay).max(link.busy.busy_until());
         let end = start + tx_time;
         link.busy.mark_busy(start, end);
         link.bytes += eff;
         link.messages += 1;
-        out.schedule.push((end, NetEvent::TxDone(msg)));
+        out.schedule.push((end, NetEvent::TxDone(msg, PhantomData)));
     }
 
     /// Advances an internal event, appending follow-up events and finished
     /// deliveries to `out`. `now` must equal the time the event was
-    /// scheduled for. `arena` is the driver-owned message arena; fan-out
-    /// payloads are stored there when a transmission enters the core.
+    /// scheduled for. `arena` is the driver-owned message arena the
+    /// events' handles point into.
     pub fn handle(
         &mut self,
         now: Time,
@@ -352,7 +360,7 @@ impl<P> Crossbar<P> {
         out: &mut NetStep<P>,
     ) {
         match event {
-            NetEvent::TxDone(msg) => self.enter_core(now, msg, arena, out),
+            NetEvent::TxDone(msg, _) => self.enter_core(now, msg, arena, out),
             NetEvent::RxArrive { dst, msg, order } => self.arrive(now, dst, msg, order, arena, out),
             NetEvent::Deliver { dst, msg, order } => {
                 out.deliveries.push(Delivery { dst, msg, order });
@@ -382,11 +390,16 @@ impl<P> Crossbar<P> {
     fn enter_core(
         &mut self,
         now: Time,
-        msg: Message<P>,
+        msg: MsgRef,
         arena: &mut MsgArena<P>,
         out: &mut NetStep<P>,
     ) {
-        let order = match msg.ordered {
+        // One arena slot per transmission: every destination's RxArrive
+        // carries the same handle, and the emission's one reference
+        // becomes one per delivery.
+        arena.retain(msg, arena.get(msg).dests.len() as u32 - 1);
+        let m = arena.get(msg);
+        let order = match m.ordered {
             Ordered::Total => {
                 let o = self.next_order;
                 self.next_order += 1;
@@ -394,13 +407,8 @@ impl<P> Crossbar<P> {
             }
             Ordered::None => None,
         };
-        // One arena slot per transmission: every destination's RxArrive
-        // carries the same handle, with one reference per delivery.
-        let ordered = msg.ordered;
-        let dests = msg.dests.clone();
-        let msg = arena.alloc(msg, dests.len() as u32);
-        for dst in dests.iter() {
-            let extra = match ordered {
+        for dst in m.dests.iter() {
+            let extra = match m.ordered {
                 // Per-destination jitter would break the total order.
                 Ordered::Total => Duration::ZERO,
                 Ordered::None => self.cost.traversal_jitter(),
@@ -459,7 +467,10 @@ mod tests {
         let mut step = NetStep::new();
         while let Some((now, ev)) = q.pop() {
             match ev {
-                Ev::Send(m) => net.send(now, m, &mut step),
+                Ev::Send(m) => {
+                    let r = arena.alloc(m, 1);
+                    net.send(now, r, &arena, &mut step);
+                }
                 Ev::Net(ne) => net.handle(now, ne, &mut arena, &mut step),
             }
             for (t, e) in step.schedule.drain(..) {
@@ -643,7 +654,9 @@ mod tests {
             size: 8,
             payload: "bad",
         };
-        net.send(Time::ZERO, m, &mut NetStep::new());
+        let mut arena = MsgArena::new();
+        let r = arena.alloc(m, 1);
+        net.send(Time::ZERO, r, &arena, &mut NetStep::new());
     }
 
     #[test]

@@ -264,28 +264,25 @@ impl<P> Fabric<P> {
         self.fault.as_ref().map(|f| f.stats())
     }
 
-    /// Injects a message at `now`; appends the first link-crossing
-    /// completions (one per tree root) to `out`.
+    /// Injects the arena-resident message `msg` at `now`; appends the
+    /// first link-crossing completions (one per tree root) to `out`. The
+    /// handle carries one arena reference, which becomes one per planned
+    /// delivery — or is released when no destination is reachable.
     ///
     /// # Panics
     ///
     /// Panics if the destination set is empty or the source is out of
     /// range.
-    pub fn send(
-        &mut self,
-        now: Time,
-        msg: Message<P>,
-        arena: &mut MsgArena<P>,
-        out: &mut NetStep<P>,
-    ) {
-        assert!(!msg.dests.is_empty(), "message with no destinations");
+    pub fn send(&mut self, now: Time, msg: MsgRef, arena: &mut MsgArena<P>, out: &mut NetStep<P>) {
+        let m = arena.get(msg);
+        assert!(!m.dests.is_empty(), "message with no destinations");
         assert!(
-            msg.src.index() < self.topo.nodes() as usize,
+            m.src.index() < self.topo.nodes() as usize,
             "bad source node"
         );
-        let eff = self.cost.effective_size(&msg);
+        let eff = self.cost.effective_size(m);
         let inject_delay = self.cost.injection_jitter();
-        let order = match msg.ordered {
+        let order = match m.ordered {
             Ordered::Total => {
                 let o = self.next_order;
                 self.next_order += 1;
@@ -293,8 +290,7 @@ impl<P> Fabric<P> {
             }
             Ordered::None => None,
         };
-        let src = msg.src;
-        let dests = msg.dests.clone();
+        let src = m.src;
         let t0 = now + inject_delay;
 
         // Merge the per-destination routes into the forwarding tree.
@@ -308,7 +304,7 @@ impl<P> Fabric<P> {
         let mut nodes: Vec<FlightNode> = Vec::new();
         let mut roots: Vec<u32> = Vec::new();
         let mut planned: u32 = 0;
-        for dst in dests.iter() {
+        for dst in m.dests.iter() {
             let seq = match order {
                 Some(_) => {
                     let s = self.dst_next_seq[dst.index()];
@@ -378,12 +374,13 @@ impl<P> Fabric<P> {
         }
 
         if planned == 0 {
-            // Every destination was unreachable; nothing references the
-            // message, so it never enters the arena.
+            // Every destination was unreachable: no delivery will ever
+            // consume the message, so its emission reference goes back.
+            arena.release(msg);
             return;
         }
         // One arena reference per delivery this transmission will produce.
-        let msg = arena.alloc(msg, planned);
+        arena.retain(msg, planned - 1);
         let flight = Rc::new(FabricFlight {
             msg,
             order,
@@ -438,7 +435,7 @@ impl<P> Fabric<P> {
             NetEvent::Deliver { dst, msg, order } => {
                 out.deliveries.push(Delivery { dst, msg, order });
             }
-            NetEvent::TxDone(_) | NetEvent::RxArrive { .. } => {
+            NetEvent::TxDone(..) | NetEvent::RxArrive { .. } => {
                 unreachable!("crossbar-only event reached the fabric")
             }
         }
@@ -795,10 +792,9 @@ impl<P> Interconnect<P> {
         }
     }
 
-    /// Injects a message (see [`Crossbar::send`] / [`Fabric::send`]).
-    /// `arena` is the driver-owned message arena shared by both engines
-    /// (the crossbar stores fan-out payloads only when they enter the
-    /// core, so its `send` does not touch it).
+    /// Stores `msg` in `arena` with one reference and injects it: the
+    /// convenience form of [`Interconnect::inject`] for callers that hold
+    /// the message by value.
     pub fn send(
         &mut self,
         now: Time,
@@ -806,8 +802,22 @@ impl<P> Interconnect<P> {
         arena: &mut MsgArena<P>,
         out: &mut NetStep<P>,
     ) {
+        let msg = arena.alloc(msg, 1);
+        self.inject(now, msg, arena, out);
+    }
+
+    /// Injects the arena-resident message `msg`, whose handle carries one
+    /// reference (see [`Crossbar::send`] / [`Fabric::send`]). `arena` is
+    /// the driver-owned message arena shared by both engines.
+    pub fn inject(
+        &mut self,
+        now: Time,
+        msg: MsgRef,
+        arena: &mut MsgArena<P>,
+        out: &mut NetStep<P>,
+    ) {
         match self {
-            Interconnect::Crossbar(c) => c.send(now, msg, out),
+            Interconnect::Crossbar(c) => c.send(now, msg, arena, out),
             Interconnect::Fabric(f) => f.send(now, msg, arena, out),
         }
     }
@@ -867,6 +877,16 @@ mod tests {
         net: &mut Fabric<&'static str>,
         sends: Vec<(Time, Message<&'static str>)>,
     ) -> Vec<(Time, Delivery, &'static str)> {
+        drive_in(net, &mut MsgArena::new(), sends)
+    }
+
+    /// [`drive`] against a caller-owned arena, so a test can inspect what
+    /// the drive left in it.
+    fn drive_in(
+        net: &mut Fabric<&'static str>,
+        arena: &mut MsgArena<&'static str>,
+        sends: Vec<(Time, Message<&'static str>)>,
+    ) -> Vec<(Time, Delivery, &'static str)> {
         enum Ev {
             Send(Message<&'static str>),
             Net(NetEvent<&'static str>),
@@ -875,13 +895,15 @@ mod tests {
         for (t, m) in sends {
             q.schedule(t, Ev::Send(m));
         }
-        let mut arena = MsgArena::new();
         let mut out = Vec::new();
         let mut step = NetStep::new();
         while let Some((now, ev)) = q.pop() {
             match ev {
-                Ev::Send(m) => net.send(now, m, &mut arena, &mut step),
-                Ev::Net(ne) => net.handle(now, ne, &mut arena, &mut step),
+                Ev::Send(m) => {
+                    let r = arena.alloc(m, 1);
+                    net.send(now, r, arena, &mut step);
+                }
+                Ev::Net(ne) => net.handle(now, ne, arena, &mut step),
             }
             for (t, e) in step.schedule.drain(..) {
                 q.schedule(t, Ev::Net(e));
@@ -1147,7 +1169,8 @@ mod tests {
     fn unreachable_destination_is_counted_undeliverable() {
         use crate::fault::{FaultPlaneConfig, LinkFaultProfile, TransportConfig};
         // On a 2-ring the only route 0→1 is the one dead link: the stuck
-        // copy and any later send to 1 are permanently undeliverable.
+        // copy and any later send to 1 are permanently undeliverable, and
+        // both must give back the arena reference they entered with.
         let mut c = cfg(TopologyKind::Ring, 2, 1600);
         c.fault = Some(FaultPlaneConfig {
             seed: 1,
@@ -1166,9 +1189,11 @@ mod tests {
             }),
         });
         let mut net = Fabric::new(c);
+        let mut arena = MsgArena::new();
         let m1 = Message::unordered(NodeId(0), NodeId(1), VnetId::DATA, 8, "a");
         let m2 = Message::unordered(NodeId(0), NodeId(1), VnetId::DATA, 8, "b");
-        let out = drive(&mut net, vec![(Time::ZERO, m1), (Time::from_ns(1000), m2)]);
+        let sends = vec![(Time::ZERO, m1), (Time::from_ns(1000), m2)];
+        let out = drive_in(&mut net, &mut arena, sends);
         assert!(out.is_empty());
         let stats = net.fault_stats().unwrap();
         assert_eq!(stats.dead_links, 1);
@@ -1177,6 +1202,8 @@ mod tests {
             stats.undeliverable, 2,
             "one stuck copy, one refused at injection"
         );
+        assert_eq!(arena.allocated(), 2);
+        assert_eq!(arena.live(), 0, "an undeliverable message leaked");
         // The reverse link still works.
         let m3 = Message::unordered(NodeId(1), NodeId(0), VnetId::DATA, 8, "c");
         let out = drive(&mut net, vec![(Time::from_ns(2000), m3)]);

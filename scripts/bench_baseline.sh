@@ -46,4 +46,16 @@ if [[ -z "$(ratio events_per_sec_1024)" ]]; then
   echo "bench_baseline: $OUT has no events_per_sec_1024 — scale section missing" >&2
   fail=1
 fi
+# Memory gate: peak RSS after the scale section (the 4096-node point
+# dominates it) must stay under 1 GB. Queued events carry arena handles
+# and drained calendar buckets free their buffers, so the queue's memory
+# follows the live event count; either regression multiplies it.
+rss="$(ratio peak_rss_mb)"
+if [[ -z "$rss" ]]; then
+  echo "bench_baseline: $OUT has no peak_rss_mb — scale section malformed" >&2
+  fail=1
+elif awk -v r="$rss" 'BEGIN { exit !(r > 1024) }'; then
+  echo "bench_baseline: peak_rss_mb = $rss > 1024 — event queue memory no longer follows live events" >&2
+  fail=1
+fi
 exit "$fail"
