@@ -1,6 +1,6 @@
 //! Emits `BENCH_engine.json`: the repo's engine-performance baseline.
 //!
-//! Four numbers anchor the perf trajectory:
+//! Five numbers anchor the perf trajectory:
 //!
 //! * **events/sec** — single-threaded simulated-event throughput of a fixed
 //!   end-to-end run, one value per protocol (the zero-allocation hot path's
@@ -17,7 +17,11 @@
 //! * **scale** — end-to-end hierarchical events/sec at 256, 1024, and
 //!   4096 nodes (sizes the old fixed 256-node bitset could not even build
 //!   past), then the process's peak resident set (`peak_rss_mb`, read
-//!   from `VmHWM`), which the 4096-node point dominates.
+//!   from `VmHWM`), which the 4096-node point dominates;
+//! * **block tables** — ns per lookup of the coherence controllers'
+//!   `BlockTable` against a default-hasher `HashMap`, on dense and
+//!   stride-4096 block addresses, for hits and for misses, over many
+//!   small per-node tables (the `blocktable` object).
 //!
 //! End-to-end points time only the measured window: building the system
 //! and the warmup run before the clock starts.
@@ -25,10 +29,11 @@
 //! Usage: `engine_baseline [OUTPUT.json]` (default `BENCH_engine.json`).
 //! Run it through `scripts/bench_baseline.sh` for a release build.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use bash::{Duration, HierarchyConfig, ProtocolKind, SimBuilder, System, SystemConfig, Time};
-use bash_coherence::CacheGeometry;
+use bash_coherence::{BlockAddr, BlockTable, CacheGeometry};
 use bash_kernel::{pool, EventQueue, QueueKind};
 use bash_workloads::LockingMicrobench;
 
@@ -113,7 +118,7 @@ fn queue_churn_ops_per_sec(queue: QueueKind, reps: usize) -> f64 {
 
 /// End-to-end events/sec of a hierarchical BASH run at `nodes` nodes
 /// (`cluster`-node snooping clusters under a `banks`-bank spine) — the
-/// scale trajectory the adaptive sharer sets and open-addressed block
+/// scale trajectory the adaptive sharer sets and per-block state
 /// tables exist for. Short measure window: the point is the per-event
 /// cost at population, not a long steady state.
 fn scale_events_per_sec(nodes: u16, cluster: u16, banks: u16, reps: usize) -> f64 {
@@ -127,6 +132,92 @@ fn scale_events_per_sec(nodes: u16, cluster: u16, banks: u16, reps: usize) -> f6
         events as f64 / secs.max(1e-9)
     };
     (0..reps).map(|_| run()).fold(0.0, f64::max)
+}
+
+/// Per-node tables in the block-table point: one per controller of a
+/// 1024-node system.
+const BT_TABLES: u64 = 1024;
+/// Blocks held per table.
+const BT_ENTRIES: u64 = 64;
+/// Lookup sweeps per timed rep.
+const BT_PASSES: u64 = 8;
+
+/// As wide as a cache controller's side entry (a writeback buffer with
+/// its 64-byte data plus a tracked-sharer set): a lookup that reads the
+/// slot it misses on pays for this width.
+type WideEntry = [u64; 13];
+
+/// Best-of-3 ns per lookup over [`BT_TABLES`] tables of [`BT_ENTRIES`]
+/// blocks each, block numbers spaced `stride` apart. Each step probes
+/// every table once, as a broadcast reaches every controller: hits look
+/// up a table's own blocks, misses its neighbour's.
+fn lookup_ns<T>(
+    new_table: impl Fn() -> T,
+    insert: impl Fn(&mut T, BlockAddr),
+    get: impl Fn(&T, BlockAddr) -> Option<&WideEntry>,
+    stride: u64,
+    hits: bool,
+) -> f64 {
+    let block = |table: u64, i: u64| BlockAddr((table * BT_ENTRIES + i) * stride);
+    let tables: Vec<T> = (0..BT_TABLES)
+        .map(|t| {
+            let mut table = new_table();
+            for i in 0..BT_ENTRIES {
+                insert(&mut table, block(t, i));
+            }
+            table
+        })
+        .collect();
+    let probed = |t: u64| if hits { t } else { (t + 1) % BT_TABLES };
+    let run = || {
+        let t0 = Instant::now();
+        let mut acc = 0u64;
+        for _ in 0..BT_PASSES {
+            for i in 0..BT_ENTRIES {
+                for (t, table) in (0..).zip(&tables) {
+                    acc = acc.wrapping_add(get(table, block(probed(t), i)).map_or(1, |e| e[0]));
+                }
+            }
+        }
+        std::hint::black_box(acc);
+        t0.elapsed().as_secs_f64() * 1e9 / (BT_PASSES * BT_ENTRIES * BT_TABLES) as f64
+    };
+    (0..3).map(|_| run()).fold(f64::INFINITY, f64::min)
+}
+
+/// The `blocktable` JSON lines: [`lookup_ns`] for `BlockTable` and for a
+/// default-hasher `HashMap`, dense and stride-4096, hits and misses.
+fn blocktable_lines() -> Vec<String> {
+    let mut lines = vec![
+        format!("    \"tables\": {BT_TABLES}"),
+        format!("    \"entries_per_table\": {BT_ENTRIES}"),
+    ];
+    for (addrs, stride) in [("dense", 1), ("stride4096", 4096)] {
+        for (kind, hits) in [("hit", true), ("miss", false)] {
+            let bt = lookup_ns(
+                BlockTable::<WideEntry>::new,
+                |t, b| {
+                    t.or_default(b);
+                },
+                |t, b| t.get(b),
+                stride,
+                hits,
+            );
+            let hm = lookup_ns(
+                HashMap::<BlockAddr, WideEntry>::new,
+                |t, b| {
+                    t.insert(b, WideEntry::default());
+                },
+                |t, b| t.get(&b),
+                stride,
+                hits,
+            );
+            eprintln!("  {addrs:>10} {kind:4} BlockTable {bt:6.2} ns, HashMap {hm:6.2} ns");
+            lines.push(format!("    \"blocktable_{addrs}_{kind}_ns\": {bt:.2}"));
+            lines.push(format!("    \"hashmap_{addrs}_{kind}_ns\": {hm:.2}"));
+        }
+    }
+    lines
 }
 
 /// The process's peak resident set so far (`VmHWM`) in MB, or `None`
@@ -223,6 +314,11 @@ fn main() {
     eprintln!("  peak RSS {rss} MB");
     scale_lines.push(format!("    \"peak_rss_mb\": {rss}"));
 
+    eprintln!(
+        "measuring block-table lookups ({BT_TABLES} tables x {BT_ENTRIES} entries, best of 3)..."
+    );
+    let blocktable_section = blocktable_lines();
+
     let grid_points = SWEEP_BANDWIDTHS.len() as u32 * SWEEP_SEEDS;
     eprintln!(
         "measuring sweep wall time ({} bandwidths x {} seeds)...",
@@ -257,12 +353,13 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"engine\",\n  \"events_per_sec\": {{\n{}\n  }},\n  \"queue\": {{\n    \"calendar_vs_heap_256\": {:.3},\n    \"churn_ops_per_sec_calendar\": {:.0},\n    \"churn_ops_per_sec_heap\": {:.0}\n  }},\n  \"scale\": {{\n{}\n  }},\n  \"sweep\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"engine\",\n  \"events_per_sec\": {{\n{}\n  }},\n  \"queue\": {{\n    \"calendar_vs_heap_256\": {:.3},\n    \"churn_ops_per_sec_calendar\": {:.0},\n    \"churn_ops_per_sec_heap\": {:.0}\n  }},\n  \"scale\": {{\n{}\n  }},\n  \"blocktable\": {{\n{}\n  }},\n  \"sweep\": {{\n{}\n  }}\n}}\n",
         proto_lines.join(",\n"),
         churn_ratio,
         cal_ops,
         heap_ops,
         scale_lines.join(",\n"),
+        blocktable_section.join(",\n"),
         sweep_section,
     );
     std::fs::write(&out_path, &json).expect("write bench json");

@@ -62,9 +62,9 @@ impl Action {
 /// A reusable buffer the controllers emit their [`Action`]s into.
 ///
 /// Controller handlers take `&mut ActionSink` instead of returning
-/// `Vec<Action>`: the driver owns **one** sink, drains it after every
-/// handler call, and hands the same (already-grown) buffer to the next
-/// event. After warmup the event loop therefore emits actions with zero
+/// `Vec<Action>`: the driver owns **one** sink, drains it after each
+/// event's handlers have run, and hands the same (already-grown) buffer
+/// to the next event. After warmup the event loop therefore emits actions with zero
 /// heap allocation, where the old return-a-`Vec` interface allocated on
 /// nearly every event.
 ///

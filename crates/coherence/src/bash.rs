@@ -493,7 +493,12 @@ impl BashMemCtrl {
         }
     }
 
+    /// Home state label for the block (feeds Table 1); empty while the
+    /// coverage log is off.
     fn state_label(&self, block: BlockAddr) -> &'static str {
+        if !self.log.is_enabled() {
+            return "";
+        }
         match self.blocks.get(block) {
             None => "Mem",
             Some(b) if b.wb.is_some() => "WbPending",

@@ -1,23 +1,23 @@
-//! Open-addressed per-block state tables for the coherence controllers.
+//! Per-block state tables for the coherence controllers.
 //!
 //! Every controller used to resolve a block through two to four separate
 //! SipHash `HashMap`s per event (state map + data store, writeback map +
 //! tracked-sharer map). [`BlockTable`] replaces those pairs with one
-//! open-addressed, multiply-hashed table holding a *combined* entry per
-//! block, so the per-event hot path costs a single probe sequence over a
-//! contiguous slot array.
+//! table holding a *combined* entry per block, so the per-event hot path
+//! costs a single lookup.
 //!
 //! Design points:
 //!
-//! * **Multiplicative (Fibonacci) hashing** — `(key ^ seed) * 2^64/φ`,
-//!   top bits select the bucket. Block addresses are dense, sequential
-//!   and strided in practice; the golden-ratio multiply scatters those
-//!   patterns without SipHash's per-lookup setup cost.
-//! * **Linear probing** over a power-of-two slot array, resized at 7/8
-//!   load. Entries are never removed: transient sub-state (an open
-//!   writeback window, a tracked sharer set) lives in `Option`/emptiable
-//!   fields of the combined entry and is simply cleared, so the table
-//!   needs no tombstones and probe chains never decay.
+//! * **std's SwissTable** (`std::collections::HashMap`). A lookup first
+//!   compares a 16-byte group of control bytes, so a miss — the common
+//!   case for a snooping cache that does not hold the block — is
+//!   rejected without reading any (wide, cold) entry.
+//! * **Folded Fibonacci hashing** — `h = (key ^ seed) * 2^64/φ`, then
+//!   `h ^ (h >> 32)`. The multiply scatters dense, sequential and strided
+//!   block addresses into the high bits without SipHash's per-lookup
+//!   setup cost; the fold carries them down into the low bits SwissTable
+//!   takes its bucket index from (a bare multiply leaves the low bits of
+//!   a stride-4096 address all zero).
 //! * **No ordering guarantees** on [`BlockTable::values`]: controllers
 //!   may use it only for order-independent folds (quiescence booleans).
 //!   Anything feeding canonical report text must go through
@@ -25,8 +25,10 @@
 //!
 //! The probe seed is normally a fixed constant; tests inject alternate
 //! seeds through [`set_probe_seed`] to prove no observable output
-//! depends on slot order (the goldens-under-both-seeds gate).
+//! depends on iteration order (the goldens-under-both-seeds gate).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::types::BlockAddr;
@@ -34,16 +36,13 @@ use crate::types::BlockAddr;
 /// 2^64 / φ — the classic Fibonacci-hashing multiplier.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Minimum non-empty capacity (power of two).
-const MIN_CAP: usize = 16;
-
 /// Process-wide probe seed newly created tables pick up. Zero in normal
 /// operation; the order-independence tests flip it between runs.
 static PROBE_SEED: AtomicU64 = AtomicU64::new(0);
 
 /// Overrides the probe seed used by tables created from now on.
 ///
-/// Testing hook only: changing the seed permutes every table's slot
+/// Testing hook only: changing the seed permutes every table's iteration
 /// order without changing its contents, which the report-determinism
 /// tests use to prove canonical output never leaks hash order. Not for
 /// production use — runs mixing seeds are still deterministic but their
@@ -53,16 +52,50 @@ pub fn set_probe_seed(seed: u64) {
     PROBE_SEED.store(seed, Ordering::Relaxed);
 }
 
-/// An open-addressed map from [`BlockAddr`] to a combined per-block
-/// entry. See the module docs for the probing scheme and the ordering
-/// contract.
+/// Builds [`FoldedFibHasher`]s for one table's seed.
+#[derive(Debug, Clone, Copy)]
+struct FoldedFib {
+    seed: u64,
+}
+
+impl BuildHasher for FoldedFib {
+    type Hasher = FoldedFibHasher;
+
+    fn build_hasher(&self) -> FoldedFibHasher {
+        FoldedFibHasher {
+            seed: self.seed,
+            hash: 0,
+        }
+    }
+}
+
+/// The folded Fibonacci hash of the one `u64` block number a table key
+/// is made of.
+struct FoldedFibHasher {
+    seed: u64,
+    hash: u64,
+}
+
+impl Hasher for FoldedFibHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("block tables are keyed by u64 block numbers")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = (key ^ self.seed).wrapping_mul(FIB);
+        self.hash = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A map from [`BlockAddr`] to a combined per-block entry. See the
+/// module docs for the hashing scheme and the ordering contract.
 #[derive(Debug, Clone)]
 pub struct BlockTable<V> {
-    slots: Box<[Option<(BlockAddr, V)>]>,
-    len: usize,
-    /// `64 - log2(capacity)`; meaningless while the table is empty.
-    shift: u32,
-    seed: u64,
+    map: HashMap<u64, V, FoldedFib>,
 }
 
 impl<V> Default for BlockTable<V> {
@@ -72,79 +105,39 @@ impl<V> Default for BlockTable<V> {
 }
 
 impl<V> BlockTable<V> {
-    /// An empty table. Allocates nothing until the first insert, so the
-    /// per-node controllers of a 4096-node system stay cheap while
-    /// untouched.
+    /// An empty table hashing with the current probe seed. Allocates
+    /// nothing until the first insert, so the per-node controllers of a
+    /// 4096-node system stay cheap while untouched.
     pub fn new() -> Self {
+        let seed = PROBE_SEED.load(Ordering::Relaxed);
         BlockTable {
-            slots: Box::default(),
-            len: 0,
-            shift: 64,
-            seed: PROBE_SEED.load(Ordering::Relaxed),
+            map: HashMap::with_hasher(FoldedFib { seed }),
         }
     }
 
     /// Number of blocks with an entry.
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// True when no block has an entry.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn bucket(&self, block: BlockAddr) -> usize {
-        (((block.0 ^ self.seed).wrapping_mul(FIB)) >> self.shift) as usize
-    }
-
-    /// Slot index holding `block`, if present.
-    fn find(&self, block: BlockAddr) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.bucket(block);
-        loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k == block => return Some(i),
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
-        }
+        self.map.is_empty()
     }
 
     /// The entry for `block`, if present.
     pub fn get(&self, block: BlockAddr) -> Option<&V> {
-        self.find(block)
-            .map(|i| &self.slots[i].as_ref().expect("found slot").1)
+        self.map.get(&block.0)
     }
 
     /// The entry for `block`, if present (mutable).
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut V> {
-        self.find(block)
-            .map(|i| &mut self.slots[i].as_mut().expect("found slot").1)
+        self.map.get_mut(&block.0)
     }
 
     /// The entry for `block`, inserting `init()` if absent.
     pub fn or_insert_with(&mut self, block: BlockAddr, init: impl FnOnce() -> V) -> &mut V {
-        if self.needs_grow() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.bucket(block);
-        loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k == block => break,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.slots[i] = Some((block, init()));
-                    self.len += 1;
-                    break;
-                }
-            }
-        }
-        &mut self.slots[i].as_mut().expect("filled above").1
+        self.map.entry(block.0).or_insert_with(init)
     }
 
     /// The entry for `block`, inserting the default if absent.
@@ -155,41 +148,24 @@ impl<V> BlockTable<V> {
         self.or_insert_with(block, V::default)
     }
 
-    /// Entries in **unspecified (slot) order** — for order-independent
+    /// Removes and returns the entry for `block`, if present.
+    pub fn remove(&mut self, block: BlockAddr) -> Option<V> {
+        self.map.remove(&block.0)
+    }
+
+    /// Entries in **unspecified (hash) order** — for order-independent
     /// folds only (quiescence booleans, counters). Canonical output must
     /// use [`BlockTable::sorted_keys`].
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().flatten().map(|(_, v)| v)
+        self.map.values()
     }
 
     /// All block addresses, sorted ascending — the explicit deterministic
     /// drain order for anything feeding report text or aggregated stats.
     pub fn sorted_keys(&self) -> Vec<BlockAddr> {
-        let mut keys: Vec<BlockAddr> = self.slots.iter().flatten().map(|(k, _)| *k).collect();
+        let mut keys: Vec<BlockAddr> = self.map.keys().map(|&k| BlockAddr(k)).collect();
         keys.sort_unstable_by_key(|b| b.0);
         keys
-    }
-
-    fn needs_grow(&self) -> bool {
-        // Grow at 7/8 load (or when empty).
-        self.slots.is_empty() || (self.len + 1) * 8 > self.slots.len() * 7
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(MIN_CAP);
-        let old = std::mem::replace(
-            &mut self.slots,
-            (0..new_cap).map(|_| None).collect::<Vec<_>>().into(),
-        );
-        self.shift = 64 - new_cap.trailing_zeros();
-        let mask = new_cap - 1;
-        for (k, v) in old.into_vec().into_iter().flatten() {
-            let mut i = self.bucket(k);
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = Some((k, v));
-        }
     }
 }
 
@@ -197,7 +173,7 @@ impl<V> BlockTable<V> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::HashSet;
 
     #[test]
     fn insert_get_grow() {
@@ -216,6 +192,10 @@ mod tests {
         assert!(t.get(BlockAddr(1000)).is_none());
         // or_insert_with on an existing key must not overwrite.
         assert_eq!(*t.or_insert_with(BlockAddr(0), || 555), 1);
+        assert_eq!(t.remove(BlockAddr(0)), Some(1));
+        assert_eq!(t.remove(BlockAddr(0)), None);
+        assert!(t.get(BlockAddr(0)).is_none());
+        assert_eq!(t.len(), 999);
     }
 
     #[test]
@@ -230,6 +210,22 @@ mod tests {
             assert_eq!(keys, vec![0, 2, 4, 9, 31, 77]);
         }
         set_probe_seed(0);
+    }
+
+    /// SwissTable takes its bucket index from the hash's low bits. Page-
+    /// strided block numbers leave the low bits of the bare multiply all
+    /// zero (one bucket for every key); the fold spreads them over at
+    /// least 7/8 of 4096 buckets, where a uniformly random hash would
+    /// reach about 63%.
+    #[test]
+    fn fold_spreads_strided_addresses_over_low_bits() {
+        for seed in [0u64, 0x5EED_FACE_CAFE_F00D] {
+            let hasher = FoldedFib { seed };
+            let low: HashSet<u64> = (0..4096u64)
+                .map(|i| hasher.hash_one(i * 4096) & 4095)
+                .collect();
+            assert!(low.len() >= 3584, "seed {seed:#x}: {} buckets", low.len());
+        }
     }
 
     proptest! {

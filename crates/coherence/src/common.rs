@@ -2,12 +2,8 @@
 //! the miss-status holding register (MSHR), the writeback buffer, and the
 //! per-controller statistics block.
 
-use bash_kernel::Time;
-use bash_net::NodeSet;
-use std::collections::VecDeque;
-
 use crate::cache::Mosi;
-use crate::types::{BlockAddr, BlockData, ProcOp, Request, TxnId, TxnKind};
+use crate::types::{BlockAddr, BlockData, ProcOp, TxnId, TxnKind};
 
 /// The single miss-status holding register of a blocking processor's cache
 /// controller (the paper's processors have at most one outstanding demand
@@ -16,12 +12,10 @@ use crate::types::{BlockAddr, BlockData, ProcOp, Request, TxnId, TxnKind};
 pub struct Mshr {
     /// The block being fetched.
     pub block: BlockAddr,
-    /// GetS or GetM.
+    /// GetS or GetM, derived from the operation (never PutM).
     pub kind: TxnKind,
     /// Transaction id (stable across BASH retries and nack reissues).
     pub txn: TxnId,
-    /// When the processor issued the operation (for miss-latency stats).
-    pub issued_at: Time,
     /// The operation to apply when the miss completes.
     pub op: ProcOp,
     /// True once our own request has been observed on the ordered network
@@ -29,43 +23,23 @@ pub struct Mshr {
     pub have_marker: bool,
     /// Data response, once received, with its came-from-a-cache flag.
     pub data: Option<(BlockData, bool)>,
-    /// Ordered requests for this block observed *after* our marker; they
-    /// must be processed only after our transaction completes (we may be
-    /// the owner-elect obliged to respond to them).
-    pub deferred: VecDeque<DeferredReq>,
-    /// Number of times this transaction has been issued by the requestor
-    /// (1 = original; 2 = the guaranteed-broadcast reissue after a BASH
-    /// nack).
-    pub attempts: u8,
     /// BASH owner-upgrade case: we are the O-state owner waiting for a
     /// sufficient copy of our own GetM (the original unicast did not cover
     /// the sharers we track).
     pub awaiting_sufficient_upgrade: bool,
 }
 
-/// An ordered request deferred behind an in-flight transaction, with the
-/// destination mask it was delivered with (BASH sufficiency checks need it).
-#[derive(Debug, Clone)]
-pub struct DeferredReq {
-    /// The request.
-    pub req: Request,
-    /// The destination set it was multicast to.
-    pub mask: NodeSet,
-}
-
 impl Mshr {
-    /// Creates an MSHR for a freshly issued demand miss.
-    pub fn new(op: ProcOp, kind: TxnKind, txn: TxnId, now: Time) -> Self {
+    /// Creates an MSHR for a freshly issued demand miss: GetS for a load,
+    /// GetM for a store.
+    pub fn new(op: ProcOp, txn: TxnId) -> Self {
         Mshr {
             block: op.block(),
-            kind,
+            kind: op.miss_kind(),
             txn,
-            issued_at: now,
             op,
             have_marker: false,
             data: None,
-            deferred: VecDeque::new(),
-            attempts: 1,
             awaiting_sufficient_upgrade: false,
         }
     }
@@ -147,24 +121,29 @@ mod tests {
 
     #[test]
     fn mshr_initial_state() {
-        let op = ProcOp::Store {
-            block: BlockAddr(4),
-            word: 1,
-            value: 9,
+        let txn = TxnId {
+            node: NodeId(2),
+            seq: 7,
         };
-        let m = Mshr::new(
-            op,
-            TxnKind::GetM,
-            TxnId {
-                node: NodeId(2),
-                seq: 7,
+        let store = Mshr::new(
+            ProcOp::Store {
+                block: BlockAddr(4),
+                word: 1,
+                value: 9,
             },
-            Time::from_ns(5),
+            txn,
         );
-        assert_eq!(m.block, BlockAddr(4));
-        assert!(!m.have_marker);
-        assert!(m.data.is_none());
-        assert_eq!(m.attempts, 1);
-        assert!(m.deferred.is_empty());
+        assert_eq!(store.block, BlockAddr(4));
+        assert_eq!(store.kind, TxnKind::GetM);
+        assert!(!store.have_marker);
+        assert!(store.data.is_none());
+        let load = Mshr::new(
+            ProcOp::Load {
+                block: BlockAddr(5),
+                word: 0,
+            },
+            txn,
+        );
+        assert_eq!(load.kind, TxnKind::GetS);
     }
 }

@@ -16,8 +16,6 @@
 //! writeback buffer until the ack arrives on ordered VN1 (which, by the
 //! total order, follows any forwarded request it must still answer).
 
-use std::collections::HashMap;
-
 use bash_kernel::{Duration, Time};
 use bash_net::{Message, NodeId, NodeSet, Ordered, VnetId};
 
@@ -46,7 +44,7 @@ pub struct DirectoryCacheCtrl {
     /// Scratch buffer the deferred queue is swapped into while replaying
     /// (reuses one allocation instead of collecting a fresh `Vec`).
     replay_scratch: Vec<(Request, NodeSet)>,
-    wb: HashMap<BlockAddr, WbEntry>,
+    wb: BlockTable<WbEntry>,
     stalled_op: Option<(ProcOp, TxnId, Time)>,
     txn_seq: u64,
     provide_latency: Duration,
@@ -74,7 +72,7 @@ impl DirectoryCacheCtrl {
             mshr: None,
             deferred: Vec::new(),
             replay_scratch: Vec::new(),
-            wb: HashMap::new(),
+            wb: BlockTable::new(),
             stalled_op: None,
             txn_seq: 0,
             provide_latency,
@@ -138,7 +136,7 @@ impl DirectoryCacheCtrl {
             ProcOp::Load { .. } => "Load",
             ProcOp::Store { .. } => "Store",
         };
-        if self.wb.contains_key(&block) {
+        if self.wb.get(block).is_some() {
             let before = self.label(block);
             let txn = self.next_txn();
             self.stalled_op = Some((op, txn, now));
@@ -164,7 +162,7 @@ impl DirectoryCacheCtrl {
             _ => {
                 let before = self.label(block);
                 let txn = self.next_txn();
-                self.issue_miss(now, op, txn, sink);
+                self.issue_miss(op, txn, sink);
                 self.log.record(before, ev, self.label(block));
                 AccessOutcome::Miss { txn }
             }
@@ -179,12 +177,12 @@ impl DirectoryCacheCtrl {
         }
     }
 
-    fn issue_miss(&mut self, now: Time, op: ProcOp, txn: TxnId, sink: &mut ActionSink) {
-        let kind = op.miss_kind();
-        let block = op.block();
+    fn issue_miss(&mut self, op: ProcOp, txn: TxnId, sink: &mut ActionSink) {
+        let mshr = Mshr::new(op, txn);
+        let (kind, block) = (mshr.kind, mshr.block);
         self.stats.misses += 1;
         self.stats.unicasts_sent += 1;
-        self.mshr = Some(Mshr::new(op, kind, txn, now));
+        self.mshr = Some(mshr);
         sink.send(Message {
             src: self.node,
             dests: NodeSet::singleton(block.home(self.nodes)),
@@ -229,7 +227,7 @@ impl DirectoryCacheCtrl {
             } => self.on_data(now, *txn, *block, *data, *from_cache, sink),
             ProtoMsg::WbAck { block, to, stale } => {
                 debug_assert_eq!(*to, self.node);
-                self.on_wb_ack(now, *block, *stale, sink)
+                self.on_wb_ack(*block, *stale, sink)
             }
             other => unreachable!("unexpected message at directory cache: {other:?}"),
         }
@@ -309,7 +307,7 @@ impl DirectoryCacheCtrl {
                 TxnKind::GetM => {
                     if self.cache.state(block).is_some() {
                         self.cache.invalidate(block);
-                    } else if let Some(e) = self.wb.get_mut(&block) {
+                    } else if let Some(e) = self.wb.get_mut(block) {
                         e.valid = false;
                         self.stats.writebacks_squashed += 1;
                     }
@@ -324,7 +322,7 @@ impl DirectoryCacheCtrl {
 
     fn is_local_owner(&self, block: BlockAddr) -> bool {
         matches!(self.cache.state(block), Some(Mosi::M) | Some(Mosi::O))
-            || self.wb.get(&block).map(|e| e.valid).unwrap_or(false)
+            || self.wb.get(block).map(|e| e.valid).unwrap_or(false)
     }
 
     fn respond_with_data(&mut self, req: &Request, sink: &mut ActionSink) {
@@ -332,7 +330,7 @@ impl DirectoryCacheCtrl {
         let data = self
             .cache
             .data(block)
-            .or_else(|| self.wb.get(&block).map(|e| e.data))
+            .or_else(|| self.wb.get(block).map(|e| e.data))
             .expect("owner has data");
         self.stats.snoop_responses += 1;
         sink.send_after(
@@ -382,9 +380,9 @@ impl DirectoryCacheCtrl {
         self.log.record(before, "Data", self.label(block));
     }
 
-    fn on_wb_ack(&mut self, now: Time, block: BlockAddr, stale: bool, sink: &mut ActionSink) {
+    fn on_wb_ack(&mut self, block: BlockAddr, stale: bool, sink: &mut ActionSink) {
         let before = self.label(block);
-        let Some(entry) = self.wb.remove(&block) else {
+        let Some(entry) = self.wb.remove(block) else {
             if self.tolerant {
                 self.stats.spurious_dropped += 1;
                 return;
@@ -403,7 +401,7 @@ impl DirectoryCacheCtrl {
         if let Some((op, txn, issued)) = self.stalled_op.take() {
             if op.block() == block {
                 self.stats.misses -= 1; // issue_miss recounts
-                self.issue_miss(now, op, txn, sink);
+                self.issue_miss(op, txn, sink);
             } else {
                 self.stalled_op = Some((op, txn, issued));
             }
@@ -477,14 +475,15 @@ impl DirectoryCacheCtrl {
                 Mosi::M | Mosi::O => {
                     let before = self.label(victim.block);
                     self.stats.writebacks += 1;
-                    self.wb.insert(
-                        victim.block,
-                        WbEntry {
-                            data: victim.data,
-                            state_was: victim.state,
-                            valid: true,
-                        },
+                    debug_assert!(
+                        self.wb.get(victim.block).is_none(),
+                        "victim already has a writeback in flight"
                     );
+                    self.wb.or_insert_with(victim.block, || WbEntry {
+                        data: victim.data,
+                        state_was: victim.state,
+                        valid: true,
+                    });
                     // The PutM and its data are one VN0 message: ownership
                     // returns to memory atomically at the directory.
                     sink.send(Message {
@@ -518,7 +517,12 @@ impl DirectoryCacheCtrl {
         self.replay_scratch = drained;
     }
 
+    /// Transient/stable state label for the block (feeds Table 1); empty
+    /// while the coverage log is off.
     fn label(&self, block: BlockAddr) -> &'static str {
+        if !self.log.is_enabled() {
+            return "";
+        }
         if let Some(m) = &self.mshr {
             if m.block == block {
                 let upgrade = self.cache.state(block) == Some(Mosi::O);
@@ -541,7 +545,7 @@ impl DirectoryCacheCtrl {
                 return "WB_STALL";
             }
         }
-        if let Some(e) = self.wb.get(&block) {
+        if let Some(e) = self.wb.get(block) {
             return match (e.valid, e.state_was) {
                 (true, Mosi::M) => "MI_A",
                 (true, Mosi::O) => "OI_A",
@@ -833,7 +837,12 @@ impl DirectoryCtrl {
         }
     }
 
+    /// Directory state label for the block (feeds Table 1); empty while
+    /// the coverage log is off.
     fn label(&self, block: BlockAddr) -> &'static str {
+        if !self.log.is_enabled() {
+            return "";
+        }
         match self.dir.get(block) {
             None => "Mem",
             Some(e) => match (e.owner, e.sharers.is_empty()) {

@@ -26,7 +26,7 @@
 //! * [`bash`] — the ordered-network home controller (sufficiency check,
 //!   retries, broadcast escalation, nacks);
 //! * [`directory`] — the flat directory cache + home controllers;
-//! * [`blocktable`] — the open-addressed combined per-block state table
+//! * [`blocktable`] — the combined per-block state table
 //!   all controllers resolve block state through (one probe per event);
 //! * [`hierarchy`] — cluster/bank geometry for two-level coherence
 //!   (snooping clusters under a sharded directory spine);

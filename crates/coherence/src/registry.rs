@@ -36,6 +36,12 @@ impl TransitionLog {
         }
     }
 
+    /// True when this log records. Controllers compute their transition
+    /// labels only then, so a disabled log costs one branch per handler.
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Records one `(state, event) → next_state` occurrence. No-op when
     /// disabled.
     pub fn record(&mut self, state: &'static str, event: &'static str, next: &'static str) {
@@ -96,6 +102,7 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TransitionLog::new();
+        assert!(!log.is_enabled());
         log.record("I", "Load", "IS_AD");
         assert_eq!(log.transition_count(), 0);
     }

@@ -60,7 +60,7 @@ use bash_net::{Message, NodeId, NodeSet, VnetId};
 use crate::actions::{AccessOutcome, Action, ActionSink};
 use crate::blocktable::BlockTable;
 use crate::cache::{CacheArray, CacheGeometry, Mosi};
-use crate::common::{CacheStats, DeferredReq, Mshr, WbEntry};
+use crate::common::{CacheStats, Mshr, WbEntry};
 use crate::hierarchy::{home_of, HierarchyConfig};
 use crate::registry::TransitionLog;
 use crate::types::{
@@ -68,7 +68,7 @@ use crate::types::{
     DATA_MSG_BYTES,
 };
 
-/// Per-block side state combined into one open-addressed table entry:
+/// Per-block side state combined into one block-table entry:
 /// the writeback buffer slot and (BASH footnote 2) the sharer set
 /// tracked while this cache owns the block. One probe resolves both.
 #[derive(Debug, Clone, Default)]
@@ -77,10 +77,13 @@ struct SideBlock {
     tracked: NodeSet,
 }
 
-/// A deferred request together with its network order number.
+/// An ordered request deferred behind an in-flight transaction, with the
+/// destination mask it was delivered with (sufficiency checks need it)
+/// and its network order number.
 #[derive(Debug, Clone)]
 struct OrderedDeferred {
-    inner: DeferredReq,
+    req: Request,
+    mask: NodeSet,
     order: u64,
 }
 
@@ -248,7 +251,7 @@ impl SnoopCacheCtrl {
                 // Miss: Load from I → GetS; Store from I/S/O → GetM.
                 let before = self.label(block);
                 let txn = self.next_txn();
-                self.issue_miss(now, op, txn, sink);
+                self.issue_miss(op, txn, sink);
                 self.log.record(before, ev, self.label(block));
                 AccessOutcome::Miss { txn }
             }
@@ -263,11 +266,11 @@ impl SnoopCacheCtrl {
         }
     }
 
-    fn issue_miss(&mut self, now: Time, op: ProcOp, txn: TxnId, sink: &mut ActionSink) {
-        let kind = op.miss_kind();
-        let block = op.block();
+    fn issue_miss(&mut self, op: ProcOp, txn: TxnId, sink: &mut ActionSink) {
+        let mshr = Mshr::new(op, txn);
+        let (kind, block) = (mshr.kind, mshr.block);
         self.stats.misses += 1;
-        self.mshr = Some(Mshr::new(op, kind, txn, now));
+        self.mshr = Some(mshr);
         let mask = self.request_mask(block);
         sink.send(self.request_msg(kind, block, txn, mask));
     }
@@ -382,7 +385,7 @@ impl SnoopCacheCtrl {
         sink: &mut ActionSink,
     ) {
         match req.kind {
-            TxnKind::PutM => self.on_own_putm_marker(now, req, sink),
+            TxnKind::PutM => self.on_own_putm_marker(req, sink),
             TxnKind::GetS | TxnKind::GetM => {
                 let matches = self
                     .mshr
@@ -465,7 +468,7 @@ impl SnoopCacheCtrl {
 
     /// Our PutM returned: if the writeback was not squashed by an earlier
     /// ordered GetM, send the data to the home.
-    fn on_own_putm_marker(&mut self, now: Time, req: &Request, sink: &mut ActionSink) {
+    fn on_own_putm_marker(&mut self, req: &Request, sink: &mut ActionSink) {
         let block = req.block;
         let before = self.label(block);
         let entry = self
@@ -498,7 +501,7 @@ impl SnoopCacheCtrl {
         if let Some((op, txn, _issued)) = self.stalled_op.take() {
             if op.block() == block {
                 self.stats.misses -= 1; // issue_miss will recount it
-                self.issue_miss(now, op, txn, sink);
+                self.issue_miss(op, txn, sink);
             } else {
                 self.stalled_op = Some((op, txn, _issued));
             }
@@ -534,10 +537,8 @@ impl SnoopCacheCtrl {
                 .unwrap_or(false);
             if must_defer {
                 self.deferred.push(OrderedDeferred {
-                    inner: DeferredReq {
-                        req: *req,
-                        mask: mask.clone(),
-                    },
+                    req: *req,
+                    mask: mask.clone(),
                     order,
                 });
                 return;
@@ -716,13 +717,12 @@ impl SnoopCacheCtrl {
         let mut replays = std::mem::take(&mut self.replay_scratch);
         std::mem::swap(&mut self.deferred, &mut replays);
         for d in replays.drain(..) {
-            self.on_foreign_request(now, &d.inner.req, &d.inner.mask, d.order, true, sink);
+            self.on_foreign_request(now, &d.req, &d.mask, d.order, true, sink);
         }
         self.replay_scratch = replays;
         let m = self.mshr.as_mut().expect("nack without outstanding miss");
         assert_eq!(m.txn, txn, "nack for a foreign transaction");
         m.have_marker = false;
-        m.attempts += 1;
         self.stats.nack_reissues += 1;
         self.stats.broadcasts_sent += 1;
         let kind = m.kind;
@@ -852,7 +852,7 @@ impl SnoopCacheCtrl {
             if bystander {
                 continue;
             }
-            self.on_foreign_request(now, &d.inner.req, &d.inner.mask, d.order, true, sink);
+            self.on_foreign_request(now, &d.req, &d.mask, d.order, true, sink);
         }
         self.replay_scratch = drained;
     }
@@ -862,8 +862,12 @@ impl SnoopCacheCtrl {
     // ------------------------------------------------------------------
 
     /// Human-readable transient/stable state label for the block (feeds
-    /// Table 1).
+    /// Table 1). Empty while the coverage log is off: the labels feed
+    /// nothing else, and every snoop of every broadcast computes two.
     fn label(&self, block: BlockAddr) -> &'static str {
+        if !self.log.is_enabled() {
+            return "";
+        }
         if let Some(m) = &self.mshr {
             if m.block == block {
                 let upgrade = self.cache.state(block) == Some(Mosi::O);

@@ -23,8 +23,8 @@ use bash_coherence::{
 use bash_kernel::stats::{RunningStat, WindowDelta};
 use bash_kernel::{CalendarConfig, Duration, EventQueue, Time};
 use bash_net::{
-    FaultStats, Interconnect, Jitter, Message, MsgArena, MsgRef, NetConfig, NetEvent, NetStep,
-    NodeId, Ordered, OrderingMode,
+    FaultStats, Interconnect, Jitter, MsgArena, MsgRef, NetConfig, NetEvent, NetStep, NodeId,
+    Ordered, OrderingMode,
 };
 use bash_trace::{Trace, TraceCapture, TraceRecord};
 use bash_workloads::{WorkItem, Workload};
@@ -889,33 +889,25 @@ impl<W: Workload> System<W> {
     /// since the original, so the home re-runs an ownership transfer that
     /// corrupts the record out from under the real owner. (A duplicate the
     /// home would treat as idempotent proves nothing about the oracle.)
-    fn redeliver(&mut self, dst: NodeId, msg: MsgRef, order: Option<u64>) {
-        // The message is moved out of the arena for the duration of the
-        // call (the controllers need `&mut self` alongside `&Message`),
-        // put back, and the reference retained at schedule time released.
-        let m = self.arena.take(msg);
-        self.redeliver_msg(dst, &m, order);
-        self.arena.put_back(msg, m);
-        self.arena.release(msg);
-    }
-
-    fn redeliver_msg(&mut self, dst: NodeId, msg: &Message<ProtoMsg>, order: Option<u64>) {
-        let ProtoMsg::Request(req) = &msg.payload else {
-            return;
+    /// The message is read in place; the reference retained at schedule
+    /// time is released afterwards.
+    fn redeliver(&mut self, dst: NodeId, mref: MsgRef, order: Option<u64>) {
+        let msg = self.arena.get(mref);
+        let mem = &mut self.mems[dst.index()];
+        let ownership_moved = match &msg.payload {
+            ProtoMsg::Request(req) => {
+                matches!(mem.owner_record(req.block), Owner::Node(owner) if owner != req.requestor)
+            }
+            _ => false,
         };
-        let Owner::Node(owner) = self.mems[dst.index()].owner_record(req.block) else {
-            return;
-        };
-        if owner == req.requestor {
-            return;
+        if ownership_moved {
+            // Memory controller only — a real duplicating network would
+            // hit the caches too, but the home's directory state is where
+            // the duplicate provably corrupts the protocol.
+            mem.on_delivery(self.now, msg, order, &mut self.sink);
+            self.apply_sink(dst);
         }
-        // Memory controller only — a real duplicating network would hit
-        // the caches too, but the home's directory state is where the
-        // duplicate provably corrupts the protocol.
-        let mut sink = std::mem::take(&mut self.sink);
-        self.mems[dst.index()].on_delivery(self.now, msg, order, &mut sink);
-        self.apply_actions(dst, &mut sink);
-        self.sink = sink;
+        self.arena.release(mref);
     }
 
     fn deliver(&mut self, dst: NodeId, msg: MsgRef, order: Option<u64>) {
@@ -934,22 +926,18 @@ impl<W: Workload> System<W> {
         }
     }
 
-    /// Consumes one delivery: runs the controllers against the message and
-    /// releases the arena reference the delivery transferred to the driver.
-    fn deliver_now(&mut self, dst: NodeId, msg: MsgRef, order: Option<u64>) {
-        let m = self.arena.take(msg);
-        self.deliver_msg(dst, msg, &m, order);
-        self.arena.put_back(msg, m);
-        self.arena.release(msg);
-    }
-
-    fn deliver_msg(
-        &mut self,
-        dst: NodeId,
-        mref: MsgRef,
-        msg: &Message<ProtoMsg>,
-        order: Option<u64>,
-    ) {
+    /// Consumes one delivery: runs the controllers against the message
+    /// where it sits in the arena, applies what they emitted, and
+    /// releases the arena reference the delivery transferred to the
+    /// driver.
+    ///
+    /// The cache handler and then the memory handler emit into the one
+    /// sink, applied once after both. Neither handler reads anything
+    /// applying actions writes (arena, queue, processors, workload), so
+    /// this is the order in which per-handler application would apply
+    /// them.
+    fn deliver_now(&mut self, dst: NodeId, mref: MsgRef, order: Option<u64>) {
+        let msg = self.arena.get(mref);
         if let Some(trace) = self.delivery_trace.as_mut() {
             let ord = order.map(|o| format!(" ord={o}")).unwrap_or_default();
             trace.push(format!(
@@ -987,6 +975,20 @@ impl<W: Workload> System<W> {
                 self.caches[dst.index()].cache().state(block)
             }),
         };
+        // A skipped cache never sees the invalidation; its stale copy keeps
+        // serving loads. Memory-side routing proceeds untouched.
+        if routing.to_cache && verdict != Verdict::SkipCache {
+            self.caches[dst.index()].on_delivery(self.now, msg, order, &mut self.sink);
+        }
+        if routing.to_mem {
+            let mem = &mut self.mems[dst.index()];
+            mem.on_delivery(self.now, msg, order, &mut self.sink);
+            if let (Verdict::ForgetSharer, ProtoMsg::Request(req)) = (verdict, &msg.payload) {
+                // The home just recorded the requestor; silently lose it
+                // again (sharer bit and, if recorded, ownership).
+                mem.fault_forget_sharer(req.block, req.requestor);
+            }
+        }
         if verdict == Verdict::DuplicateAtHome {
             // Schedule the duplicate well after the original transaction
             // settles — far enough out that ownership of the block has had
@@ -1004,28 +1006,16 @@ impl<W: Workload> System<W> {
                 },
             );
         }
-        // A skipped cache never sees the invalidation; its stale copy keeps
-        // serving loads. Memory-side routing proceeds untouched.
-        if routing.to_cache && verdict != Verdict::SkipCache {
-            let mut sink = std::mem::take(&mut self.sink);
-            self.caches[dst.index()].on_delivery(self.now, msg, order, &mut sink);
-            self.apply_actions(dst, &mut sink);
-            self.sink = sink;
-        }
-        if routing.to_mem {
-            let mut sink = std::mem::take(&mut self.sink);
-            self.mems[dst.index()].on_delivery(self.now, msg, order, &mut sink);
-            self.apply_actions(dst, &mut sink);
-            self.sink = sink;
-            if let (Verdict::ForgetSharer, ProtoMsg::Request(req)) = (verdict, &msg.payload) {
-                // The home just recorded the requestor; silently lose it
-                // again (sharer bit and, if recorded, ownership).
-                self.mems[dst.index()].fault_forget_sharer(req.block, req.requestor);
-            }
-        }
+        self.apply_sink(dst);
+        self.arena.release(mref);
     }
 
-    fn apply_actions(&mut self, node: NodeId, sink: &mut ActionSink) {
+    /// Applies, in push order, the actions the controllers emitted into
+    /// the driver's sink.
+    fn apply_sink(&mut self, node: NodeId) {
+        // The sink is taken out of `self` while its actions run (borrow
+        // discipline) and put back, so its capacity serves every event.
+        let mut sink = std::mem::take(&mut self.sink);
         for act in sink.drain() {
             match act {
                 Action::SendAfter { delay, msg } => {
@@ -1038,13 +1028,13 @@ impl<W: Workload> System<W> {
                 Action::MissDone { txn, value, .. } => self.miss_done(node, txn, value),
             }
         }
+        self.sink = sink;
     }
 
     fn proc_issue(&mut self, node: NodeId) {
         let idx = node.index();
         let item = self.procs[idx].queued.take().expect("issue without item");
-        let mut sink = std::mem::take(&mut self.sink);
-        let outcome = self.caches[idx].access(self.now, item.op, &mut sink);
+        let outcome = self.caches[idx].access(self.now, item.op, &mut self.sink);
         match outcome {
             AccessOutcome::Hit { value } => {
                 self.counters.ops += 1;
@@ -1064,8 +1054,7 @@ impl<W: Workload> System<W> {
                 });
             }
         }
-        self.apply_actions(node, &mut sink);
-        self.sink = sink;
+        self.apply_sink(node);
     }
 
     fn miss_done(&mut self, node: NodeId, txn: TxnId, value: u64) {

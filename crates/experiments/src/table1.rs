@@ -154,12 +154,51 @@ pub fn table1(opts: &Options) {
 mod tests {
     use super::*;
 
+    /// One controller's (states, events, transitions) and total recorded
+    /// hits.
+    type Pin = ((usize, usize, usize), u64);
+
+    /// Cache then memory controller, per protocol. The tester is
+    /// deterministic, so any transition a handler drops or mislabels
+    /// moves these.
+    const PINNED: [(ProtocolKind, Pin, Pin); 3] = [
+        (
+            ProtocolKind::Snooping,
+            ((13, 8, 44), 78_851),
+            ((5, 4, 13), 13_559),
+        ),
+        (
+            ProtocolKind::Bash,
+            ((14, 12, 83), 308_416),
+            ((5, 6, 20), 52_950),
+        ),
+        (
+            ProtocolKind::Directory,
+            ((15, 8, 44), 54_249),
+            ((4, 3, 10), 12_448),
+        ),
+    ];
+
     /// The ordering stated in the module doc: BASH has the most events and
     /// at least 1.5× either base protocol's transitions; state counts stay
-    /// within 1.25× of each other.
+    /// within 1.25× of each other. Every controller's counts are pinned
+    /// exactly as well.
     #[test]
     fn coverage_keeps_the_papers_complexity_ordering() {
         let coverage = collect_coverage();
+        for (proto, cache, mem) in PINNED {
+            let c = coverage
+                .iter()
+                .find(|c| c.protocol == proto)
+                .expect("protocol row");
+            for (log, (counts, hits), side) in [(&c.cache, cache, "cache"), (&c.mem, mem, "memory")]
+            {
+                let got = (log.state_count(), log.event_count(), log.transition_count());
+                assert_eq!(got, counts, "{proto:?} {side} states/events/transitions");
+                let total: u64 = log.iter().map(|(_, n)| n).sum();
+                assert_eq!(total, hits, "{proto:?} {side} recorded hits");
+            }
+        }
         let total =
             |c: &Coverage, count: fn(&TransitionLog) -> usize| count(&c.cache) + count(&c.mem);
         let bash = coverage

@@ -124,9 +124,7 @@ impl<P> MsgArena<P> {
 
     /// Adds `n` references to `r`: a fan-out raising the emission
     /// reference to one per planned delivery, or a hold-back or
-    /// re-delivery keeping the message alive beyond its delivery. Legal
-    /// while the message is temporarily moved out with [`MsgArena::take`]
-    /// — the slot's generation still guards against staleness.
+    /// re-delivery keeping the message alive beyond its delivery.
     pub fn retain(&mut self, r: MsgRef, n: u32) {
         self.slot_mut(r).refs += n;
     }
@@ -143,22 +141,6 @@ impl<P> MsgArena<P> {
             self.free.push(r.index);
             self.live -= 1;
         }
-    }
-
-    /// Temporarily moves the message out of the arena (so a driver can
-    /// hold it by value across calls that need `&mut` access to both the
-    /// arena's owner and the message). Pair with [`MsgArena::put_back`];
-    /// the slot keeps its references and generation while the message is
-    /// out.
-    pub fn take(&mut self, r: MsgRef) -> Message<P> {
-        self.slot_mut(r).msg.take().expect("take on an empty slot")
-    }
-
-    /// Returns a message moved out with [`MsgArena::take`].
-    pub fn put_back(&mut self, r: MsgRef, msg: Message<P>) {
-        let slot = self.slot_mut(r);
-        debug_assert!(slot.msg.is_none(), "put_back on an occupied slot");
-        slot.msg = Some(msg);
     }
 
     /// Messages currently live in the arena.
@@ -237,15 +219,5 @@ mod tests {
         assert_eq!(a.get(r).payload, "a");
         a.release(r);
         assert_eq!(a.live(), 0);
-    }
-
-    #[test]
-    fn take_and_put_back_preserve_identity() {
-        let mut a = MsgArena::new();
-        let r = a.alloc(msg("a"), 1);
-        let m = a.take(r);
-        assert_eq!(m.payload, "a");
-        a.put_back(r, m);
-        assert_eq!(a.get(r).payload, "a");
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Produces BENCH_engine.json — the engine perf baseline (events/sec per
-# protocol + sweep wall time serial vs. parallel). Run from anywhere:
+# protocol, queue churn, hierarchical scale points, block-table lookups,
+# sweep wall time serial vs. parallel). Run from anywhere:
 #
 #   scripts/bench_baseline.sh [output.json]
 #
@@ -44,6 +45,12 @@ fi
 # cap.
 if [[ -z "$(ratio events_per_sec_1024)" ]]; then
   echo "bench_baseline: $OUT has no events_per_sec_1024 — scale section missing" >&2
+  fail=1
+fi
+# Layer point: the block-table lookup object must exist. Presence only —
+# its ns-per-lookup numbers follow host load too closely for a ratio gate.
+if ! grep -q '"blocktable": {' "$OUT"; then
+  echo "bench_baseline: $OUT has no blocktable section — block-table layer point missing" >&2
   fail=1
 fi
 # Memory gate: peak RSS after the scale section (the 4096-node point

@@ -1,7 +1,7 @@
-//! Hash-order independence gate for the open-addressed block tables.
+//! Hash-order independence gate for the per-block state tables.
 //!
 //! Every coherence controller resolves per-block state through a
-//! [`bash::coherence::BlockTable`], whose slot order depends on the
+//! [`bash::coherence::BlockTable`], whose iteration order depends on the
 //! probe seed. Nothing observable may depend on that order: iteration
 //! feeding canonical report text must go through the table's sorted
 //! drain, and the remaining full-table walks must be order-independent
@@ -55,7 +55,7 @@ fn replay(trace: &Trace, proto: ProtocolKind) -> String {
 
 /// Replays the committed mini-traces through all three protocols under
 /// the default probe seed and under a seed that permutes every table's
-/// slot order, and requires byte-identical canonical reports.
+/// iteration order, and requires byte-identical canonical reports.
 #[test]
 fn reports_are_identical_under_both_probe_seeds() {
     for scenario in ["migratory", "zipf", "phase-shift"] {

@@ -88,12 +88,12 @@ fn hierarchical_256_node_scenario_verifies_clean() {
     assert_eq!(report.ops, 256 * 10);
 }
 
-/// The scale gate for the adaptive sharer sets and open-addressed block
+/// The scale gate for the adaptive sharer sets and per-block state
 /// tables: a 1024-node, 32-cluster, 16-bank hierarchy runs the full
 /// invariant suite clean and wedge-free for **all three** protocol
 /// personalities. Past the old 256-node bitset cap, every cluster-cast
 /// rides a lazy span mask and every controller resolves block state
-/// through one open-addressed probe; the oracle verifying values here is
+/// through one table lookup; the oracle verifying values here is
 /// the end-to-end proof both replacements are sound at scale.
 #[test]
 fn hierarchical_1024_node_matrix_verifies_clean() {
