@@ -1,7 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md calls out: each group
-//! contrasts a BASH design decision against its alternative on the same
-//! workload point, reporting the performance (as run stats asserted inside
-//! the benchmark) and the simulation cost.
+//! Ablation benches for BASH's design choices: each group contrasts one
+//! design decision against its alternative on the same workload point,
+//! reporting the performance (as run stats asserted inside the benchmark)
+//! and the simulation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -29,8 +29,7 @@
 //! ```
 //!
 //! See the `bash-experiments` binary for the harness that regenerates every
-//! figure and table of the paper, and DESIGN.md / EXPERIMENTS.md at the
-//! repository root for the experiment index.
+//! figure and table of the paper; its module docs list every experiment.
 
 pub mod config;
 mod fault_injector;

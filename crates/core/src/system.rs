@@ -1268,7 +1268,8 @@ mod tests {
 
     /// Every message that enters the arena leaves it: after a run drains,
     /// on each interconnect engine, under loss with retransmission, and
-    /// under a hierarchy, no reference is left behind.
+    /// under a hierarchy, no reference is left behind — and on the fabric
+    /// no flight slot stays in use.
     #[test]
     fn runs_to_idle_leave_the_arena_empty() {
         for proto in ProtocolKind::ALL {
@@ -1306,6 +1307,13 @@ mod tests {
                     0,
                     "{proto:?} on {name} left messages in the arena"
                 );
+                if let Interconnect::Fabric(f) = &sys.net {
+                    assert_eq!(
+                        f.live_flights(),
+                        0,
+                        "{proto:?} on {name} left flights in the fabric"
+                    );
+                }
             }
         }
     }

@@ -28,8 +28,7 @@
 //! protocols without loading it, or print its differential latency diff.
 //!
 //! Each experiment prints an ASCII rendition of the paper's plot and writes
-//! a CSV under `--out` (default `results/`). See EXPERIMENTS.md for the
-//! paper-vs-measured record.
+//! a CSV under `--out` (default `results/`).
 
 mod chaos;
 mod common;

@@ -22,10 +22,12 @@
 //! [`Crossbar::handle`] append to a caller-owned [`NetStep`] the future
 //! events to schedule and the finished deliveries to hand to node
 //! controllers. The driver reuses one `NetStep` buffer across every call,
-//! so the steady-state event loop allocates nothing. The message itself
-//! lives once in the driver-owned [`MsgArena`] from the moment it is
-//! sent: every event, and every destination of a fan-out, carries the
-//! same 8-byte [`MsgRef`] handle instead of the payload.
+//! so once warmed up, sending and handling allocate nothing
+//! (`crates/net/tests/steady_state_alloc.rs` pins this for both engines).
+//! The message itself lives once in the caller's [`MsgArena`] from the
+//! moment it is sent: every event, and every destination of a
+//! fan-out, carries the same 8-byte [`MsgRef`] handle instead of the
+//! payload.
 
 use std::marker::PhantomData;
 
@@ -33,6 +35,7 @@ use bash_kernel::stats::BusyTracker;
 use bash_kernel::{DetRng, Duration, Time};
 
 use crate::arena::{MsgArena, MsgRef};
+use crate::fabric::FlightRef;
 use crate::ids::{NodeId, NodeSet};
 use crate::message::{Message, Ordered};
 use crate::topology::TopologyKind;
@@ -138,9 +141,14 @@ impl MsgCost {
         }
     }
 
+    /// True when `dests` is every node: a full broadcast.
+    pub(crate) fn is_full_broadcast(&self, dests: &NodeSet) -> bool {
+        *dests == self.full_mask
+    }
+
     /// The bytes `msg` occupies on every link it crosses.
     pub(crate) fn effective_size<P>(&self, msg: &Message<P>) -> u64 {
-        if msg.dests == self.full_mask {
+        if self.is_full_broadcast(&msg.dests) {
             msg.size as u64 * self.broadcast_multiplier
         } else {
             msg.size as u64
@@ -177,8 +185,10 @@ impl MsgCost {
 /// [`MsgArena`], so a broadcast fans out as `dests.len()` copies of one
 /// 8-byte [`MsgRef`], not `dests.len()` deep clones of the payload. A
 /// variant that carried a message by value would grow every queued
-/// event to the payload's size.
-#[derive(Debug, Clone)]
+/// event to the payload's size. Not `Clone`: the fabric counts the events
+/// that carry each [`FlightRef`], so a copied event would be consumed
+/// twice.
+#[derive(Debug)]
 pub enum NetEvent<P> {
     /// The sender link finished transmitting: the message enters the core.
     /// The marker ties the handle to the arena's payload type `P`.
@@ -204,8 +214,11 @@ pub enum NetEvent<P> {
     /// Fabric only: a forwarding-tree node's in-link finished crossing
     /// (see [`crate::fabric`]; never scheduled by the crossbar).
     Hop {
-        /// The in-flight message and its multicast forwarding tree.
-        flight: std::rc::Rc<crate::fabric::FabricFlight>,
+        /// The transmission's slot in the fabric's flight slab, which
+        /// holds the message handle and the forwarding tree. The slot
+        /// counts the events carrying its handle and is recycled after
+        /// the last one is handled.
+        flight: FlightRef,
         /// Index of the tree node whose in-link completed.
         node: u32,
         /// How many times this crossing already failed (reliable
@@ -215,8 +228,9 @@ pub enum NetEvent<P> {
     /// Fabric only: the reliable transport's retransmission timer fired
     /// for a lost crossing — re-enqueue it on its link.
     Resend {
-        /// The in-flight message and its forwarding tree.
-        flight: std::rc::Rc<crate::fabric::FabricFlight>,
+        /// The transmission's slot in the fabric's flight slab (counted
+        /// like a `Hop`'s).
+        flight: FlightRef,
         /// Index of the tree node whose crossing is retried.
         node: u32,
         /// Failed attempts so far (the retry about to start is this one).

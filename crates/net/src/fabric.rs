@@ -29,6 +29,20 @@
 //! crossing receives the delivery; loopback copies (source in the
 //! destination set) cross no link and arrive after one traversal.
 //!
+//! # Flights
+//!
+//! Each transmission is a *flight* in a fabric-owned generational slab:
+//! every [`NetEvent::Hop`] and [`NetEvent::Resend`] carries an 8-byte
+//! [`FlightRef`] plus the index of its tree node. A slot holds the
+//! message handle, its order and effective size, the per-delivery
+//! sequence numbers, and the tree the flight rides. Trees are flat node
+//! arrays whose children are linked first-child/next-sibling in launch
+//! order. A slot counts the events that carry its handle and is recycled,
+//! buffers and all, when the last one is consumed, so a steady-state send
+//! allocates nothing. Fault-free routing never changes, so a full
+//! broadcast rides the tree built on its source's first broadcast, and
+//! the send only assigns the per-destination sequences.
+//!
 //! # Ordering
 //!
 //! [`Ordered::Total`] messages are sequenced **globally at injection**
@@ -36,7 +50,8 @@
 //! multi-hop routes have different lengths and congestion, a later
 //! message can physically overtake an earlier one; every endpoint
 //! therefore *re-sequences*: a copy arriving ahead of its turn is held
-//! back until the preceding per-destination sequence numbers have been
+//! back, in a ring indexed by its distance from the next sequence due,
+//! until the preceding per-destination sequence numbers have been
 //! delivered. The observable guarantee is exactly the crossbar's — all
 //! endpoints see totally ordered messages in one global order — on every
 //! topology. [`Topology::ordering`] reports whether the topology would
@@ -44,8 +59,7 @@
 //! or relies on the hold-back queues ([`OrderingMode::Resequenced`]);
 //! the verify harness surfaces this capability per run.
 
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::collections::VecDeque;
 
 use bash_kernel::stats::BusyTracker;
 use bash_kernel::{Duration, Time};
@@ -53,40 +67,204 @@ use bash_kernel::{Duration, Time};
 use crate::arena::{MsgArena, MsgRef};
 use crate::crossbar::{Crossbar, Delivery, MsgCost, NetConfig, NetEvent, NetStep};
 use crate::fault::{DropCause, Fate, FaultPlane, FaultStats};
-use crate::ids::NodeId;
+use crate::ids::{NodeId, NodeSet};
 use crate::message::{Message, Ordered};
 use crate::topology::{OrderingMode, Topology, TopologyKind};
 
 /// Sentinel link id for loopback tree nodes (no physical link crossed).
 const SELF_LINK: u32 = u32::MAX;
 
+/// Sentinel tree-node index: no child, no sibling, no delivery.
+const NONE: u32 = u32::MAX;
+
 /// An ordered copy held back at an endpoint: the message's arena handle
-/// plus its global order number, keyed (in [`Fabric::held`]) by the
-/// per-destination sequence it must wait its turn for. The handle keeps
-/// the arena reference the eventual delivery will transfer.
+/// plus its global order number. The handle keeps the arena reference the
+/// eventual delivery will transfer.
 type HeldCopy = (MsgRef, u64);
 
-/// One node of an in-flight multicast forwarding tree.
-#[derive(Debug)]
-struct FlightNode {
-    /// The directed link whose crossing completes this node
-    /// (`SELF_LINK` for a loopback copy).
-    link: u32,
-    /// Tree nodes fed by this vertex (indices into `FabricFlight::nodes`).
-    children: Vec<u32>,
-    /// Endpoint delivery at this vertex: `(destination, per-dst sequence)`.
-    deliver: Option<(NodeId, u64)>,
+/// A generational handle to an in-flight transmission in a [`Fabric`]'s
+/// flight slab: a 32-bit slot index plus a 32-bit generation, like
+/// [`MsgRef`]. A handle used after its slot was recycled panics.
+#[derive(Debug, Clone, Copy)]
+pub struct FlightRef {
+    index: u32,
+    gen: u32,
 }
 
-/// An in-flight message plus its multicast forwarding tree. The tree is
-/// shared ([`Rc`]) across all [`NetEvent::Hop`] events of one
-/// transmission; the payload itself lives in the driver's [`MsgArena`].
+/// One node of a forwarding tree. A tree is one flat array: entry 0 is
+/// the vertex the flight starts from (no in-link, no delivery), and every
+/// other entry is one link crossing.
+#[derive(Debug, Clone, Copy)]
+struct TreeNode {
+    /// The directed link whose crossing completes this node
+    /// (`SELF_LINK` for a loopback copy; unused at entry 0).
+    link: u32,
+    /// First node fed by this one (`NONE`: a leaf).
+    first_child: u32,
+    /// The next node fed by this one's parent, in launch order.
+    next_sibling: u32,
+    /// Index into the flight's `seqs` of the delivery made here (`NONE`:
+    /// this node only forwards).
+    deliver: u32,
+    /// The endpoint that delivery goes to.
+    dst: NodeId,
+}
+
+// Cached broadcast trees cost one node per (source, vertex); the docs
+// promise at most 24 bytes each.
+const _: () = assert!(std::mem::size_of::<TreeNode>() <= 24);
+
+impl TreeNode {
+    fn new(link: u32) -> Self {
+        TreeNode {
+            link,
+            first_child: NONE,
+            next_sibling: NONE,
+            deliver: NONE,
+            dst: NodeId(0),
+        }
+    }
+}
+
+/// What each link crossing of one transmission costs: its effective
+/// bytes and their transmission time at the link bandwidth.
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    bytes: u64,
+    tx: Duration,
+}
+
+/// One in-flight transmission. Slots are recycled and keep their
+/// buffers' capacity across reuse.
 #[derive(Debug)]
-pub struct FabricFlight {
+struct Flight {
+    gen: u32,
+    /// Scheduled `Hop`/`Resend` events carrying this slot's handle.
+    events: u32,
     msg: MsgRef,
     order: Option<u64>,
-    eff: u64,
-    nodes: Vec<FlightNode>,
+    cost: Footprint,
+    /// `Some(src)`: the flight rides `src`'s cached broadcast tree;
+    /// `None`: its own `nodes`.
+    shared: Option<u16>,
+    /// The flight's own tree, when it rides no cached one.
+    nodes: Vec<TreeNode>,
+    /// Per-destination sequence of each delivery, indexed by
+    /// [`TreeNode::deliver`] (empty for unordered flights).
+    seqs: Vec<u64>,
+}
+
+impl Flight {
+    /// The tree this flight rides: its source's cached broadcast tree, or
+    /// its own.
+    fn tree<'a>(&'a self, broadcast_trees: &'a [Vec<TreeNode>]) -> &'a [TreeNode] {
+        match self.shared {
+            Some(src) => &broadcast_trees[src as usize],
+            None => &self.nodes,
+        }
+    }
+}
+
+/// The fabric-owned generational slab of in-flight transmissions.
+#[derive(Debug, Default)]
+struct FlightSlab {
+    slots: Vec<Flight>,
+    free: Vec<u32>,
+    live: usize,
+    /// The longest `nodes` and `seqs` any flight has filled, rounded up
+    /// to a power of two. A slot is sized to both when taken, so which
+    /// slot a flight lands in never decides whether it allocates.
+    nodes_cap: usize,
+    seqs_cap: usize,
+}
+
+impl FlightSlab {
+    /// Takes a slot with no events booked and empty buffers.
+    fn alloc(
+        &mut self,
+        msg: MsgRef,
+        order: Option<u64>,
+        cost: Footprint,
+        shared: Option<u16>,
+    ) -> FlightRef {
+        self.live += 1;
+        let index = match self.free.pop() {
+            Some(index) => index,
+            None => {
+                self.slots.push(Flight {
+                    gen: 0,
+                    events: 0,
+                    msg,
+                    order,
+                    cost,
+                    shared,
+                    nodes: Vec::new(),
+                    seqs: Vec::new(),
+                });
+                u32::try_from(self.slots.len() - 1).expect("flight slab overflow")
+            }
+        };
+        let f = &mut self.slots[index as usize];
+        debug_assert_eq!(f.events, 0, "a slot in use was handed out");
+        f.msg = msg;
+        f.order = order;
+        f.cost = cost;
+        f.shared = shared;
+        f.nodes.clear();
+        f.nodes.reserve(self.nodes_cap);
+        f.seqs.clear();
+        f.seqs.reserve(self.seqs_cap);
+        FlightRef { index, gen: f.gen }
+    }
+
+    /// Records the buffer lengths a flight just filled (see `nodes_cap`).
+    fn note_sizes(&mut self, nodes: usize, seqs: usize) {
+        self.nodes_cap = self.nodes_cap.max(nodes.next_power_of_two());
+        self.seqs_cap = self.seqs_cap.max(seqs.next_power_of_two());
+    }
+
+    fn get(&self, r: FlightRef) -> &Flight {
+        let f = &self.slots[r.index as usize];
+        assert_eq!(f.gen, r.gen, "stale FlightRef: slot was recycled");
+        f
+    }
+
+    fn get_mut(&mut self, r: FlightRef) -> &mut Flight {
+        let f = &mut self.slots[r.index as usize];
+        assert_eq!(f.gen, r.gen, "stale FlightRef: slot was recycled");
+        f
+    }
+
+    /// Books `spawned` newly scheduled events for `r` in place of
+    /// `consumed` (0 or 1) consumed ones; frees the slot once none remain.
+    fn settle(&mut self, r: FlightRef, consumed: u32, spawned: u32) {
+        let f = self.get_mut(r);
+        f.events = f.events + spawned - consumed;
+        if f.events == 0 {
+            f.gen = f.gen.wrapping_add(1);
+            self.free.push(r.index);
+            self.live -= 1;
+        }
+    }
+}
+
+/// One endpoint's sequencing state for ordered traffic.
+#[derive(Debug, Default)]
+struct Endpoint {
+    /// Next per-destination sequence to assign at injection.
+    next_seq: u64,
+    /// Next per-destination sequence the endpoint will release.
+    expect_seq: u64,
+    /// Copies that overtook their turn: entry `i` holds sequence
+    /// `expect_seq + i`.
+    held: VecDeque<Option<HeldCopy>>,
+}
+
+impl Endpoint {
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
 }
 
 /// Per-directed-link state and accounting.
@@ -122,7 +300,9 @@ impl FabLink {
 
 /// The fabric engine. Drop-in peer of [`Crossbar`]: same
 /// [`NetConfig`], same [`NetStep`] driving contract, same delivery
-/// semantics for ordered traffic.
+/// semantics for ordered traffic. In-flight transmissions live in a
+/// fabric-owned flight slab (see the module docs), so after warmup
+/// [`Fabric::send`] and [`Fabric::handle`] allocate nothing.
 #[derive(Debug)]
 pub struct Fabric<P> {
     cfg: NetConfig,
@@ -134,16 +314,19 @@ pub struct Fabric<P> {
     /// Per endpoint node: ids of the links it is an endpoint of.
     incident: Vec<Vec<u32>>,
     next_order: u64,
-    /// Next per-destination sequence to assign at injection.
-    dst_next_seq: Vec<u64>,
-    /// Next per-destination sequence the endpoint will release.
-    expect_seq: Vec<u64>,
-    /// Ordered copies that overtook their turn, keyed by sequence.
-    held: Vec<BTreeMap<u64, HeldCopy>>,
-    /// Generation-stamped per-vertex scratch for tree construction.
+    /// Per endpoint node: injection and release sequencing.
+    endpoints: Vec<Endpoint>,
+    flights: FlightSlab,
+    /// Per source: the full-broadcast tree built on its first broadcast
+    /// (empty until then, and always under a fault plane).
+    broadcast_trees: Vec<Vec<TreeNode>>,
+    /// Tree-construction scratch: per vertex, its node in the tree being
+    /// built (valid where `entry_gen` equals `gen`), and per tree node,
+    /// its most recently appended child.
     entry_node: Vec<u32>,
     entry_gen: Vec<u32>,
     gen: u32,
+    last_child: Vec<u32>,
     /// The deterministic fault plane, when `cfg.fault` configures one.
     fault: Option<FaultPlane>,
     /// Failover routing table, built after the first link death:
@@ -193,12 +376,13 @@ impl<P> Fabric<P> {
             link_index,
             incident,
             next_order: 0,
-            dst_next_seq: vec![0; n],
-            expect_seq: vec![0; n],
-            held: (0..n).map(|_| BTreeMap::new()).collect(),
+            endpoints: (0..n).map(|_| Endpoint::default()).collect(),
+            flights: FlightSlab::default(),
+            broadcast_trees: vec![Vec::new(); n],
             entry_node: vec![0; v],
             entry_gen: vec![0; v],
             gen: 0,
+            last_child: Vec::new(),
             fault,
             reroute: None,
             topo,
@@ -248,6 +432,12 @@ impl<P> Fabric<P> {
         self.links[i].peak_demand
     }
 
+    /// Transmissions currently in flight (slots in use in the flight
+    /// slab); zero once the fabric has drained.
+    pub fn live_flights(&self) -> usize {
+        self.flights.live
+    }
+
     /// Busy-time tracker of directed link `i`.
     pub fn link_tracker(&self, i: usize) -> &BusyTracker {
         &self.links[i].busy
@@ -280,7 +470,11 @@ impl<P> Fabric<P> {
             m.src.index() < self.topo.nodes() as usize,
             "bad source node"
         );
-        let eff = self.cost.effective_size(m);
+        let bytes = self.cost.effective_size(m);
+        let cost = Footprint {
+            bytes,
+            tx: Duration::transmission(bytes, self.cfg.link_mbps),
+        };
         let inject_delay = self.cost.injection_jitter();
         let order = match m.ordered {
             Ordered::Total => {
@@ -291,113 +485,197 @@ impl<P> Fabric<P> {
             Ordered::None => None,
         };
         let src = m.src;
-        let t0 = now + inject_delay;
 
-        // Merge the per-destination routes into the forwarding tree.
-        // Under an active fault plane each destination instead gets an
-        // independent linear chain (no shared tree edges), so one copy's
-        // loss, retransmission, or failover never affects the fate of the
-        // other destinations; fault-free runs keep the tree path and its
-        // exact schedule.
-        let fault_active = self.fault.is_some();
-        self.gen = self.gen.wrapping_add(1);
-        let mut nodes: Vec<FlightNode> = Vec::new();
-        let mut roots: Vec<u32> = Vec::new();
-        let mut planned: u32 = 0;
-        for dst in m.dests.iter() {
-            let seq = match order {
-                Some(_) => {
-                    let s = self.dst_next_seq[dst.index()];
-                    self.dst_next_seq[dst.index()] += 1;
-                    s
+        // Fault-free routing never changes, so a full broadcast rides the
+        // tree its source's first broadcast built. Under a fault plane
+        // every transmission builds its own independent chains.
+        let shared =
+            (self.fault.is_none() && self.cost.is_full_broadcast(&m.dests)).then_some(src.0);
+        let fr = self.flights.alloc(msg, order, cost, shared);
+        let mut seqs = std::mem::take(&mut self.flights.get_mut(fr).seqs);
+        let planned = match shared {
+            Some(s) if !self.broadcast_trees[s as usize].is_empty() => {
+                if order.is_some() {
+                    seqs.extend(
+                        m.dests
+                            .iter()
+                            .map(|dst| self.endpoints[dst.index()].take_seq()),
+                    );
                 }
-                None => 0,
-            };
-            if dst == src {
-                // Loopback: no link crossing, one switch turnaround.
-                let ni = nodes.len() as u32;
-                nodes.push(FlightNode {
-                    link: SELF_LINK,
-                    children: Vec::new(),
-                    deliver: Some((dst, seq)),
-                });
-                roots.push(ni);
-                planned += 1;
-                continue;
+                m.dests.len() as u32
             }
-            let mut at = src.0;
-            let mut parent: Option<u32> = None;
-            let chain_start = nodes.len();
-            let mut reachable = true;
-            while at != dst.0 {
-                let Some(next) = self.route_next(at, dst) else {
-                    reachable = false;
-                    break;
-                };
-                let li = self.link_id(at, next);
-                let ni = if !fault_active && self.entry_gen[next as usize] == self.gen {
-                    self.entry_node[next as usize]
-                } else {
-                    let ni = nodes.len() as u32;
-                    nodes.push(FlightNode {
-                        link: li,
-                        children: Vec::new(),
-                        deliver: None,
-                    });
-                    if !fault_active {
-                        self.entry_gen[next as usize] = self.gen;
-                        self.entry_node[next as usize] = ni;
-                    }
-                    match parent {
-                        Some(p) => nodes[p as usize].children.push(ni),
-                        None => roots.push(ni),
-                    }
-                    ni
-                };
-                parent = Some(ni);
-                at = next;
+            Some(s) => {
+                let mut tree = std::mem::take(&mut self.broadcast_trees[s as usize]);
+                let planned = self.build_tree(src, &m.dests, order.is_some(), &mut tree, &mut seqs);
+                // Built once and kept for the run: drop the growth slack.
+                tree.shrink_to_fit();
+                self.broadcast_trees[s as usize] = tree;
+                planned
             }
-            if !reachable {
-                // Link deaths left this destination unreachable: discard
-                // the partial chain (never shared — fault plane active).
-                nodes.truncate(chain_start);
-                roots.retain(|&r| (r as usize) < chain_start);
-                self.fault
-                    .as_mut()
-                    .expect("unreachable routes require a fault plane")
-                    .count_undeliverable();
-                continue;
+            None => {
+                let mut tree = std::mem::take(&mut self.flights.get_mut(fr).nodes);
+                let planned = self.build_tree(src, &m.dests, order.is_some(), &mut tree, &mut seqs);
+                self.flights.note_sizes(tree.len(), 0);
+                self.flights.get_mut(fr).nodes = tree;
+                planned
             }
-            let tail = parent.expect("non-loopback route has at least one hop");
-            nodes[tail as usize].deliver = Some((dst, seq));
-            planned += 1;
-        }
+        };
+        self.flights.note_sizes(0, seqs.len());
+        self.flights.get_mut(fr).seqs = seqs;
 
         if planned == 0 {
             // Every destination was unreachable: no delivery will ever
             // consume the message, so its emission reference goes back.
+            self.flights.settle(fr, 0, 0);
             arena.release(msg);
             return;
         }
         // One arena reference per delivery this transmission will produce.
         arena.retain(msg, planned - 1);
-        let flight = Rc::new(FabricFlight {
-            msg,
-            order,
-            eff,
-            nodes,
-        });
-        for ni in roots {
-            let done = self.launch(t0, &flight, ni);
+        let launched = self.forward(now + inject_delay, fr, 0, out);
+        self.flights.settle(fr, 0, launched);
+    }
+
+    /// Builds the forwarding tree from `src` to every node of `dests` into
+    /// the empty `nodes`, appending each planned delivery's
+    /// per-destination sequence to `seqs` when `ordered`; returns the
+    /// number of planned deliveries. Fault-free, the routes merge into one
+    /// tree. Under an active fault plane each destination instead gets an
+    /// independent linear chain (no shared tree edges), so one copy's
+    /// loss, retransmission, or failover never affects the fate of the
+    /// other destinations.
+    fn build_tree(
+        &mut self,
+        src: NodeId,
+        dests: &NodeSet,
+        ordered: bool,
+        nodes: &mut Vec<TreeNode>,
+        seqs: &mut Vec<u64>,
+    ) -> u32 {
+        let merge = self.fault.is_none();
+        self.start_tree(nodes);
+        let mut planned = 0;
+        for dst in dests.iter() {
+            let seq = if ordered {
+                self.endpoints[dst.index()].take_seq()
+            } else {
+                0
+            };
+            let tail = if dst == src {
+                // Loopback: no link crossing, one switch turnaround.
+                self.add_node(nodes, 0, SELF_LINK)
+            } else {
+                let Some(tail) = self.walk(src.0, dst, merge, nodes) else {
+                    // Link deaths left this destination unreachable.
+                    self.fault
+                        .as_mut()
+                        .expect("unreachable routes require a fault plane")
+                        .count_undeliverable();
+                    continue;
+                };
+                tail
+            };
+            let node = &mut nodes[tail as usize];
+            node.deliver = planned;
+            node.dst = dst;
+            if ordered {
+                seqs.push(seq);
+            }
+            planned += 1;
+        }
+        planned
+    }
+
+    /// Resets the build scratch and pushes the start node of an empty tree.
+    fn start_tree(&mut self, nodes: &mut Vec<TreeNode>) {
+        debug_assert!(nodes.is_empty(), "trees are built into empty buffers");
+        self.gen = self.gen.wrapping_add(1);
+        self.last_child.clear();
+        self.last_child.push(NONE);
+        nodes.push(TreeNode::new(NONE));
+    }
+
+    /// Appends a node completing `link` below `parent`, after the
+    /// parent's existing children; returns its index.
+    fn add_node(&mut self, nodes: &mut Vec<TreeNode>, parent: u32, link: u32) -> u32 {
+        let ni = nodes.len() as u32;
+        nodes.push(TreeNode::new(link));
+        self.last_child.push(NONE);
+        match self.last_child[parent as usize] {
+            NONE => nodes[parent as usize].first_child = ni,
+            last => nodes[last as usize].next_sibling = ni,
+        }
+        self.last_child[parent as usize] = ni;
+        ni
+    }
+
+    /// Appends the route from vertex `from` (the tree's start) to `dst`;
+    /// returns the node entering `dst`, or `None` when no surviving route
+    /// exists. With `merge`, the route shares every vertex the tree
+    /// already enters.
+    fn walk(
+        &mut self,
+        from: u16,
+        dst: NodeId,
+        merge: bool,
+        nodes: &mut Vec<TreeNode>,
+    ) -> Option<u32> {
+        // Failover routes follow a breadth-first tree, so a destination
+        // reachable from the first hop stays reachable at every later one.
+        let mut next = self.route_next(from, dst)?;
+        let mut at = from;
+        let mut parent = 0;
+        loop {
+            parent = if merge && self.entry_gen[next as usize] == self.gen {
+                self.entry_node[next as usize]
+            } else {
+                let li = self.link_id(at, next);
+                let ni = self.add_node(nodes, parent, li);
+                if merge {
+                    self.entry_gen[next as usize] = self.gen;
+                    self.entry_node[next as usize] = ni;
+                }
+                ni
+            };
+            at = next;
+            if at == dst.0 {
+                return Some(parent);
+            }
+            next = self
+                .route_next(at, dst)
+                .expect("a route stays reachable past its first hop");
+        }
+    }
+
+    /// Launches every child of tree node `node` at `t`, in launch order,
+    /// scheduling one [`NetEvent::Hop`] each; returns how many.
+    fn forward(&mut self, t: Time, fr: FlightRef, node: u32, out: &mut NetStep<P>) -> u32 {
+        let f = self.flights.get(fr);
+        let nodes = f.tree(&self.broadcast_trees);
+        let mut child = nodes[node as usize].first_child;
+        let mut launched = 0;
+        while child != NONE {
+            let c = nodes[child as usize];
+            let done = launch(
+                &mut self.links,
+                self.fault.as_mut(),
+                self.cfg.traversal,
+                t,
+                c.link,
+                f.cost,
+            );
             out.schedule.push((
                 done,
                 NetEvent::Hop {
-                    flight: Rc::clone(&flight),
-                    node: ni,
+                    flight: fr,
+                    node: child,
                     attempt: 0,
                 },
             ));
+            launched += 1;
+            child = c.next_sibling;
         }
+        launched
     }
 
     /// Advances an internal event (see [`Crossbar::handle`] for the
@@ -421,8 +699,20 @@ impl<P> Fabric<P> {
                 node,
                 attempt,
             } => {
-                // Retransmission timer fired: re-enqueue the crossing.
-                let done = self.launch(now, &flight, node);
+                // Retransmission timer fired: re-enqueue the crossing. The
+                // consumed event's place goes to the new `Hop`.
+                let f = self.flights.get(flight);
+                let link = f.tree(&self.broadcast_trees)[node as usize].link;
+                let cost = f.cost;
+                let traversal = self.cfg.traversal;
+                let done = launch(
+                    &mut self.links,
+                    self.fault.as_mut(),
+                    traversal,
+                    now,
+                    link,
+                    cost,
+                );
                 out.schedule.push((
                     done,
                     NetEvent::Hop {
@@ -446,39 +736,32 @@ impl<P> Fabric<P> {
     fn hop(
         &mut self,
         now: Time,
-        flight: Rc<FabricFlight>,
+        fr: FlightRef,
         node: u32,
         attempt: u32,
         arena: &mut MsgArena<P>,
         out: &mut NetStep<P>,
     ) {
-        let li = flight.nodes[node as usize].link;
-        if li != SELF_LINK && self.fault.is_some() {
-            let fate = self
-                .fault
-                .as_mut()
-                .expect("checked above")
-                .crossing_fate(li as usize, now);
-            if let Fate::Drop(cause) = fate {
-                self.crossing_lost(now, flight, node, attempt, cause, arena, out);
-                return;
+        let f = self.flights.get(fr);
+        let here = f.tree(&self.broadcast_trees)[node as usize];
+        let (msg, order) = (f.msg, f.order);
+        let seq = match order {
+            Some(_) if here.deliver != NONE => f.seqs[here.deliver as usize],
+            _ => 0,
+        };
+        if here.link != SELF_LINK {
+            if let Some(fault) = self.fault.as_mut() {
+                if let Fate::Drop(cause) = fault.crossing_fate(here.link as usize, now) {
+                    self.crossing_lost(now, fr, node, attempt, cause, arena, out);
+                    return;
+                }
             }
         }
-        if let Some((dst, seq)) = flight.nodes[node as usize].deliver {
-            self.endpoint_arrive(now, dst, flight.msg, flight.order, seq, out);
+        if here.deliver != NONE {
+            self.endpoint_arrive(now, here.dst, msg, order, seq, out);
         }
-        for i in 0..flight.nodes[node as usize].children.len() {
-            let child = flight.nodes[node as usize].children[i];
-            let done = self.launch(now + self.cfg.traversal, &flight, child);
-            out.schedule.push((
-                done,
-                NetEvent::Hop {
-                    flight: Rc::clone(&flight),
-                    node: child,
-                    attempt: 0,
-                },
-            ));
-        }
+        let launched = self.forward(now + self.cfg.traversal, fr, node, out);
+        self.flights.settle(fr, 1, launched);
     }
 
     /// A crossing was discarded by the fault plane: retransmit with
@@ -489,7 +772,7 @@ impl<P> Fabric<P> {
     fn crossing_lost(
         &mut self,
         now: Time,
-        flight: Rc<FabricFlight>,
+        fr: FlightRef,
         node: u32,
         attempt: u32,
         cause: DropCause,
@@ -504,22 +787,23 @@ impl<P> Fabric<P> {
             // reference it was carrying (fault-plane flights are linear
             // chains, so a lost copy is exactly one delivery).
             fault.count_undeliverable();
-            arena.release(flight.msg);
+            arena.release(self.flights.get(fr).msg);
+            self.flights.settle(fr, 1, 0);
             return;
         };
         let budget = transport.retransmit_budget;
-        let li = flight.nodes[node as usize].link as usize;
+        let li = self.flights.get(fr).tree(&self.broadcast_trees)[node as usize].link as usize;
         if matches!(cause, DropCause::Dead) || attempt + 1 >= budget {
             fault.mark_dead(li);
             self.rebuild_routes();
-            self.reroute_copy(now, &flight, node, arena, out);
+            self.reroute_copy(now, fr, node, arena, out);
         } else {
             fault.count_retransmit();
             let delay = fault.rto_after(attempt);
             out.schedule.push((
                 now + delay,
                 NetEvent::Resend {
-                    flight,
+                    flight: fr,
                     node,
                     attempt: attempt + 1,
                 },
@@ -553,7 +837,7 @@ impl<P> Fabric<P> {
         let n = self.cfg.nodes as usize;
         let mut table = vec![u16::MAX; v * n];
         let mut dist = vec![u32::MAX; v];
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = VecDeque::new();
         for dstv in 0..n {
             dist.fill(u32::MAX);
             dist[dstv] = 0;
@@ -595,104 +879,59 @@ impl<P> Fabric<P> {
     /// routes, preserving its `(destination, sequence)` identity so the
     /// endpoint re-sequencer is none the wiser. Chains are linear under
     /// an active fault plane, so the copy carries exactly one delivery.
+    /// The rerouted copy takes a fresh flight slot; the stuck copy's
+    /// event is consumed.
     fn reroute_copy(
         &mut self,
         now: Time,
-        flight: &Rc<FabricFlight>,
+        fr: FlightRef,
         node: u32,
         arena: &mut MsgArena<P>,
         out: &mut NetStep<P>,
     ) {
+        let f = self.flights.get(fr);
         // Walk to the chain tail for the delivery this copy was carrying.
-        let mut at_node = node;
-        let (dst, seq) = loop {
-            let fnode = &flight.nodes[at_node as usize];
-            debug_assert!(
-                fnode.children.len() <= 1,
+        let mut tail = f.nodes[node as usize];
+        while tail.deliver == NONE {
+            debug_assert_eq!(
+                f.nodes[tail.first_child as usize].next_sibling, NONE,
                 "fault-plane flights are linear chains"
             );
-            if let Some(d) = fnode.deliver {
-                break d;
-            }
-            at_node = fnode.children[0];
-        };
-        let start = self.links[flight.nodes[node as usize].link as usize].from;
-        let mut nodes: Vec<FlightNode> = Vec::new();
-        let mut at = start;
-        let mut parent: Option<u32> = None;
-        while at != dst.0 {
-            let Some(next) = self.route_next(at, dst) else {
-                // No surviving route: the copy's delivery will never
-                // happen — give its arena reference back.
-                self.fault
-                    .as_mut()
-                    .expect("fault plane")
-                    .count_undeliverable();
-                arena.release(flight.msg);
-                return;
-            };
-            let li = self.link_id(at, next);
-            let ni = nodes.len() as u32;
-            nodes.push(FlightNode {
-                link: li,
-                children: Vec::new(),
-                deliver: None,
-            });
-            if let Some(p) = parent {
-                nodes[p as usize].children.push(ni);
-            }
-            parent = Some(ni);
-            at = next;
+            tail = f.nodes[tail.first_child as usize];
         }
-        let tail = parent.expect("rerouted copy crosses at least one link");
-        nodes[tail as usize].deliver = Some((dst, seq));
+        let (msg, order, cost, dst) = (f.msg, f.order, f.cost, tail.dst);
+        let seq = order.map_or(0, |_| f.seqs[tail.deliver as usize]);
+        let start = self.links[f.nodes[node as usize].link as usize].from;
+        self.flights.settle(fr, 1, 0);
+
+        let nf = self.flights.alloc(msg, order, cost, None);
+        let mut nodes = std::mem::take(&mut self.flights.get_mut(nf).nodes);
+        self.start_tree(&mut nodes);
+        let tail = self.walk(start, dst, false, &mut nodes);
+        self.flights.note_sizes(nodes.len(), 1);
+        let f = self.flights.get_mut(nf);
+        f.nodes = nodes;
+        let Some(tail) = tail else {
+            // No surviving route: the copy's delivery will never happen —
+            // give its arena reference back.
+            self.flights.settle(nf, 0, 0);
+            self.fault
+                .as_mut()
+                .expect("fault plane")
+                .count_undeliverable();
+            arena.release(msg);
+            return;
+        };
+        f.nodes[tail as usize].deliver = 0;
+        f.nodes[tail as usize].dst = dst;
+        if order.is_some() {
+            f.seqs.push(seq);
+        }
         // The rerouted copy inherits the original's delivery reference:
         // one delivery was owed before, one is owed after — no retain.
-        let new_flight = Rc::new(FabricFlight {
-            msg: flight.msg,
-            order: flight.order,
-            eff: flight.eff,
-            nodes,
-        });
         self.fault.as_mut().expect("fault plane").count_reroute();
-        let done = self.launch(now, &new_flight, 0);
-        out.schedule.push((
-            done,
-            NetEvent::Hop {
-                flight: new_flight,
-                node: 0,
-                attempt: 0,
-            },
-        ));
-    }
-
-    /// Enqueues a tree node's in-link crossing at `t`; returns the
-    /// completion instant. Loopback nodes cross no link. Fault-plane
-    /// extra delay is propagation, not occupancy: it pushes the crossing's
-    /// completion out without extending the link's busy window.
-    fn launch(&mut self, t: Time, flight: &Rc<FabricFlight>, node: u32) -> Time {
-        let li = flight.nodes[node as usize].link;
-        if li == SELF_LINK {
-            return t + self.cfg.traversal;
-        }
-        let tx_time = Duration::transmission(flight.eff, self.cfg.link_mbps);
-        let link = &mut self.links[li as usize];
-        if link.messages > 0 && link.last_enqueue == t {
-            link.demand_now += 1;
-        } else {
-            link.last_enqueue = t;
-            link.demand_now = 1;
-        }
-        link.peak_demand = link.peak_demand.max(link.demand_now);
-        let start = t.max(link.busy.busy_until());
-        let end = start + tx_time;
-        link.busy.mark_busy(start, end);
-        link.bytes += flight.eff;
-        link.messages += 1;
-        match self.fault.as_mut() {
-            Some(f) => end + f.extra_delay(li as usize),
-            None => end,
-        }
+        let launched = self.forward(now, nf, 0, out);
+        self.flights.settle(nf, 0, launched);
     }
 
     /// A copy reached its destination endpoint: release it, re-sequencing
@@ -706,55 +945,68 @@ impl<P> Fabric<P> {
         seq: u64,
         out: &mut NetStep<P>,
     ) {
-        match order {
-            None => {
-                let extra = self.cost.traversal_jitter();
-                if extra.as_ps() == 0 {
-                    out.deliveries.push(Delivery {
+        let Some(o) = order else {
+            let extra = self.cost.traversal_jitter();
+            if extra.as_ps() == 0 {
+                out.deliveries.push(Delivery {
+                    dst,
+                    msg,
+                    order: None,
+                });
+            } else {
+                out.schedule.push((
+                    now + extra,
+                    NetEvent::Deliver {
                         dst,
                         msg,
                         order: None,
-                    });
-                } else {
-                    out.schedule.push((
-                        now + extra,
-                        NetEvent::Deliver {
-                            dst,
-                            msg,
-                            order: None,
-                        },
-                    ));
-                }
+                    },
+                ));
             }
-            Some(o) => {
-                let i = dst.index();
-                if seq == self.expect_seq[i] {
+            return;
+        };
+        let ep = &mut self.endpoints[dst.index()];
+        if seq == ep.expect_seq {
+            out.deliveries.push(Delivery {
+                dst,
+                msg,
+                order: Some(o),
+            });
+            ep.expect_seq += 1;
+            // Entry 0 was this sequence's (never held); the copies
+            // queued behind it follow until the next gap.
+            if let Some(due) = ep.held.pop_front() {
+                debug_assert!(due.is_none(), "the sequence due was held back");
+                while let Some(Some((m, held_order))) = ep.held.front().copied() {
+                    ep.held.pop_front();
                     out.deliveries.push(Delivery {
                         dst,
-                        msg,
-                        order: Some(o),
+                        msg: m,
+                        order: Some(held_order),
                     });
-                    self.expect_seq[i] += 1;
-                    while let Some((m, held_order)) = self.held[i].remove(&self.expect_seq[i]) {
-                        out.deliveries.push(Delivery {
-                            dst,
-                            msg: m,
-                            order: Some(held_order),
-                        });
-                        self.expect_seq[i] += 1;
-                    }
-                } else if self.fault.is_some() && seq < self.expect_seq[i] {
-                    // A rerouted copy raced a surviving original: the
-                    // endpoint already released this sequence — dedup.
-                    // No arena release: the `(dst, seq)` pair owns one
-                    // delivery reference system-wide and the copy that
-                    // delivered first already transferred it (this slot
-                    // may even be recycled by now).
-                } else {
-                    debug_assert!(seq > self.expect_seq[i], "sequence delivered twice");
-                    self.held[i].insert(seq, (msg, o));
+                    ep.expect_seq += 1;
                 }
             }
+        } else if self.fault.is_some() && seq < ep.expect_seq {
+            // A rerouted copy raced a surviving original: the
+            // endpoint already released this sequence — dedup.
+            // No arena release: the `(dst, seq)` pair owns one
+            // delivery reference system-wide and the copy that
+            // delivered first already transferred it (this slot
+            // may even be recycled by now).
+        } else {
+            debug_assert!(seq > ep.expect_seq, "sequence delivered twice");
+            let i = (seq - ep.expect_seq) as usize;
+            if ep.held.len() <= i {
+                // A ring starts with room for one ordered copy in flight
+                // from every node, and doubles from there.
+                let room = (i + 1).max(self.cfg.nodes as usize);
+                ep.held.reserve(room - ep.held.len());
+                ep.held.resize(i + 1, None);
+            }
+            // A rerouted copy and its surviving original can both arrive
+            // early: the later one overwrites the earlier.
+            ep.held[i] = Some((msg, o));
         }
     }
 
@@ -763,6 +1015,41 @@ impl<P> Fabric<P> {
         let li = self.link_index[from as usize * v + to as usize];
         debug_assert_ne!(li, u32::MAX, "route used nonexistent link {from}->{to}");
         li
+    }
+}
+
+/// Enqueues a crossing of link `li` (`SELF_LINK`: loopback, which
+/// crosses no link and takes one `traversal`) at `t`; returns the
+/// completion instant. Fault-plane extra delay is propagation, not
+/// occupancy: it pushes the crossing's completion out without extending
+/// the link's busy window.
+fn launch(
+    links: &mut [FabLink],
+    fault: Option<&mut FaultPlane>,
+    traversal: Duration,
+    t: Time,
+    li: u32,
+    cost: Footprint,
+) -> Time {
+    if li == SELF_LINK {
+        return t + traversal;
+    }
+    let link = &mut links[li as usize];
+    if link.messages > 0 && link.last_enqueue == t {
+        link.demand_now += 1;
+    } else {
+        link.last_enqueue = t;
+        link.demand_now = 1;
+    }
+    link.peak_demand = link.peak_demand.max(link.demand_now);
+    let start = t.max(link.busy.busy_until());
+    let end = start + cost.tx;
+    link.busy.mark_busy(start, end);
+    link.bytes += cost.bytes;
+    link.messages += 1;
+    match fault {
+        Some(f) => end + f.extra_delay(li as usize),
+        None => end,
     }
 }
 
@@ -1268,6 +1555,116 @@ mod tests {
         let fab: Interconnect<&'static str> = Interconnect::new(cfg(TopologyKind::Mesh2D, 4, 800));
         assert!(matches!(fab, Interconnect::Fabric(_)));
         assert_eq!(fab.ordering(), OrderingMode::Resequenced);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale FlightRef")]
+    fn stale_flight_refs_panic() {
+        let mut net = Fabric::new(cfg(TopologyKind::Line, 2, 1600));
+        let mut arena = MsgArena::new();
+        let mut step = NetStep::new();
+        let unicast = || Message::unordered(NodeId(0), NodeId(1), VnetId::DATA, 8, "m");
+        let r = arena.alloc(unicast(), 1);
+        net.send(Time::ZERO, r, &mut arena, &mut step);
+        let Some((at, NetEvent::Hop { flight, node, .. })) = step.schedule.pop() else {
+            panic!("a unicast launches one hop");
+        };
+        let hop = || NetEvent::Hop {
+            flight,
+            node,
+            attempt: 0,
+        };
+        net.handle(at, hop(), &mut arena, &mut step);
+        assert_eq!(net.live_flights(), 0, "the last hop frees the slot");
+        let r = arena.alloc(unicast(), 1);
+        net.send(at, r, &mut arena, &mut step);
+        net.handle(at, hop(), &mut arena, &mut step);
+    }
+
+    #[test]
+    fn cached_broadcast_trees_replay_the_first_round() {
+        // The first round builds every source's tree; the second, sent
+        // once the first has drained, rides the cached trees and must
+        // cross the same links with the same per-destination latencies.
+        // Ordered unicasts sent first leave the endpoints at different
+        // sequence numbers, so a broadcast that handed one endpoint's
+        // sequence to another would stall there.
+        for (kind, nodes) in [(TopologyKind::Mesh2D, 64u16), (TopologyKind::Torus, 16)] {
+            let mut net = Fabric::new(cfg(kind, nodes, 1600));
+            let skew = (0..nodes)
+                .flat_map(|d| (0..d % 3).map(move |_| d))
+                .map(|d| {
+                    let to = NodeSet::singleton(NodeId(d));
+                    let from = NodeId((d + 1) % nodes);
+                    (Time::ZERO, Message::ordered(from, to, 8, "skew"))
+                })
+                .collect();
+            drive(&mut net, skew);
+            let round = |net: &mut Fabric<&'static str>, start: Time| {
+                let before: Vec<u64> = (0..net.link_count())
+                    .map(|i| net.link_messages(i))
+                    .collect();
+                let first_order = net.next_order;
+                let sends = (0..nodes)
+                    .map(|s| {
+                        let all = NodeSet::all(nodes as usize);
+                        (start, Message::ordered(NodeId(s), all, 8, "b"))
+                    })
+                    .collect();
+                let out = drive(net, sends);
+                let crossed: Vec<u64> = (0..net.link_count())
+                    .map(|i| net.link_messages(i) - before[i])
+                    .collect();
+                let mut latency: Vec<(u64, u16, u64)> = out
+                    .iter()
+                    .map(|(t, d, _)| {
+                        let src = d.order.expect("ordered") - first_order;
+                        (src, d.dst.0, t.since(start).as_ps())
+                    })
+                    .collect();
+                latency.sort_unstable();
+                (crossed, latency)
+            };
+            assert!(net.broadcast_trees.iter().all(Vec::is_empty));
+            let first = round(&mut net, Time::from_ns(1_000_000));
+            assert!(
+                net.broadcast_trees.iter().all(|t| !t.is_empty()),
+                "{kind:?}: the first round builds every source's tree"
+            );
+            assert_eq!(first.1.len(), nodes as usize * nodes as usize);
+            let second = round(&mut net, Time::from_ns(2_000_000));
+            assert_eq!(first, second, "{kind:?}");
+            assert_eq!(net.live_flights(), 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn overtaking_copies_are_released_in_sequence_order() {
+        // On a 3-line, node 0's ordered unicast to node 2 (sequence 0
+        // there) queues at vertex 1 behind 64 later ordered unicasts from
+        // node 1: all 64 overtake it and are held back at endpoint 2
+        // until it lands, then released with it in sequence order.
+        let mut net = Fabric::new(cfg(TopologyKind::Line, 3, 1600));
+        let to2 = || NodeSet::singleton(NodeId(2));
+        let mut sends = vec![(Time::ZERO, Message::ordered(NodeId(0), to2(), 8, "first"))];
+        sends.extend((0..64).map(|_| {
+            (
+                Time::from_ns(1),
+                Message::ordered(NodeId(1), to2(), 8, "late"),
+            )
+        }));
+        let out = drive(&mut net, sends);
+        let orders: Vec<u64> = out
+            .iter()
+            .map(|(_, d, _)| d.order.expect("ordered"))
+            .collect();
+        assert_eq!(orders, (0..65).collect::<Vec<_>>());
+        assert!(
+            out.iter().all(|(t, _, _)| *t == out[0].0),
+            "the held copies are released with the copy they waited for"
+        );
+        assert!(net.endpoints[2].held.is_empty());
+        assert_eq!(net.live_flights(), 0);
     }
 
     /// Satellite invariant (proptest): on every fabric topology, under

@@ -44,7 +44,7 @@ pub mod topology;
 
 pub use arena::{MsgArena, MsgRef};
 pub use crossbar::{Crossbar, Delivery, Jitter, NetConfig, NetEvent, NetStep};
-pub use fabric::{Fabric, Interconnect};
+pub use fabric::{Fabric, FlightRef, Interconnect};
 pub use fault::{FaultPlane, FaultPlaneConfig, FaultStats, LinkFaultProfile, TransportConfig};
 pub use ids::{NodeId, NodeSet};
 pub use message::{Message, Ordered, VnetId};

@@ -8,7 +8,8 @@
 //!   full-system workloads (Table 2). We cannot run Simics + DB2/Apache/JVM
 //!   images; the generators reproduce the three properties §5.4 says drive
 //!   the results: L2 miss rate, fraction of sharing misses, and read/write
-//!   mix (see DESIGN.md §5 for the substitution argument).
+//!   mix (the README's "Scenario catalog & traces" section gives the
+//!   substitution argument and each stand-in's parameters).
 //! * [`patterns`] — the classic sharing patterns (producer-consumer,
 //!   migratory, false sharing, Zipf hot set, phase-shifting mixes).
 //! * [`catalog`] — every workload above as a named, seeded scenario.
