@@ -43,11 +43,6 @@ pub struct AdaptorConfig {
     pub initial_policy: u32,
     /// Decision mode (adaptive, or a static extreme for ablations).
     pub mode: DecisionMode,
-    /// Blend the node's *local* fabric-link utilization into the estimate:
-    /// [`BandwidthAdaptor::sample_window_local`] then samples the max of
-    /// the endpoint estimate and the local peak. Off by default — the
-    /// paper's mechanism observes only its own endpoint link.
-    pub use_local_utilization: bool,
 }
 
 impl AdaptorConfig {
@@ -60,7 +55,20 @@ impl AdaptorConfig {
             policy_bits: 8,
             initial_policy: 0,
             mode: DecisionMode::Adaptive,
-            use_local_utilization: false,
+        }
+    }
+
+    /// Checks the ranges the counters rely on; the error names the first
+    /// rule broken.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(1..=16).contains(&self.policy_bits) {
+            Err("policy counter width must be 1..=16 bits")
+        } else if !(1..100).contains(&self.threshold_percent) {
+            Err("utilization threshold must be in (0, 100) percent")
+        } else if self.sampling_interval_cycles == 0 {
+            Err("sampling interval must be at least 1 cycle")
+        } else {
+            Ok(())
         }
     }
 }
@@ -83,7 +91,6 @@ pub struct BandwidthAdaptor {
     lfsr: Lfsr16,
     mask: u16,
     mode: DecisionMode,
-    use_local: bool,
     interval_cycles: u64,
     samples: u64,
     broadcasts: u64,
@@ -102,7 +109,6 @@ impl BandwidthAdaptor {
             lfsr: Lfsr16::new(seed),
             mask: ((1u32 << cfg.policy_bits) - 1) as u16,
             mode: cfg.mode,
-            use_local: cfg.use_local_utilization,
             interval_cycles: cfg.sampling_interval_cycles,
             samples: 0,
             broadcasts: 0,
@@ -126,22 +132,6 @@ impl BandwidthAdaptor {
             self.policy.bump_up();
         } else {
             self.policy.bump_down();
-        }
-    }
-
-    /// Feeds one sampling window together with a *local* utilization
-    /// observation — on a routed fabric, the peak busy time over the
-    /// node's incident links. When [`AdaptorConfig::use_local_utilization`]
-    /// is enabled the sampled value is the max of the endpoint estimate
-    /// and the local peak, so a saturated local link pushes the policy
-    /// toward unicast even while the endpoint mean looks idle; when
-    /// disabled the local input is ignored and this is exactly
-    /// [`sample_window`](Self::sample_window).
-    pub fn sample_window_local(&mut self, busy: u64, local_peak: u64, window: u64) {
-        if self.use_local {
-            self.sample_window(busy.max(local_peak), window);
-        } else {
-            self.sample_window(busy, window);
         }
     }
 
@@ -295,24 +285,6 @@ mod tests {
         assert_eq!(a.policy_value(), 2);
         a.sample_window(384, 512); // exactly 75%
         assert_eq!(a.policy_value(), 1);
-    }
-
-    #[test]
-    fn local_utilization_input_is_gated_by_config() {
-        // Disabled (paper default): a saturated local link is invisible.
-        let mut a = adaptor();
-        a.sample_window_local(0, 512, 512);
-        assert_eq!(a.policy_value(), 0);
-
-        // Enabled: the local peak dominates an idle endpoint estimate...
-        let mut cfg = AdaptorConfig::paper_default();
-        cfg.use_local_utilization = true;
-        let mut a = BandwidthAdaptor::new(&cfg, 0);
-        a.sample_window_local(0, 512, 512);
-        assert_eq!(a.policy_value(), 1);
-        // ...and an idle local link never drags a busy endpoint down.
-        a.sample_window_local(512, 0, 512);
-        assert_eq!(a.policy_value(), 2);
     }
 
     proptest! {

@@ -46,10 +46,12 @@ fn timed_window(
     measure: Duration,
 ) -> (u64, f64) {
     let mut sys = System::new(cfg, wl);
-    sys.run_until(Time::ZERO + warmup);
+    sys.try_run_until(Time::ZERO + warmup).expect("warmup");
     sys.begin_measurement();
     let t0 = Instant::now();
-    let stats = sys.finish(Time::ZERO + warmup + measure);
+    let stats = sys
+        .try_finish(Time::ZERO + warmup + measure)
+        .expect("measured window");
     (stats.events_processed, t0.elapsed().as_secs_f64())
 }
 
@@ -95,8 +97,8 @@ fn queue_churn_ops_per_sec(queue: QueueKind, reps: usize) -> f64 {
         let t0 = Instant::now();
         let mut acc = 0u64;
         let mut popped = 0u64;
-        // The engine's batched inner loop: settle on a timestamp once,
-        // then drain every event that fires at that instant.
+        // Batched by timestamp: settle on a timestamp once, then drain
+        // every event that fires at that instant.
         'churn: while let Some(ts) = q.peek_time() {
             while let Some(e) = q.pop_at(ts) {
                 acc = acc.wrapping_add(e);

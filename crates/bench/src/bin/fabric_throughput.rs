@@ -35,7 +35,8 @@ fn timed_run(topology: TopologyKind, fault: Option<FaultPlaneConfig>) -> (u64, f
         wl,
         Duration::from_ns(10_000),
         Duration::from_ns(200_000),
-    );
+    )
+    .expect("a locking run never wedges");
     (stats.events_processed, t0.elapsed().as_secs_f64())
 }
 

@@ -35,12 +35,11 @@ use crate::types::BlockAddr;
 /// Shape of the two-level hierarchy: how nodes group into snooping
 /// clusters and how home state shards across directory-spine banks.
 ///
-/// Both `cluster_size` and `banks` must divide the node count (validated
-/// by the system configuration / builder before any controller is
-/// built): clusters are the contiguous node ranges
-/// `[k·cluster_size, (k+1)·cluster_size)`, and bank `b` lives on node
-/// `b · (nodes / banks)` — banks land on distinct clusters first, then
-/// wrap.
+/// Both `cluster_size` and `banks` must divide the node count (checked
+/// by `SystemConfig::check` before any controller is built): clusters
+/// are the contiguous node ranges `[k·cluster_size, (k+1)·cluster_size)`,
+/// and bank `b` lives on node `b · (nodes / banks)` — banks land on
+/// distinct clusters first, then wrap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// Nodes per snooping cluster (≥ 1, divides the node count).
@@ -58,30 +57,6 @@ impl HierarchyConfig {
             cluster_size,
             banks,
         }
-    }
-
-    /// Checks this shape against a node count. Returns a human-readable
-    /// reason when it does not fit.
-    pub fn check(&self, nodes: u16) -> Result<(), String> {
-        if self.cluster_size == 0 {
-            return Err("hierarchy cluster size must be at least 1".into());
-        }
-        if self.banks == 0 {
-            return Err("hierarchy bank count must be at least 1".into());
-        }
-        if !nodes.is_multiple_of(self.cluster_size) {
-            return Err(format!(
-                "cluster size {} does not divide the node count {nodes}",
-                self.cluster_size
-            ));
-        }
-        if !nodes.is_multiple_of(self.banks) {
-            return Err(format!(
-                "bank count {} does not divide the node count {nodes}",
-                self.banks
-            ));
-        }
-        Ok(())
     }
 
     /// Number of clusters at `nodes` nodes.
@@ -143,7 +118,6 @@ mod tests {
     #[test]
     fn clusters_partition_the_nodes() {
         let h = HierarchyConfig::new(4, 4);
-        assert!(h.check(16).is_ok());
         assert_eq!(h.clusters(16), 4);
         assert_eq!(h.cluster_of(NodeId(0)), 0);
         assert_eq!(h.cluster_of(NodeId(3)), 0);
@@ -171,16 +145,5 @@ mod tests {
         assert_eq!(h.home(BlockAddr(6), 16), NodeId(8));
         assert_eq!(home_of(BlockAddr(6), 16, Some(&h)), NodeId(8));
         assert_eq!(home_of(BlockAddr(6), 16, None), NodeId(6));
-    }
-
-    #[test]
-    fn check_rejects_misfits() {
-        assert!(HierarchyConfig::new(0, 1).check(8).is_err());
-        assert!(HierarchyConfig::new(4, 0).check(8).is_err());
-        assert!(HierarchyConfig::new(3, 1).check(8).is_err());
-        assert!(HierarchyConfig::new(4, 3).check(8).is_err());
-        assert!(HierarchyConfig::new(4, 2).check(8).is_ok());
-        assert!(HierarchyConfig::new(8, 8).check(8).is_ok());
-        assert!(HierarchyConfig::new(16, 4).check(64).is_ok());
     }
 }

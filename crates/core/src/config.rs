@@ -4,6 +4,7 @@
 use bash_adaptive::AdaptorConfig;
 use bash_coherence::{CacheGeometry, HierarchyConfig, ProtocolKind};
 use bash_kernel::Duration;
+use bash_net::ids::MAX_NODES;
 use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
 
 /// Deliberate fault injection — the verification harness's self-test
@@ -119,7 +120,8 @@ pub struct SystemConfig {
     pub cache_geometry: CacheGeometry,
     /// Bandwidth multiplier for full broadcasts (4 in Figure 11).
     pub broadcast_cost_multiplier: u32,
-    /// The adaptive mechanism's parameters (BASH only).
+    /// The adaptive mechanism's parameters (used by BASH, checked for
+    /// every protocol).
     pub adaptor: AdaptorConfig,
     /// Two-level hierarchical coherence: snooping clusters under a
     /// sharded directory spine. `None` (the default) runs the flat
@@ -305,53 +307,147 @@ impl SystemConfig {
         self
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical values (zero nodes/bandwidth, multiplier < 1).
-    pub fn validate(&self) {
-        assert!(self.nodes > 0, "need at least one node");
-        assert!(self.link_mbps > 0, "bandwidth must be positive");
-        assert!(self.broadcast_cost_multiplier >= 1);
-        assert!(
-            self.retry_capacity > 0,
-            "BASH needs at least one retry buffer"
-        );
-        assert!(self.cache_geometry.sets > 0 && self.cache_geometry.ways > 0);
-        if let Some(h) = &self.hierarchy {
-            if let Err(reason) = h.check(self.nodes) {
-                panic!("invalid hierarchy: {reason}");
-            }
+    /// Checks every rule [`System::new`](crate::System::new) relies on,
+    /// whatever the protocol; the error names the first rule broken.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        let (nodes, cache) = (self.nodes, self.cache_geometry);
+        // A flat system checks as clusters of one under one bank, a shape
+        // that breaks no hierarchy rule.
+        let HierarchyConfig {
+            cluster_size,
+            banks,
+        } = self.hierarchy.unwrap_or(HierarchyConfig::new(1, 1));
+        let rules = [
+            (nodes == 0, E::ZeroNodes),
+            (nodes as usize > MAX_NODES, E::TooManyNodes),
+            (self.link_mbps == 0, E::ZeroBandwidth),
+            (self.broadcast_cost_multiplier < 1, E::BadBroadcastCost),
+            (self.retry_capacity == 0, E::ZeroRetryCapacity),
+            (cache.sets == 0 || cache.ways == 0, E::BadCacheGeometry),
+            (cluster_size == 0, E::ZeroClusterSize),
+            (banks == 0, E::ZeroHierarchyBanks),
+            (
+                !nodes.is_multiple_of(cluster_size),
+                E::ClusterSizeMismatch {
+                    cluster_size,
+                    nodes,
+                },
+            ),
+            (
+                !nodes.is_multiple_of(banks),
+                E::BankCountMismatch { banks, nodes },
+            ),
+            (
+                self.fault_plane.is_some() && self.topology == TopologyKind::Crossbar,
+                E::FaultPlaneNeedsFabric,
+            ),
+            (
+                self.capture_completions && !self.capture_ops,
+                E::CompletionsWithoutCapture,
+            ),
+        ];
+        if let Some((_, e)) = rules.into_iter().find(|(broken, _)| *broken) {
+            return Err(e);
         }
-        if let Some(
-            FaultInjection::CorruptLoads { period }
-            | FaultInjection::DropInvalidations { period }
-            | FaultInjection::DuplicateDeliveries { period }
-            | FaultInjection::StaleSharerMask { period },
-        ) = self.fault
-        {
-            assert!(period > 0, "fault period must be at least 1");
-        }
-        if let Some(FaultInjection::ReorderOrdered { window }) = self.fault {
-            assert!(window >= 2, "reorder window must be at least 2");
-        }
+        match self.fault {
+            Some(FaultInjection::ReorderOrdered { window: 0 | 1 }) => Err(E::ReorderWindowTooSmall),
+            Some(
+                FaultInjection::CorruptLoads { period: 0 }
+                | FaultInjection::DropInvalidations { period: 0 }
+                | FaultInjection::DuplicateDeliveries { period: 0 }
+                | FaultInjection::StaleSharerMask { period: 0 },
+            ) => Err(E::ZeroFaultPeriod),
+            _ => Ok(()),
+        }?;
         if let Some(plane) = &self.fault_plane {
-            assert!(
-                self.topology != TopologyKind::Crossbar,
-                "the fault plane requires a fabric topology (the crossbar has no links)"
-            );
-            plane.validate();
+            plane.check().map_err(E::BadFaultPlane)?;
         }
-        assert!(
-            self.capture_ops || !self.capture_completions,
-            "completion capture requires op capture"
-        );
+        self.adaptor.check().map_err(E::BadAdaptor)
     }
 }
 
+/// Why [`SystemConfig::check`] rejected a configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The system needs at least one node.
+    ZeroNodes,
+    /// More nodes than a [`NodeSet`](bash_net::NodeSet) can hold.
+    TooManyNodes,
+    /// Endpoint links need positive bandwidth.
+    ZeroBandwidth,
+    /// The broadcast cost multiplier must be at least 1.
+    BadBroadcastCost,
+    /// The BASH retry buffer needs at least one entry.
+    ZeroRetryCapacity,
+    /// The cache needs at least one set and one way.
+    BadCacheGeometry,
+    /// The hierarchy's clusters are empty.
+    ZeroClusterSize,
+    /// The hierarchy has no directory-spine bank.
+    ZeroHierarchyBanks,
+    /// The hierarchy's `cluster_size` does not divide the node count.
+    ClusterSizeMismatch { cluster_size: u16, nodes: u16 },
+    /// The hierarchy's `banks` count does not divide the node count.
+    BankCountMismatch { banks: u16, nodes: u16 },
+    /// A periodic [`FaultInjection`] has period 0.
+    ZeroFaultPeriod,
+    /// [`FaultInjection::ReorderOrdered`] needs a window of at least 2.
+    ReorderWindowTooSmall,
+    /// The fault plane needs a routed fabric: the crossbar has no links
+    /// to fault.
+    FaultPlaneNeedsFabric,
+    /// [`FaultPlaneConfig::check`] failed, for the reason given.
+    BadFaultPlane(&'static str),
+    /// Completion capture needs op capture.
+    CompletionsWithoutCapture,
+    /// [`AdaptorConfig::check`] failed, for the reason given.
+    BadAdaptor(&'static str),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Self::ZeroNodes => "need at least one node",
+            Self::TooManyNodes => return write!(f, "at most {MAX_NODES} nodes supported"),
+            Self::ZeroBandwidth => "bandwidth must be positive",
+            Self::BadBroadcastCost => "broadcast cost multiplier must be >= 1",
+            Self::ZeroRetryCapacity => "BASH needs at least one retry buffer",
+            Self::BadCacheGeometry => "cache needs at least one set and one way",
+            Self::ZeroClusterSize => "hierarchy cluster size must be at least 1",
+            Self::ZeroHierarchyBanks => "hierarchy bank count must be at least 1",
+            Self::ClusterSizeMismatch {
+                cluster_size,
+                nodes,
+            } => {
+                return write!(
+                    f,
+                    "hierarchy cluster size {cluster_size} does not divide the node count {nodes}"
+                );
+            }
+            Self::BankCountMismatch { banks, nodes } => {
+                return write!(
+                    f,
+                    "hierarchy bank count {banks} does not divide the node count {nodes}"
+                );
+            }
+            Self::ZeroFaultPeriod => "fault period must be at least 1",
+            Self::ReorderWindowTooSmall => "reorder window must be at least 2",
+            Self::FaultPlaneNeedsFabric => {
+                "the fault plane needs a fabric topology (the crossbar has no links)"
+            }
+            Self::BadFaultPlane(reason) | Self::BadAdaptor(reason) => reason,
+            Self::CompletionsWithoutCapture => "completion capture requires op capture",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 #[cfg(test)]
 mod tests {
+    use bash_workloads::LockingMicrobench;
+
     use super::*;
 
     #[test]
@@ -381,22 +477,52 @@ mod tests {
         assert_eq!(c.broadcast_cost_multiplier, 4);
         assert_eq!(c.seed, 7);
         assert!(c.coverage);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
     }
 
+    /// Each hierarchy rule has its own [`ConfigError`], and shapes that
+    /// fit pass.
     #[test]
-    #[should_panic(expected = "invalid hierarchy")]
+    fn misfit_hierarchies_name_the_broken_rule() {
+        let check = |nodes, cluster_size, banks| {
+            SystemConfig::paper_default(ProtocolKind::Bash, nodes, 800)
+                .with_hierarchy(HierarchyConfig::new(cluster_size, banks))
+                .check()
+        };
+        assert_eq!(check(8, 0, 1), Err(ConfigError::ZeroClusterSize));
+        assert_eq!(check(8, 4, 0), Err(ConfigError::ZeroHierarchyBanks));
+        assert_eq!(
+            check(8, 3, 2),
+            Err(ConfigError::ClusterSizeMismatch {
+                cluster_size: 3,
+                nodes: 8
+            })
+        );
+        assert_eq!(
+            check(8, 4, 3),
+            Err(ConfigError::BankCountMismatch { banks: 3, nodes: 8 })
+        );
+        for (nodes, cluster_size, banks) in [(8, 4, 2), (8, 8, 8), (16, 4, 4), (64, 16, 4)] {
+            assert_eq!(check(nodes, cluster_size, banks), Ok(()));
+        }
+    }
+
+    /// `System::new` refuses a config that `check` rejects, with the
+    /// error's text.
+    #[test]
+    #[should_panic(expected = "hierarchy cluster size 3 does not divide the node count 8")]
     fn misfit_hierarchy_rejected() {
-        SystemConfig::paper_default(ProtocolKind::Bash, 8, 800)
-            .with_hierarchy(HierarchyConfig::new(3, 2))
-            .validate();
+        let cfg = SystemConfig::paper_default(ProtocolKind::Bash, 8, 800)
+            .with_hierarchy(HierarchyConfig::new(3, 2));
+        crate::System::new(cfg, LockingMicrobench::new(8, 16, Duration::ZERO, 1));
     }
 
     #[test]
-    #[should_panic(expected = "bandwidth")]
+    #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_rejected() {
         let mut c = SystemConfig::paper_default(ProtocolKind::Snooping, 4, 800);
         c.link_mbps = 0;
-        c.validate();
+        assert_eq!(c.check(), Err(ConfigError::ZeroBandwidth));
+        crate::System::new(c, LockingMicrobench::new(4, 8, Duration::ZERO, 1));
     }
 }

@@ -23,7 +23,8 @@
 //!     workload,
 //!     Duration::from_ns(200_000),  // warmup
 //!     Duration::from_ns(400_000),  // measurement
-//! );
+//! )
+//! .expect("a locking run never wedges");
 //! assert!(stats.misses > 0);
 //! assert!(stats.avg_miss_latency_ns > 0.0);
 //! ```
@@ -37,6 +38,6 @@ pub mod stats;
 pub mod system;
 
 pub use bash_coherence::HierarchyConfig;
-pub use config::{FaultInjection, SystemConfig, WatchdogBudget};
+pub use config::{ConfigError, FaultInjection, SystemConfig, WatchdogBudget};
 pub use stats::{HierarchyStats, LinkStat, RunStats};
 pub use system::{RunError, System, WedgeCause, WedgeDiagnostic};

@@ -1,16 +1,17 @@
 //! The system driver: event loop, processors, and measurement.
 //!
-//! A [`System`] owns the crossbar, one cache controller + one memory
+//! A [`System`] owns the interconnect, one cache controller + one memory
 //! controller per node, one blocking processor per node, and the workload.
-//! It dispatches four event kinds:
+//! It dispatches five event kinds through one watchdog-guarded loop:
 //!
 //! * `Inject` — a controller-delayed message enters the node's link queue;
 //!   it has sat in the message arena since the controller emitted it, so
 //!   the queued event is an 8-byte handle;
-//! * `Net` — internal crossbar progress (transmit/traverse/deliver);
+//! * `Net` — internal interconnect progress (transmit/traverse/deliver);
 //! * `ProcIssue` — a processor finished thinking and issues its operation;
 //! * `Sample` — the adaptive mechanism's per-512-cycle utilization sample
-//!   (BASH only).
+//!   (BASH only), which reads links through the interconnect's link view;
+//! * `Redeliver` — a fault-injected duplicate delivery.
 //!
 //! Warmup/measurement follows the paper: run to steady state, snapshot all
 //! counters, measure, report deltas.
@@ -209,11 +210,9 @@ struct Snapshot {
     counters: Counters,
     cache: CacheStats,
     mem: MemStats,
-    link_busy_ps: u64,
-    link_bytes: u64,
-    /// Per-directed-link `(busy_ps, bytes, messages)` on a fabric topology
-    /// (empty on the crossbar).
-    per_link: Vec<(u64, u64, u64)>,
+    /// Per-link `(busy_ps, bytes, messages)`, in the interconnect's link
+    /// order.
+    links: Vec<(u64, u64, u64)>,
     events: u64,
     /// Hierarchy traffic counters `(intra_bytes, inter_bytes)` (zero
     /// without a hierarchy).
@@ -238,16 +237,15 @@ pub struct System<W: Workload> {
     /// Reusable action buffer shared by every controller handler call —
     /// the zero-allocation half of the hot event loop.
     sink: ActionSink,
-    /// Reusable crossbar step buffer (schedule + deliveries) — the other
-    /// half.
+    /// Reusable interconnect step buffer (schedule + deliveries) — the
+    /// other half.
     net_step: NetStep<ProtoMsg>,
-    window_deltas: Vec<WindowDelta>,
-    /// Reusable per-node `(busy estimate, local peak)` buffer of the
-    /// adaptive sampling tick.
-    sample_inputs: Vec<(u64, u64)>,
-    /// Per-node × per-incident-link window trackers feeding the adaptive
-    /// mechanism's local-utilization input (fabric topologies only).
-    local_deltas: Vec<Vec<WindowDelta>>,
+    /// One sampling-window tracker per link, advanced once per tick.
+    link_deltas: Vec<WindowDelta>,
+    /// Reusable buffers of the sampling tick: each link's busy time over
+    /// the window, then each node's adaptor input.
+    link_busy: Vec<u64>,
+    node_busy: Vec<u64>,
     counters: Counters,
     miss_latency: RunningStat,
     measuring: bool,
@@ -278,10 +276,12 @@ impl<W: Workload> System<W> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see
-    /// [`SystemConfig::validate`]).
+    /// Panics with the [`ConfigError`](crate::ConfigError) text if
+    /// [`SystemConfig::check`] rejects the configuration.
     pub fn new(mut cfg: SystemConfig, mut workload: W) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         let nodes = cfg.nodes;
         // Everything derived from the fault plane is computed here, before
         // the configuration moves into the interconnect below.
@@ -385,21 +385,10 @@ impl<W: Workload> System<W> {
             events.schedule(Time::ZERO + interval, Event::Sample);
         }
 
-        let local_deltas = match &net {
-            Interconnect::Fabric(f) => (0..nodes)
-                .map(|i| {
-                    (0..f.incident_links(NodeId(i)).len())
-                        .map(|_| WindowDelta::new())
-                        .collect()
-                })
-                .collect(),
-            Interconnect::Crossbar(_) => Vec::new(),
-        };
-
         System {
-            window_deltas: (0..nodes).map(|_| WindowDelta::new()).collect(),
-            sample_inputs: Vec::with_capacity(nodes as usize),
-            local_deltas,
+            link_deltas: vec![WindowDelta::new(); net.link_count()],
+            link_busy: Vec::with_capacity(net.link_count()),
+            node_busy: Vec::with_capacity(nodes as usize),
             net,
             caches,
             mems,
@@ -494,47 +483,6 @@ impl<W: Workload> System<W> {
         Some(writer.finish())
     }
 
-    /// Advances simulation until `t` (events at exactly `t` included).
-    ///
-    /// The loop is batched by timestamp: the outer iteration advances the
-    /// clock once, the inner one drains every event at that instant
-    /// (including any it schedules for the same instant) — one clock
-    /// update and one queue probe per batch instead of per event.
-    pub fn run_until(&mut self, t: Time) {
-        while let Some(ts) = self.events.peek_time() {
-            if ts > t {
-                break;
-            }
-            self.now = ts;
-            while let Some(ev) = self.events.pop_at(ts) {
-                self.dispatch(ev);
-            }
-        }
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Drains every pending event (workloads must eventually return `None`
-    /// or this will not terminate). Used by the random tester to reach
-    /// global quiescence.
-    pub fn run_to_idle(&mut self) {
-        loop {
-            while let Some(ts) = self.events.peek_time() {
-                self.now = ts;
-                while let Some(ev) = self.events.pop_at(ts) {
-                    self.dispatch(ev);
-                }
-            }
-            // Under ReorderOrdered a partial window can be parked in the
-            // per-node hold-back buffers with no event left to release it;
-            // flush and keep draining until both are empty.
-            if !self.flush_reordered() {
-                break;
-            }
-        }
-    }
-
     /// Checks the configured watchdog budgets against the next event's
     /// time; returns the tripped cause, if any.
     fn watchdog_tripped(&self, next: Time) -> Option<WedgeCause> {
@@ -575,17 +523,17 @@ impl<W: Workload> System<W> {
         }))
     }
 
-    /// Watchdog-guarded [`Self::run_to_idle`]: drains every pending event,
-    /// converting any wedge — a budget overrun, or a drained queue that
-    /// never reached quiescence — into a structured [`RunError::Wedged`]
-    /// diagnostic instead of hanging or silently stopping short.
-    pub fn try_run_to_idle(&mut self) -> Result<(), RunError> {
+    /// The one event loop: dispatches every event up to `until`
+    /// (inclusive) one at a time, so the watchdog sees each one (see
+    /// `docs/ENGINE.md`, "One run loop"). A queue that drains while the
+    /// system is not quiescent is a [`WedgeCause::Stalled`] wedge: nothing
+    /// can happen again, so coasting on would measure a dead system.
+    fn run_events(&mut self, until: Time) -> Result<(), RunError> {
         loop {
-            // Unlike the unguarded run loops, this path stays per-event:
-            // the watchdog must be consulted against every next pending
-            // event, or a same-instant event storm could spin inside a
-            // timestamp batch with no budget check ever firing.
             while let Some(next) = self.events.peek_time() {
+                if next > until {
+                    return Ok(());
+                }
                 if let Some(cause) = self.watchdog_tripped(next) {
                     return Err(self.wedged(cause));
                 }
@@ -593,6 +541,9 @@ impl<W: Workload> System<W> {
                 self.now = now;
                 self.dispatch(ev);
             }
+            // Under ReorderOrdered a partial window can be parked in the
+            // per-node hold-back buffers with no event left to release it;
+            // flush and keep draining until both are empty.
             if !self.flush_reordered() {
                 break;
             }
@@ -604,44 +555,20 @@ impl<W: Workload> System<W> {
         }
     }
 
-    /// Watchdog-guarded [`Self::run_until`]: advances simulation to `t`
-    /// unless a watchdog budget trips first.
-    ///
-    /// Like [`Self::try_run_to_idle`], a drained event queue that left
-    /// the system non-quiescent is reported as a [`WedgeCause::Stalled`]
-    /// wedge (even with no watchdog armed): nothing can ever happen
-    /// again, so coasting to `t` would silently measure a dead system —
-    /// the failure mode of unprotected message loss, which produces
-    /// *fewer* events, not more, and so never trips an event budget.
+    /// Drains every pending event, converting any wedge — a budget
+    /// overrun, or a drained queue that never reached quiescence — into a
+    /// structured [`RunError::Wedged`] diagnostic instead of hanging or
+    /// silently stopping short.
+    pub fn try_run_to_idle(&mut self) -> Result<(), RunError> {
+        self.run_events(Time::MAX)
+    }
+
+    /// Advances simulation to `t` unless a watchdog budget trips or the
+    /// system stalls first (see [`Self::try_run_to_idle`]). A finite
+    /// workload that completed is quiescent and just stops early.
     pub fn try_run_until(&mut self, t: Time) -> Result<(), RunError> {
-        loop {
-            // Per-event like `try_run_to_idle`, and for the same reason.
-            while let Some(pt) = self.events.peek_time() {
-                if pt > t {
-                    if t > self.now {
-                        self.now = t;
-                    }
-                    return Ok(());
-                }
-                if let Some(cause) = self.watchdog_tripped(pt) {
-                    return Err(self.wedged(cause));
-                }
-                let (now, ev) = self.events.pop().expect("peeked");
-                self.now = now;
-                self.dispatch(ev);
-            }
-            if !self.flush_reordered() {
-                break;
-            }
-        }
-        // The queue drained before `t`: a finite workload that completed
-        // is quiescent and just stops early; anything else is wedged.
-        if !self.is_quiescent() {
-            return Err(self.wedged(WedgeCause::Stalled));
-        }
-        if t > self.now {
-            self.now = t;
-        }
+        self.run_events(t)?;
+        self.now = self.now.max(t);
         Ok(())
     }
 
@@ -682,14 +609,8 @@ impl<W: Workload> System<W> {
         self.measure_start = self.snapshot();
     }
 
-    /// Runs until `t_end` and returns the measured-window statistics.
-    pub fn finish(&mut self, t_end: Time) -> RunStats {
-        self.run_until(t_end);
-        self.collect_stats()
-    }
-
-    /// Watchdog-guarded [`Self::finish`]: runs until `t_end` and reports,
-    /// unless a watchdog budget trips first.
+    /// Runs until `t_end` and returns the measured-window statistics,
+    /// unless the run wedges first (see [`Self::try_run_until`]).
     pub fn try_finish(&mut self, t_end: Time) -> Result<RunStats, RunError> {
         self.try_run_until(t_end)?;
         Ok(self.collect_stats())
@@ -701,44 +622,27 @@ impl<W: Workload> System<W> {
         let end = self.snapshot();
         let start = &self.measure_start;
         let window = end.at.since(start.at);
+        // A zero window has zero busy time, so its fractions come out 0.
+        let window_ps = window.as_ps().max(1) as f64;
+        let (mut busy, mut bytes) = (0, 0);
+        let mut links = Vec::new();
+        for (i, (&(b, y, m), &(sb, sy, sm))) in end.links.iter().zip(&start.links).enumerate() {
+            busy += b - sb;
+            bytes += y - sy;
+            if let Some((from, to)) = self.net.link_endpoints(i) {
+                links.push(LinkStat {
+                    from,
+                    to,
+                    bytes: y - sy,
+                    messages: m - sm,
+                    peak_demand: self.net.link_peak_demand(i),
+                    busy_fraction: (b - sb) as f64 / window_ps,
+                });
+            }
+        }
         // Utilization normalizes over the contended resources: the
-        // crossbar's per-node endpoint links, or the fabric's directed
-        // links (same arithmetic, so crossbar reports are unchanged).
-        let nodes = match &self.net {
-            Interconnect::Crossbar(_) => self.cfg.nodes as u64,
-            Interconnect::Fabric(f) => f.link_count() as u64,
-        };
-        let busy = end.link_busy_ps - start.link_busy_ps;
-        let util = if window.is_zero() {
-            0.0
-        } else {
-            busy as f64 / (window.as_ps() as f64 * nodes as f64)
-        };
-        let links = match &self.net {
-            Interconnect::Crossbar(_) => Vec::new(),
-            Interconnect::Fabric(f) => end
-                .per_link
-                .iter()
-                .enumerate()
-                .map(|(i, &(busy_ps, bytes, messages))| {
-                    let (s_busy, s_bytes, s_msgs) =
-                        start.per_link.get(i).copied().unwrap_or((0, 0, 0));
-                    let (from, to) = f.link_endpoints(i);
-                    LinkStat {
-                        from,
-                        to,
-                        bytes: bytes - s_bytes,
-                        messages: messages - s_msgs,
-                        peak_demand: f.link_peak_demand(i),
-                        busy_fraction: if window.is_zero() {
-                            0.0
-                        } else {
-                            (busy_ps - s_busy) as f64 / window.as_ps() as f64
-                        },
-                    }
-                })
-                .collect(),
-        };
+        // crossbar's per-node endpoint links, or the fabric's directed links.
+        let util = busy as f64 / (window_ps * end.links.len() as f64);
         RunStats {
             protocol: self.cfg.protocol.name(),
             workload: self.workload.name().to_string(),
@@ -752,7 +656,7 @@ impl<W: Workload> System<W> {
             stddev_miss_latency_ns: self.miss_latency.stddev(),
             max_miss_latency_ns: self.miss_latency.max().unwrap_or(0.0),
             link_utilization: util,
-            link_bytes: end.link_bytes - start.link_bytes,
+            link_bytes: bytes,
             broadcasts: end.cache.broadcasts_sent - start.cache.broadcasts_sent,
             unicasts: end.cache.unicasts_sent - start.cache.unicasts_sent,
             writebacks: end.cache.writebacks - start.cache.writebacks,
@@ -779,14 +683,20 @@ impl<W: Workload> System<W> {
     }
 
     /// Convenience: build, warm up, measure, report.
-    pub fn run(cfg: SystemConfig, workload: W, warmup: Duration, measure: Duration) -> RunStats {
+    pub fn run(
+        cfg: SystemConfig,
+        workload: W,
+        warmup: Duration,
+        measure: Duration,
+    ) -> Result<RunStats, RunError> {
         let mut sys = System::new(cfg, workload);
-        sys.run_until(Time::ZERO + warmup);
+        sys.try_run_until(Time::ZERO + warmup)?;
         sys.begin_measurement();
-        sys.finish(Time::ZERO + warmup + measure)
+        sys.try_finish(Time::ZERO + warmup + measure)
     }
 
     fn snapshot(&self) -> Snapshot {
+        let net = &self.net;
         let mut cache = CacheStats::default();
         for c in &self.caches {
             let s = c.stats();
@@ -812,35 +722,17 @@ impl<W: Workload> System<W> {
             mem.writebacks_accepted += s.writebacks_accepted;
             mem.writebacks_stale += s.writebacks_stale;
         }
-        let mut busy = 0u64;
-        let mut bytes = 0u64;
-        let mut per_link = Vec::new();
-        match &self.net {
-            Interconnect::Crossbar(xb) => {
-                for i in 0..self.cfg.nodes {
-                    let node = NodeId(i);
-                    busy += xb.link_tracker(node).busy_time_until(self.now).as_ps();
-                    bytes += xb.link_bytes(node);
-                }
-            }
-            Interconnect::Fabric(f) => {
-                per_link.reserve(f.link_count());
-                for i in 0..f.link_count() {
-                    let b = f.link_tracker(i).busy_time_until(self.now).as_ps();
-                    busy += b;
-                    bytes += f.link_bytes(i);
-                    per_link.push((b, f.link_bytes(i), f.link_messages(i)));
-                }
-            }
-        }
         Snapshot {
             at: self.now,
             counters: self.counters,
             cache,
             mem,
-            link_busy_ps: busy,
-            link_bytes: bytes,
-            per_link,
+            links: (0..net.link_count())
+                .map(|i| {
+                    let busy = net.link_tracker(i).busy_time_until(self.now).as_ps();
+                    (busy, net.link_bytes(i), net.link_messages(i))
+                })
+                .collect(),
             events: self.events.events_processed(),
             hier_bytes: (self.hier_intra_bytes, self.hier_inter_bytes),
             hier_banks: self.hier_bank_requests.clone(),
@@ -1111,87 +1003,55 @@ impl<W: Workload> System<W> {
 
     fn sample(&mut self) {
         let interval = Duration::from_cycles(self.cfg.adaptor.sampling_interval_cycles);
-        // First pass: one `(endpoint busy estimate, local peak)` input per
-        // node. The window trackers must advance for every node each tick
-        // regardless of how the inputs are consumed below.
-        let n = self.cfg.nodes as usize;
-        let mut inputs = std::mem::take(&mut self.sample_inputs);
+        let window = interval.as_ps();
+        // Each link's busy time over the window. Under latency jitter a
+        // transmission can be credited across a window boundary (up to
+        // jitter_max of slop); clamp — boundary slop is measurement noise,
+        // exactly as in real sampling hardware.
+        let mut link_busy = std::mem::take(&mut self.link_busy);
+        link_busy.clear();
+        for (i, delta) in self.link_deltas.iter_mut().enumerate() {
+            let busy = delta.advance(self.net.link_tracker(i), self.now);
+            link_busy.push(busy.as_ps().min(window));
+        }
+        // A node's input is the mean over its incident links: its own
+        // endpoint link on the crossbar, its directed links on the fabric.
+        let mut inputs = std::mem::take(&mut self.node_busy);
         inputs.clear();
         for i in 0..self.cfg.nodes {
-            let node = NodeId(i);
-            match &self.net {
-                Interconnect::Crossbar(xb) => {
-                    let busy =
-                        self.window_deltas[node.index()].advance(xb.link_tracker(node), self.now);
-                    // Under latency jitter a transmission can be credited
-                    // across a window boundary (up to jitter_max of slop);
-                    // clamp — boundary slop is measurement noise, exactly
-                    // as in real sampling hardware.
-                    let busy_ps = busy.as_ps().min(interval.as_ps());
-                    inputs.push((busy_ps, busy_ps));
-                }
-                Interconnect::Fabric(f) => {
-                    // Endpoint estimate: mean busy time over the node's
-                    // incident directed links; local input: their peak
-                    // (consumed only when the adaptor enables it).
-                    let links = f.incident_links(node);
-                    let deltas = &mut self.local_deltas[node.index()];
-                    let mut sum = 0u64;
-                    let mut peak = 0u64;
-                    for (k, &li) in links.iter().enumerate() {
-                        let busy = deltas[k].advance(f.link_tracker(li as usize), self.now);
-                        let busy_ps = busy.as_ps().min(interval.as_ps());
-                        sum += busy_ps;
-                        peak = peak.max(busy_ps);
-                    }
-                    let mean = if links.is_empty() {
-                        0
-                    } else {
-                        sum / links.len() as u64
-                    };
-                    inputs.push((mean, peak));
-                }
-            }
+            let links = self.net.incident_links(NodeId(i));
+            let sum: u64 = links.iter().map(|&l| link_busy[l as usize]).sum();
+            inputs.push(sum.checked_div(links.len() as u64).unwrap_or(0));
         }
         // Under a hierarchy the adaptive mechanism runs per *cluster*:
-        // every member samples the cluster-mean utilization (and
-        // cluster-peak local input), so a whole cluster flips its cast
-        // policy together — the cluster is the broadcast domain, so the
-        // bandwidth being protected is the cluster's, not one node's.
+        // every member samples the cluster-mean utilization, so a whole
+        // cluster flips its cast policy together — the cluster is the
+        // broadcast domain, so the bandwidth being protected is the
+        // cluster's, not one node's.
         if let Some(h) = &self.cfg.hierarchy {
-            let cs = h.cluster_size as usize;
-            for first in (0..n).step_by(cs) {
-                let members = &inputs[first..first + cs];
-                let mean = members.iter().map(|&(b, _)| b).sum::<u64>() / cs as u64;
-                let peak = members.iter().map(|&(_, p)| p).max().unwrap_or(0);
-                for input in &mut inputs[first..first + cs] {
-                    *input = (mean, peak);
-                }
+            for cluster in inputs.chunks_mut(h.cluster_size as usize) {
+                let mean = cluster.iter().sum::<u64>() / cluster.len() as u64;
+                cluster.fill(mean);
             }
         }
-        // Second pass: feed every adaptor its input.
-        let fabric = matches!(&self.net, Interconnect::Fabric(_));
         let mut policy_sum = 0.0;
         let mut policy_n = 0u32;
-        for (i, &(busy, peak)) in inputs.iter().enumerate() {
-            if let Some(adaptor) = self.caches[i].adaptor_mut() {
-                if fabric {
-                    adaptor.sample_window_local(busy, peak, interval.as_ps());
-                } else {
-                    adaptor.sample_window(busy, interval.as_ps());
-                }
+        for (cache, &busy) in self.caches.iter_mut().zip(&inputs) {
+            if let Some(adaptor) = cache.adaptor_mut() {
+                adaptor.sample_window(busy, window);
                 policy_sum += adaptor.policy_value() as f64;
                 policy_n += 1;
             }
         }
-        self.sample_inputs = inputs;
+        self.link_busy = link_busy;
+        self.node_busy = inputs;
         if let Some(trace) = self.policy_trace.as_mut() {
             if policy_n > 0 {
                 trace.push((self.now, policy_sum / policy_n as f64));
             }
         }
         // Stop the sampling chain once nothing else is in flight, so
-        // `run_to_idle` terminates. (Not "once every processor is done":
+        // `try_run_to_idle` terminates. (Not "once every processor is done":
         // an empty queue already implies that in a fault-free run, and
         // under a broken-network fault a processor can wedge forever on a
         // miss that will never complete — the sampler must not keep the
@@ -1225,7 +1085,7 @@ impl<W: Workload> System<W> {
 mod tests {
     use std::mem::size_of;
 
-    use bash_coherence::{CacheGeometry, HierarchyConfig};
+    use bash_coherence::{BlockAddr, CacheGeometry, HierarchyConfig};
     use bash_net::{FaultPlaneConfig, TopologyKind};
     use bash_workloads::LockingMicrobench;
 
@@ -1266,6 +1126,76 @@ mod tests {
         }
     }
 
+    // The run loop's contract (docs/ENGINE.md, "One run loop"). Its fourth
+    // outcome, a `Stalled` wedge, is pinned end to end by
+    // `tests/fault_plane.rs::a_wedged_grid_point_becomes_an_error_row`.
+
+    /// Node 0 re-loads one block with zero think time: after the first
+    /// miss every load hits and re-issues at the same instant, an event
+    /// storm that never advances the clock.
+    struct HitStorm;
+
+    impl Workload for HitStorm {
+        fn next_item(&mut self, node: NodeId, _now: Time) -> Option<WorkItem> {
+            (node == NodeId(0)).then_some(WorkItem {
+                think: Duration::ZERO,
+                instructions: 0,
+                op: ProcOp::Load {
+                    block: BlockAddr(0),
+                    word: 0,
+                },
+            })
+        }
+
+        fn name(&self) -> &str {
+            "hit-storm"
+        }
+    }
+
+    /// The watchdog sees every event, so it stops a same-instant storm at
+    /// exactly its event budget.
+    #[test]
+    fn an_event_budget_stops_a_same_instant_storm_exactly() {
+        let cfg = SystemConfig::paper_default(ProtocolKind::Directory, 4, 1600)
+            .with_watchdog(WatchdogBudget::events(10_000));
+        let mut sys = System::new(cfg, HitStorm);
+        let err = sys.try_run_until(Time::from_ns(1_000_000)).unwrap_err();
+        let d = err.diagnostic();
+        assert_eq!(d.cause, WedgeCause::EventBudget { limit: 10_000 });
+        assert_eq!(d.events_processed, 10_000);
+        assert!(d.at < Time::from_ns(1_000), "the storm is one instant");
+    }
+
+    /// A virtual-time budget runs every event up to its limit and trips at
+    /// the first one past it.
+    #[test]
+    fn a_time_budget_trips_at_the_first_event_past_its_limit() {
+        let limit = Duration::from_ns(5_000);
+        let cfg = SystemConfig::paper_default(ProtocolKind::Bash, 4, 1600)
+            .with_watchdog(WatchdogBudget::virtual_time(limit));
+        let mut sys = System::new(cfg, LockingMicrobench::new(4, 8, Duration::ZERO, 1));
+        let err = sys.try_run_until(Time::from_ns(20_000)).unwrap_err();
+        assert_eq!(err.diagnostic().cause, WedgeCause::TimeBudget { limit });
+        assert!(sys.now() <= Time::ZERO + limit);
+        assert!(sys.events.peek_time() > Some(Time::ZERO + limit));
+    }
+
+    /// A finite workload that drains quiescent before `t` is no wedge: the
+    /// run returns `Ok` and the clock still reaches `t`.
+    #[test]
+    fn a_run_that_drains_quiescent_still_reaches_its_deadline() {
+        let cfg = SystemConfig::paper_default(ProtocolKind::Bash, 4, 1600);
+        let wl = Capped {
+            inner: LockingMicrobench::new(4, 8, Duration::ZERO, 1),
+            left: vec![4; 4],
+        };
+        let mut sys = System::new(cfg, wl);
+        let t = Time::from_ns(10_000_000);
+        assert_eq!(sys.try_run_until(t), Ok(()));
+        assert!(sys.events.is_empty(), "the queue drained before t");
+        assert_eq!(sys.now(), t);
+    }
+
     /// Every message that enters the arena leaves it: after a run drains,
     /// on each interconnect engine, under loss with retransmission, and
     /// under a hierarchy, no reference is left behind — and on the fabric
@@ -1296,8 +1226,9 @@ mod tests {
                     left: vec![24; nodes as usize],
                 };
                 let mut sys = System::new(cfg, wl);
-                sys.run_to_idle();
-                assert!(sys.is_quiescent(), "{proto:?} on {name} did not drain");
+                if let Err(e) = sys.try_run_to_idle() {
+                    panic!("{proto:?} on {name} did not drain: {e}");
+                }
                 assert!(
                     sys.arena.allocated() > 0,
                     "{proto:?} on {name} sent nothing"
@@ -1307,13 +1238,11 @@ mod tests {
                     0,
                     "{proto:?} on {name} left messages in the arena"
                 );
-                if let Interconnect::Fabric(f) = &sys.net {
-                    assert_eq!(
-                        f.live_flights(),
-                        0,
-                        "{proto:?} on {name} left flights in the fabric"
-                    );
-                }
+                assert_eq!(
+                    sys.net.live_flights(),
+                    0,
+                    "{proto:?} on {name} left flights in the fabric"
+                );
             }
         }
     }

@@ -187,9 +187,11 @@ fn walkthrough(proto: ProtocolKind, mode: DecisionMode, cache_to_cache: bool) ->
         },
     );
     let mut sys = System::new(cfg, script);
-    sys.run_until(bash::Time::ZERO + setup_until);
+    sys.try_run_until(bash::Time::ZERO + setup_until)
+        .expect("the setup script drains");
     sys.enable_delivery_trace();
-    sys.run_to_idle();
+    sys.try_run_to_idle()
+        .expect("the walkthrough script drains");
     let mut out: Vec<String> = sys
         .delivery_trace()
         .unwrap_or(&[])

@@ -308,7 +308,10 @@ struct LinkState {
 pub struct Crossbar<P> {
     cfg: NetConfig,
     cost: MsgCost,
+    /// One endpoint link per node, indexed by node id.
     links: Vec<LinkState>,
+    /// `link_ids[i] == i`: backs [`Crossbar::incident_links`].
+    link_ids: Vec<u32>,
     next_order: u64,
     _marker: PhantomData<P>,
 }
@@ -326,6 +329,7 @@ impl<P> Crossbar<P> {
         Crossbar {
             cost: MsgCost::new(&cfg),
             links: vec![LinkState::default(); cfg.nodes as usize],
+            link_ids: (0..u32::from(cfg.nodes)).collect(),
             next_order: 0,
             cfg,
             _marker: PhantomData,
@@ -385,20 +389,33 @@ impl<P> Crossbar<P> {
         }
     }
 
-    /// Busy-time tracker of a node's endpoint link (for the adaptive
+    /// Number of links: one endpoint link per node, link `i` being node
+    /// `i`'s.
+    pub fn link_count(&self) -> usize {
+        self.links.len()
+    }
+
+    /// Busy-time tracker of endpoint link `i` (for the adaptive
     /// mechanism's sampling and for utilization reports).
-    pub fn link_tracker(&self, node: NodeId) -> &BusyTracker {
-        &self.links[node.index()].busy
+    pub fn link_tracker(&self, i: usize) -> &BusyTracker {
+        &self.links[i].busy
     }
 
-    /// Total effective bytes pushed through a node's link (both directions).
-    pub fn link_bytes(&self, node: NodeId) -> u64 {
-        self.links[node.index()].bytes
+    /// Total effective bytes pushed through endpoint link `i` (both
+    /// directions).
+    pub fn link_bytes(&self, i: usize) -> u64 {
+        self.links[i].bytes
     }
 
-    /// Total messages (tx + rx) through a node's link.
-    pub fn link_messages(&self, node: NodeId) -> u64 {
-        self.links[node.index()].messages
+    /// Total messages (tx + rx) through endpoint link `i`.
+    pub fn link_messages(&self, i: usize) -> u64 {
+        self.links[i].messages
+    }
+
+    /// Ids of the links incident to `node`: its own endpoint link,
+    /// `[node]`.
+    pub fn incident_links(&self, node: NodeId) -> &[u32] {
+        std::slice::from_ref(&self.link_ids[node.index()])
     }
 
     fn enter_core(
@@ -616,11 +633,12 @@ mod tests {
         let end = out[0].0; // 10 + 50 + 10 = 70 ns
         assert_eq!(end.as_ns(), 70);
         // Sender link busy 10 of 70 ns; receiver link busy 10 of 70 ns.
-        for node in [NodeId(0), NodeId(1)] {
-            assert!((net.link_tracker(node).utilization(end) - 10.0 / 70.0).abs() < 1e-9);
+        for link in 0..net.link_count() {
+            assert!((net.link_tracker(link).utilization(end) - 10.0 / 70.0).abs() < 1e-9);
         }
-        assert_eq!(net.link_bytes(NodeId(0)), 8);
-        assert_eq!(net.link_messages(NodeId(1)), 1);
+        assert_eq!(net.link_bytes(0), 8);
+        assert_eq!(net.link_messages(1), 1);
+        assert_eq!(net.incident_links(NodeId(1)), &[1]);
     }
 
     #[test]
@@ -631,8 +649,8 @@ mod tests {
         let m = Message::ordered(NodeId(0), NodeSet::all(2), 8, "dual");
         let out = drive(&mut net, vec![(Time::ZERO, m)]);
         assert_eq!(out.len(), 2);
-        assert_eq!(net.link_bytes(NodeId(0)), 16); // 8 tx + 8 rx
-        assert_eq!(net.link_bytes(NodeId(1)), 8);
+        assert_eq!(net.link_bytes(0), 16); // 8 tx + 8 rx
+        assert_eq!(net.link_bytes(1), 8);
     }
 
     #[test]

@@ -1146,6 +1146,78 @@ impl<P> Interconnect<P> {
             Interconnect::Fabric(f) => f.fault_stats(),
         }
     }
+
+    // The link view: both engines model a link as a `BusyTracker` FIFO
+    // server with byte and message counters, indexed `0..link_count()`:
+    // one endpoint link per node on the crossbar, one per directed edge
+    // on the fabric.
+
+    /// Number of links.
+    pub fn link_count(&self) -> usize {
+        match self {
+            Interconnect::Crossbar(c) => c.link_count(),
+            Interconnect::Fabric(f) => f.link_count(),
+        }
+    }
+
+    /// Busy-time tracker of link `i`.
+    pub fn link_tracker(&self, i: usize) -> &BusyTracker {
+        match self {
+            Interconnect::Crossbar(c) => c.link_tracker(i),
+            Interconnect::Fabric(f) => f.link_tracker(i),
+        }
+    }
+
+    /// Effective bytes carried by link `i`.
+    pub fn link_bytes(&self, i: usize) -> u64 {
+        match self {
+            Interconnect::Crossbar(c) => c.link_bytes(i),
+            Interconnect::Fabric(f) => f.link_bytes(i),
+        }
+    }
+
+    /// Messages carried by link `i`.
+    pub fn link_messages(&self, i: usize) -> u64 {
+        match self {
+            Interconnect::Crossbar(c) => c.link_messages(i),
+            Interconnect::Fabric(f) => f.link_messages(i),
+        }
+    }
+
+    /// Ids of the links incident to endpoint `node`.
+    pub fn incident_links(&self, node: NodeId) -> &[u32] {
+        match self {
+            Interconnect::Crossbar(c) => c.incident_links(node),
+            Interconnect::Fabric(f) => f.incident_links(node),
+        }
+    }
+
+    /// `(from, to)` vertices of directed link `i`, or `None` on the
+    /// crossbar, whose endpoint links are not reported link by link.
+    pub fn link_endpoints(&self, i: usize) -> Option<(u16, u16)> {
+        match self {
+            Interconnect::Crossbar(_) => None,
+            Interconnect::Fabric(f) => Some(f.link_endpoints(i)),
+        }
+    }
+
+    /// Highest same-instant enqueue count on link `i` (0 on the
+    /// crossbar, which does not track it).
+    pub fn link_peak_demand(&self, i: usize) -> u32 {
+        match self {
+            Interconnect::Crossbar(_) => 0,
+            Interconnect::Fabric(f) => f.link_peak_demand(i),
+        }
+    }
+
+    /// Transmissions in flight in the fabric's slab (0 on the crossbar,
+    /// which keeps no per-transmission state).
+    pub fn live_flights(&self) -> usize {
+        match self {
+            Interconnect::Crossbar(_) => 0,
+            Interconnect::Fabric(f) => f.live_flights(),
+        }
+    }
 }
 
 #[cfg(test)]

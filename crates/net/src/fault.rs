@@ -165,29 +165,23 @@ impl FaultPlaneConfig {
             .unwrap_or(&self.default_profile)
     }
 
-    /// Validates probabilities and transport parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on probabilities outside `[0, 1)` or a zero retransmit
-    /// budget.
-    pub fn validate(&self) {
-        let check = |p: &LinkFaultProfile| {
-            assert!(
-                (0.0..1.0).contains(&p.drop_prob) && (0.0..1.0).contains(&p.corrupt_prob),
-                "fault probabilities must be in [0, 1)"
-            );
-            for &(from, to) in &p.down {
-                assert!(from < to, "down window must be non-empty");
+    /// Checks probabilities, outage windows and transport parameters;
+    /// the error names the first rule broken.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let profiles =
+            std::iter::once(&self.default_profile).chain(self.overrides.iter().map(|(_, p)| p));
+        for p in profiles {
+            if !(0.0..1.0).contains(&p.drop_prob) || !(0.0..1.0).contains(&p.corrupt_prob) {
+                return Err("fault probabilities must be in [0, 1)");
             }
-        };
-        check(&self.default_profile);
-        for (_, p) in &self.overrides {
-            check(p);
+            if p.down.iter().any(|&(from, to)| from >= to) {
+                return Err("down window must be non-empty");
+            }
         }
-        if let Some(t) = &self.transport {
-            assert!(t.retransmit_budget > 0, "retransmit budget must be >= 1");
-            assert!(!t.rto.is_zero(), "rto must be positive");
+        match &self.transport {
+            Some(t) if t.retransmit_budget == 0 => Err("retransmit budget must be >= 1"),
+            Some(t) if t.rto.is_zero() => Err("rto must be positive"),
+            _ => Ok(()),
         }
     }
 }
@@ -259,9 +253,11 @@ impl FaultPlane {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`FaultPlaneConfig::validate`]).
+    /// [`FaultPlaneConfig::check`]).
     pub fn new(cfg: &FaultPlaneConfig, endpoints: &[(u16, u16)]) -> Self {
-        cfg.validate();
+        if let Err(reason) = cfg.check() {
+            panic!("{reason}");
+        }
         let mut master = DetRng::seed_from(cfg.seed);
         let links = endpoints
             .iter()
@@ -453,9 +449,10 @@ mod tests {
         assert_eq!(plane.rto_after(7).as_ps(), base * 64, "capped");
     }
 
+    /// `FaultPlane::new` panics with the reason `check` gives.
     #[test]
-    #[should_panic(expected = "probabilities")]
+    #[should_panic(expected = "fault probabilities must be in [0, 1)")]
     fn out_of_range_probability_rejected() {
-        FaultPlaneConfig::lossy(1, 1.5).validate();
+        FaultPlane::new(&FaultPlaneConfig::lossy(1, 1.5), &endpoints());
     }
 }

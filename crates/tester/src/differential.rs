@@ -234,9 +234,8 @@ fn replay_one(cfg: &VerifyConfig, trace: &Trace, blocks: &[BlockAddr]) -> Observ
     // latency distributions are measured.
     let sys_cfg = cfg.system_config();
     let mut system = System::new(sys_cfg, workload);
-    system.run_to_idle();
     let mut obs = Observation {
-        quiescent: system.is_quiescent(),
+        quiescent: system.try_run_to_idle().is_ok(),
         ..Observation::default()
     };
     for &block in blocks {

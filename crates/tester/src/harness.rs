@@ -145,12 +145,12 @@ pub fn run_random_test(cfg: TesterConfig) -> TesterReport {
     );
 
     let mut system = System::new(sys_cfg, workload);
-    system.run_to_idle();
+    let drained = system.try_run_to_idle().is_ok();
 
     // ---- quiescence + invariant sweep ----
     {
         let mut o = oracle.borrow_mut();
-        if !system.is_quiescent() {
+        if !drained {
             o.report("system failed to reach quiescence (possible deadlock)".into());
         }
         sweep_structural(&system, &mut o);

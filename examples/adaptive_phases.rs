@@ -77,7 +77,8 @@ fn main() {
         .build_system()
         .expect("valid configuration");
     sys.enable_policy_trace();
-    sys.run_until(Time::from_ns(4 * phase_ns));
+    sys.try_run_until(Time::from_ns(4 * phase_ns))
+        .expect("the phased workload never wedges");
     println!("Adaptive mechanism vs workload phases (hot ↔ light every {phase_ns} ns)");
     println!("policy counter: 0 = always broadcast … 255 = always unicast\n");
     let trace = sys.policy_trace().expect("trace enabled").to_vec();

@@ -29,7 +29,8 @@ fn main() {
             wl,
             Duration::from_ns(100_000),
             Duration::from_ns(400_000),
-        );
+        )
+        .expect("a locking run never wedges");
         println!(
             "{:9} {:6} MB/s: perf={:9.1} ops/ms lat={:6.1}ns util={:4.2} bcast={:4.2} shar={:4.2} retries={} wall={:?} ev={}",
             stats.protocol, mbps,

@@ -19,7 +19,7 @@ use bash_kernel::pool;
 use bash_kernel::stats::RunningStat;
 use bash_kernel::{Duration, Time};
 use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
-use bash_sim::{RunError, RunStats, System, SystemConfig, WatchdogBudget};
+use bash_sim::{ConfigError, RunError, RunStats, System, SystemConfig, WatchdogBudget};
 use bash_trace::{Trace, TraceReader};
 use bash_workloads::{
     catalog, LockingMicrobench, ScriptWorkload, StreamingTraceWorkload, SyntheticWorkload,
@@ -92,10 +92,9 @@ impl fmt::Display for PointError {
 /// Why a [`SimBuilder`] configuration was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// The system needs at least one node.
-    ZeroNodes,
-    /// Endpoint links need positive bandwidth.
-    ZeroBandwidth,
+    /// The [`SystemConfig`] of some sweep point failed
+    /// [`SystemConfig::check`].
+    Config(ConfigError),
     /// A bandwidth sweep needs at least one point.
     EmptySweep,
     /// Seed aggregation needs at least one run.
@@ -104,12 +103,6 @@ pub enum BuildError {
     EmptyMeasurement,
     /// No workload was configured.
     MissingWorkload,
-    /// The broadcast cost multiplier must be at least 1.
-    BadBroadcastCost,
-    /// The BASH retry buffer needs at least one entry.
-    ZeroRetryCapacity,
-    /// The cache needs at least one set and one way.
-    BadCacheGeometry,
     /// [`SimBuilder::scenario`] was given a name the catalog does not know.
     UnknownScenario(String),
     /// [`SimBuilder::trace_in`] trace was captured on a different node
@@ -131,9 +124,6 @@ pub enum BuildError {
         /// The decode error, rendered.
         error: String,
     },
-    /// A fault plane was configured together with the crossbar topology,
-    /// which has no links to inject faults on.
-    FaultPlaneNeedsFabric,
     /// An *unprotected* lossy fault plane was configured without a
     /// watchdog budget: messages are silently lost, so wedges are the
     /// expected outcome, and an unbudgeted run can only be cut off by the
@@ -142,38 +132,16 @@ pub enum BuildError {
     /// [`RobustnessSpec::watchdog`], or opt in to unguarded wedges with
     /// [`RobustnessSpec::allow_unprotected_wedges`].
     UnprotectedLossyNeedsWatchdog,
-    /// A [`HierarchySpec`] was configured with a zero cluster size.
-    ZeroClusterSize,
-    /// A [`HierarchySpec`] was configured with zero directory-spine banks.
-    ZeroHierarchyBanks,
-    /// The hierarchy's cluster size does not divide the node count.
-    ClusterSizeMismatch {
-        /// Configured nodes per cluster.
-        cluster_size: u16,
-        /// Configured node count.
-        nodes: u16,
-    },
-    /// The hierarchy's bank count does not divide the node count.
-    BankCountMismatch {
-        /// Configured directory-spine banks.
-        banks: u16,
-        /// Configured node count.
-        nodes: u16,
-    },
 }
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BuildError::ZeroNodes => f.write_str("need at least one node"),
-            BuildError::ZeroBandwidth => f.write_str("bandwidth must be positive"),
+            BuildError::Config(e) => e.fmt(f),
             BuildError::EmptySweep => f.write_str("bandwidth sweep needs at least one point"),
             BuildError::ZeroSeeds => f.write_str("seed aggregation needs at least one run"),
             BuildError::EmptyMeasurement => f.write_str("measurement window must be non-empty"),
             BuildError::MissingWorkload => f.write_str("no workload configured"),
-            BuildError::BadBroadcastCost => f.write_str("broadcast cost multiplier must be >= 1"),
-            BuildError::ZeroRetryCapacity => f.write_str("BASH needs at least one retry buffer"),
-            BuildError::BadCacheGeometry => f.write_str("cache needs at least one set and one way"),
             BuildError::UnknownScenario(name) => write!(
                 f,
                 "unknown scenario {name:?} (known: {})",
@@ -189,27 +157,9 @@ impl fmt::Display for BuildError {
             BuildError::TraceUnreadable { path, error } => {
                 write!(f, "trace file {}: {error}", path.display())
             }
-            BuildError::FaultPlaneNeedsFabric => {
-                f.write_str("the fault plane needs a fabric topology (the crossbar has no links)")
-            }
             BuildError::UnprotectedLossyNeedsWatchdog => f.write_str(
                 "an unprotected lossy fault plane needs a watchdog budget \
                  (or RobustnessSpec::allow_unprotected_wedges to opt in to unguarded wedges)",
-            ),
-            BuildError::ZeroClusterSize => f.write_str("hierarchy cluster size must be at least 1"),
-            BuildError::ZeroHierarchyBanks => {
-                f.write_str("hierarchy bank count must be at least 1")
-            }
-            BuildError::ClusterSizeMismatch {
-                cluster_size,
-                nodes,
-            } => write!(
-                f,
-                "hierarchy cluster size {cluster_size} does not divide the node count {nodes}"
-            ),
-            BuildError::BankCountMismatch { banks, nodes } => write!(
-                f,
-                "hierarchy bank count {banks} does not divide the node count {nodes}"
             ),
         }
     }
@@ -944,65 +894,27 @@ impl SimBuilder {
         Ok(())
     }
 
-    /// Every plan-independent configuration check — system shape, the
-    /// grouped specs, and their cross-field interactions — consolidated
-    /// in one place and shared by [`validate`](Self::validate) (full
-    /// campaigns) and [`check_runnable`](Self::check_runnable) (plan-less
-    /// entry points like [`build_system`](Self::build_system)).
+    /// Every plan-independent configuration check, shared by
+    /// [`validate`](Self::validate) (full campaigns) and
+    /// [`check_runnable`](Self::check_runnable) (plan-less entry points
+    /// like [`build_system`](Self::build_system)): each sweep point's
+    /// [`SystemConfig::check`], plus the rules only the builder knows.
     fn check_config(&self) -> Result<(), BuildError> {
-        if self.nodes == 0 {
-            return Err(BuildError::ZeroNodes);
-        }
         if self.fabric.bandwidths.is_empty() {
             return Err(BuildError::EmptySweep);
         }
-        if self.fabric.bandwidths.contains(&0) {
-            return Err(BuildError::ZeroBandwidth);
-        }
-        if self.fabric.broadcast_cost < 1 {
-            return Err(BuildError::BadBroadcastCost);
-        }
-        if self.retry_capacity == Some(0) {
-            return Err(BuildError::ZeroRetryCapacity);
-        }
-        if let Some(g) = self.cache {
-            if g.sets == 0 || g.ways == 0 {
-                return Err(BuildError::BadCacheGeometry);
-            }
-        }
-        if let Some(h) = &self.hierarchy {
-            if h.cluster_size == 0 {
-                return Err(BuildError::ZeroClusterSize);
-            }
-            if h.banks == 0 {
-                return Err(BuildError::ZeroHierarchyBanks);
-            }
-            if !self.nodes.is_multiple_of(h.cluster_size) {
-                return Err(BuildError::ClusterSizeMismatch {
-                    cluster_size: h.cluster_size,
-                    nodes: self.nodes,
-                });
-            }
-            if !self.nodes.is_multiple_of(h.banks) {
-                return Err(BuildError::BankCountMismatch {
-                    banks: h.banks,
-                    nodes: self.nodes,
-                });
-            }
+        for &mbps in &self.fabric.bandwidths {
+            self.config(mbps, 0).check().map_err(BuildError::Config)?;
         }
         if self.capture.all_points && self.capture.ops_out.is_none() {
             return Err(BuildError::AllPointsWithoutTraceOut);
         }
-        if let Some(plane) = &self.robustness.fault_plane {
-            if self.fabric.topology == TopologyKind::Crossbar {
-                return Err(BuildError::FaultPlaneNeedsFabric);
-            }
-            if plane.breaks_delivery()
+        if self.robustness.fault_plane.as_ref().is_some_and(|plane| {
+            plane.breaks_delivery()
                 && self.robustness.watchdog.is_none()
                 && !self.robustness.allow_unprotected_wedges
-            {
-                return Err(BuildError::UnprotectedLossyNeedsWatchdog);
-            }
+        }) {
+            return Err(BuildError::UnprotectedLossyNeedsWatchdog);
         }
         if let Some(spec) = &self.workload {
             self.check_spec(spec)?;
@@ -1080,7 +992,7 @@ impl SimBuilder {
 
     /// Builds a primed [`System`] for the first bandwidth point and base
     /// seed without running it — the escape hatch for callers that drive
-    /// time themselves (`run_until`, `run_to_idle`, traces).
+    /// time themselves (`try_run_until`, `try_run_to_idle`, traces).
     pub fn build_system(&self) -> Result<System<BoxedWorkload>, BuildError> {
         let spec = self.check_runnable()?;
         let cfg = self.config(self.fabric.bandwidths[0], 0);
@@ -1507,7 +1419,10 @@ mod tests {
         assert_eq!(b.validate(), Err(BuildError::MissingWorkload));
         let b = b.locking_microbench(64, Duration::ZERO);
         assert_eq!(b.validate(), Ok(()));
-        assert_eq!(b.nodes(0).validate(), Err(BuildError::ZeroNodes));
+        assert_eq!(
+            b.nodes(0).validate(),
+            Err(BuildError::Config(ConfigError::ZeroNodes))
+        );
     }
 
     #[test]
@@ -1518,24 +1433,25 @@ mod tests {
                 .hierarchy(spec)
                 .check_config()
         };
+        let err = |e| Err(BuildError::Config(e));
         assert_eq!(
             with(HierarchySpec::new(0, 4)),
-            Err(BuildError::ZeroClusterSize)
+            err(ConfigError::ZeroClusterSize)
         );
         assert_eq!(
             with(HierarchySpec::new(4, 0)),
-            Err(BuildError::ZeroHierarchyBanks)
+            err(ConfigError::ZeroHierarchyBanks)
         );
         assert_eq!(
             with(HierarchySpec::new(3, 4)),
-            Err(BuildError::ClusterSizeMismatch {
+            err(ConfigError::ClusterSizeMismatch {
                 cluster_size: 3,
                 nodes: 16,
             })
         );
         assert_eq!(
             with(HierarchySpec::new(4, 3)),
-            Err(BuildError::BankCountMismatch {
+            err(ConfigError::BankCountMismatch {
                 banks: 3,
                 nodes: 16
             })

@@ -67,8 +67,8 @@ pub use bash_net::{
     TopologyKind, TransportConfig,
 };
 pub use bash_sim::{
-    FaultInjection, HierarchyStats, LinkStat, RunError, RunStats, System, SystemConfig,
-    WatchdogBudget, WedgeCause, WedgeDiagnostic,
+    ConfigError, FaultInjection, HierarchyStats, LinkStat, RunError, RunStats, System,
+    SystemConfig, WatchdogBudget, WedgeCause, WedgeDiagnostic,
 };
 pub use bash_tester::{
     differential_trace, minimize_trace, run_random_test, run_verify, run_verify_trace,

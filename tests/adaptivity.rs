@@ -131,7 +131,8 @@ fn policy_counter_adapts_to_a_bandwidth_phase_change() {
         .expect("valid configuration");
     sys.enable_policy_trace();
     assert_eq!(sys.mean_unicast_probability(), 0.0, "starts at broadcast");
-    sys.run_until(Time::from_ns(400_000));
+    sys.try_run_until(Time::from_ns(400_000))
+        .expect("a locking run never wedges");
     assert!(
         sys.mean_unicast_probability() > 0.5,
         "policy should lean unicast at 200 MB/s: {}",

@@ -11,7 +11,8 @@
 
 use bash::tester::{run_verify_scenario, VerifyConfig};
 use bash::{
-    differential_trace, Duration, HierarchyConfig, HierarchySpec, ProtocolKind, SimBuilder,
+    differential_trace, ConfigError, Duration, HierarchyConfig, HierarchySpec, ProtocolKind,
+    SimBuilder, SystemConfig,
 };
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -234,6 +235,17 @@ fn misfit_hierarchies_are_rejected() {
         err.to_string(),
         "hierarchy cluster size 12 does not divide the node count 64"
     );
-    assert!(HierarchyConfig::new(12, 4).check(64).is_err());
-    assert!(HierarchyConfig::new(16, 4).check(64).is_ok());
+    let check = |cluster_size| {
+        SystemConfig::paper_default(ProtocolKind::Bash, 64, 1600)
+            .with_hierarchy(HierarchyConfig::new(cluster_size, 4))
+            .check()
+    };
+    assert_eq!(
+        check(12),
+        Err(ConfigError::ClusterSizeMismatch {
+            cluster_size: 12,
+            nodes: 64
+        })
+    );
+    assert_eq!(check(16), Ok(()));
 }

@@ -48,8 +48,9 @@ fn serialized_values_are_identical_across_protocols() {
             .with_adaptor(adaptor)
             .with_cache(CacheGeometry { sets: 8, ways: 2 });
         let mut sys = System::new(cfg, serialized_script(4));
-        sys.run_to_idle();
-        assert!(sys.is_quiescent(), "{proto:?} must drain");
+        if let Err(e) = sys.try_run_to_idle() {
+            panic!("{proto:?} must drain: {e}");
+        }
         let mut vals: Vec<(u16, u64)> = sys
             .workload()
             .completions()

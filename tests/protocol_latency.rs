@@ -32,8 +32,7 @@ fn run_script(
         .with_adaptor(adaptor)
         .with_cache(CacheGeometry { sets: 64, ways: 2 });
     let mut sys = System::new(cfg, script);
-    sys.run_to_idle();
-    assert!(sys.is_quiescent(), "system must drain");
+    sys.try_run_to_idle().expect("system must drain");
     let mut completions: Vec<_> = sys.workload().completions().to_vec();
     assert_eq!(completions.len(), expected_ops, "every op completes");
     completions.sort_by_key(|c| c.issued_at);
@@ -238,7 +237,7 @@ fn loads_read_what_stores_wrote_across_protocols() {
         adaptor.initial_policy = 128;
         let cfg = SystemConfig::paper_default(proto, 4, FAST_LINK).with_adaptor(adaptor);
         let mut sys = System::new(cfg, s);
-        sys.run_to_idle();
+        sys.try_run_to_idle().expect("system must drain");
         let values: Vec<(u16, u64)> = sys
             .workload()
             .completions()

@@ -1,9 +1,12 @@
 //! Contract tests for the `SimBuilder` facade: validation, paper-default
 //! parity with `SystemConfig`, and seed-aggregation determinism.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use bash::{
-    BuildError, CaptureSpec, Duration, FabricSpec, FaultPlaneConfig, Jitter, ProtocolKind,
-    RobustnessSpec, RunReport, SimBuilder, SystemConfig, TopologyKind, WatchdogBudget,
+    AdaptorConfig, BuildError, CacheGeometry, CaptureSpec, ConfigError, Duration, FabricSpec,
+    FaultInjection, FaultPlaneConfig, HierarchySpec, Jitter, ProtocolKind, RobustnessSpec,
+    RunReport, SimBuilder, SystemConfig, TopologyKind, WatchdogBudget,
 };
 
 fn valid() -> SimBuilder {
@@ -19,7 +22,7 @@ fn valid() -> SimBuilder {
 fn zero_nodes_rejected() {
     assert_eq!(
         valid().nodes(0).try_run().unwrap_err(),
-        BuildError::ZeroNodes
+        BuildError::Config(ConfigError::ZeroNodes)
     );
 }
 
@@ -27,11 +30,11 @@ fn zero_nodes_rejected() {
 fn zero_bandwidth_rejected() {
     assert_eq!(
         valid().bandwidth_mbps(0).try_run().unwrap_err(),
-        BuildError::ZeroBandwidth
+        BuildError::Config(ConfigError::ZeroBandwidth)
     );
     assert_eq!(
         valid().bandwidths([800, 0, 1600]).try_run().unwrap_err(),
-        BuildError::ZeroBandwidth
+        BuildError::Config(ConfigError::ZeroBandwidth)
     );
 }
 
@@ -67,7 +70,7 @@ fn zero_seeds_and_empty_measurement_rejected() {
 fn zero_retry_capacity_rejected() {
     assert_eq!(
         valid().retry_capacity(0).try_run().unwrap_err(),
-        BuildError::ZeroRetryCapacity
+        BuildError::Config(ConfigError::ZeroRetryCapacity)
     );
 }
 
@@ -77,25 +80,25 @@ fn build_system_returns_err_not_panic_for_bad_configs() {
     // everything System::new would otherwise panic on.
     assert_eq!(
         valid().retry_capacity(0).build_system().err(),
-        Some(BuildError::ZeroRetryCapacity)
+        Some(BuildError::Config(ConfigError::ZeroRetryCapacity))
     );
     assert_eq!(
         valid()
-            .cache(bash::CacheGeometry { sets: 0, ways: 4 })
+            .cache(CacheGeometry { sets: 0, ways: 4 })
             .build_system()
             .err(),
-        Some(BuildError::BadCacheGeometry)
+        Some(BuildError::Config(ConfigError::BadCacheGeometry))
     );
     assert_eq!(
         valid().nodes(0).build_system().err(),
-        Some(BuildError::ZeroNodes)
+        Some(BuildError::Config(ConfigError::ZeroNodes))
     );
     assert!(valid().build_system().is_ok());
 }
 
 #[test]
 fn build_errors_display_a_reason() {
-    let msg = format!("{}", BuildError::ZeroBandwidth);
+    let msg = format!("{}", BuildError::Config(ConfigError::ZeroBandwidth));
     assert!(msg.contains("bandwidth"), "unhelpful message: {msg}");
 }
 
@@ -242,7 +245,78 @@ fn fault_plane_still_needs_a_routed_fabric() {
         .robustness(RobustnessSpec::new().fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2)))
         .try_run()
         .unwrap_err();
-    assert_eq!(err, BuildError::FaultPlaneNeedsFabric);
+    assert_eq!(err, BuildError::Config(ConfigError::FaultPlaneNeedsFabric));
+}
+
+/// Every config rule the builder can reach is a typed error from both
+/// `validate()` and `build_system()` — never a panic, never a run that
+/// cannot end. The last five rows used to validate and then panic in
+/// `build_system()`, or (a zero sampling interval) reschedule the
+/// sampler at the same instant forever.
+#[test]
+fn every_config_rule_is_a_typed_error_not_a_panic() {
+    use ConfigError as E;
+    let hier = |size, banks| valid().hierarchy(HierarchySpec::new(size, banks));
+    // Out-of-range fault planes and adaptors must surface their own check's
+    // reason (`unwrap_err` fails the test if that check passes them).
+    let plane = |plane: FaultPlaneConfig| {
+        let want = E::BadFaultPlane(plane.check().unwrap_err());
+        let ring = valid().fabric(FabricSpec::new(TopologyKind::Ring));
+        let spec = RobustnessSpec::new().fault_plane(plane);
+        (ring.robustness(spec), want)
+    };
+    let adaptor = |set: fn(&mut AdaptorConfig)| {
+        let mut a = AdaptorConfig::paper_default();
+        set(&mut a);
+        let want = E::BadAdaptor(a.check().unwrap_err());
+        (valid().adaptor(a), want)
+    };
+    let free_broadcasts = FabricSpec::default().broadcast_cost(0);
+    let no_ways = CacheGeometry { sets: 16, ways: 0 };
+    let xbar_plane = RobustnessSpec::new().fault_plane(FaultPlaneConfig::lossy(1, 0.1));
+    let mut no_retransmits = FaultPlaneConfig::lossy(1, 0.1);
+    no_retransmits.transport.as_mut().unwrap().retransmit_budget = 0;
+    let rows = [
+        (valid().nodes(0), E::ZeroNodes),
+        (valid().nodes(5000), E::TooManyNodes),
+        (valid().bandwidths([800, 0]), E::ZeroBandwidth),
+        (valid().fabric(free_broadcasts), E::BadBroadcastCost),
+        (valid().retry_capacity(0), E::ZeroRetryCapacity),
+        (valid().cache(no_ways), E::BadCacheGeometry),
+        (hier(0, 2), E::ZeroClusterSize),
+        (hier(4, 0), E::ZeroHierarchyBanks),
+        (
+            hier(3, 2),
+            E::ClusterSizeMismatch {
+                cluster_size: 3,
+                nodes: 8,
+            },
+        ),
+        (hier(4, 3), E::BankCountMismatch { banks: 3, nodes: 8 }),
+        (valid().robustness(xbar_plane), E::FaultPlaneNeedsFabric),
+        plane(FaultPlaneConfig::lossy(1, 1.5)),
+        plane(no_retransmits),
+        adaptor(|a| a.policy_bits = 0),
+        adaptor(|a| a.threshold_percent = 100),
+        adaptor(|a| a.sampling_interval_cycles = 0),
+    ];
+    for (builder, want) in rows {
+        let want = Some(Err(BuildError::Config(want)));
+        let validated = catch_unwind(AssertUnwindSafe(|| builder.validate()));
+        assert_eq!(validated.ok(), want, "validate() must return the error");
+        let built = catch_unwind(AssertUnwindSafe(|| builder.build_system().map(drop)));
+        assert_eq!(built.ok(), want, "build_system() must return the error");
+    }
+
+    // The rules no builder setting reaches, checked on the config itself.
+    let cfg = || SystemConfig::paper_default(ProtocolKind::Bash, 8, 800);
+    let period_0 = cfg().with_fault(FaultInjection::CorruptLoads { period: 0 });
+    assert_eq!(period_0.check(), Err(E::ZeroFaultPeriod));
+    let window_1 = cfg().with_fault(FaultInjection::ReorderOrdered { window: 1 });
+    assert_eq!(window_1.check(), Err(E::ReorderWindowTooSmall));
+    let mut completions = cfg();
+    completions.capture_completions = true;
+    assert_eq!(completions.check(), Err(E::CompletionsWithoutCapture));
 }
 
 #[test]
