@@ -34,18 +34,17 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::blocktable::BlockTable;
-
 use bash_kernel::{Duration, Time};
 use bash_net::{Message, NodeId, NodeSet, VnetId};
 
 use crate::actions::ActionSink;
-use crate::common::MemStats;
+use crate::blocktable::BlockTable;
+use crate::common::{HomeRecord, MemStats, UNTOUCHED};
 use crate::hierarchy::{home_of, HierarchyConfig};
 use crate::registry::TransitionLog;
 use crate::types::{
     is_sufficient, BlockAddr, BlockData, Owner, ProtoMsg, Request, TxnId, TxnKind,
-    CONTROL_MSG_BYTES, DATA_MSG_BYTES,
+    CONTROL_MSG_BYTES,
 };
 
 /// Retry escalation point: the paper broadcasts "on its third retry".
@@ -61,30 +60,16 @@ struct WbPending {
 /// Per-block home state *and* stored contents, combined so the
 /// per-event hot path resolves a block with one table probe instead of
 /// separate state/store map lookups.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BlockState {
-    owner: Owner,
-    sharers: NodeSet,
+    /// Owner, sharer superset and DRAM contents.
+    home: HomeRecord,
     wb: Option<WbPending>,
     /// Writeback data that outran its own PutM marker (the data network
     /// is unordered; the ordered chain toward this home can lag under
     /// the fault plane's retransmission delays). It waits here and
     /// completes the writeback the instant the window opens.
     early_wb: Vec<(NodeId, BlockData)>,
-    /// The DRAM contents (zeros until a writeback lands).
-    data: BlockData,
-}
-
-impl Default for BlockState {
-    fn default() -> Self {
-        BlockState {
-            owner: Owner::default(),
-            sharers: NodeSet::EMPTY,
-            wb: None,
-            early_wb: Vec::new(),
-            data: BlockData::ZERO,
-        }
-    }
 }
 
 /// The ordered-network home controller for one node's slice of memory.
@@ -105,8 +90,6 @@ pub struct BashMemCtrl {
     retry_slots: HashMap<TxnId, u8>,
     retry_capacity: usize,
     dram_latency: Duration,
-    serialize_dram: bool,
-    dram_free: Time,
     /// Drop (and count) deliveries that violate the network contract
     /// instead of panicking — set by the driver for the broken-network
     /// fault injections.
@@ -126,7 +109,6 @@ impl BashMemCtrl {
         nodes: u16,
         hier: Option<HierarchyConfig>,
         dram_latency: Duration,
-        serialize_dram: bool,
         retry_capacity: usize,
         coverage: bool,
     ) -> Self {
@@ -138,15 +120,9 @@ impl BashMemCtrl {
             retry_slots: HashMap::new(),
             retry_capacity,
             dram_latency,
-            serialize_dram,
-            dram_free: Time::ZERO,
             tolerant: false,
             stats: MemStats::default(),
-            log: if coverage {
-                TransitionLog::enabled()
-            } else {
-                TransitionLog::new()
-            },
+            log: TransitionLog::recording(coverage),
         }
     }
 
@@ -160,17 +136,18 @@ impl BashMemCtrl {
         &self.log
     }
 
+    fn record(&self, block: BlockAddr) -> &HomeRecord {
+        self.blocks.get(block).map_or(&UNTOUCHED, |b| &b.home)
+    }
+
     /// Current owner of a block (invariant checks).
     pub fn owner_of(&self, block: BlockAddr) -> Owner {
-        self.blocks.get(block).map(|b| b.owner).unwrap_or_default()
+        self.record(block).owner
     }
 
     /// Current sharer superset of a block (invariant checks).
     pub fn sharers_of(&self, block: BlockAddr) -> NodeSet {
-        self.blocks
-            .get(block)
-            .map(|b| b.sharers.clone())
-            .unwrap_or(NodeSet::EMPTY)
+        self.record(block).sharers.clone()
     }
 
     /// Fault injection (`StaleSharerMask`): silently erase the home's
@@ -178,19 +155,13 @@ impl BashMemCtrl {
     /// owner, reset ownership to memory. Harness self-tests only.
     pub fn fault_forget_sharer(&mut self, block: BlockAddr, node: NodeId) {
         if let Some(b) = self.blocks.get_mut(block) {
-            b.sharers.remove(node);
-            if b.owner == Owner::Node(node) {
-                b.owner = Owner::Memory;
-            }
+            b.home.forget(node);
         }
     }
 
     /// The stored contents of a block (defaults to zeros).
     pub fn stored_data(&self, block: BlockAddr) -> BlockData {
-        self.blocks
-            .get(block)
-            .map(|b| b.data)
-            .unwrap_or(BlockData::ZERO)
+        self.record(block).data
     }
 
     /// True when no writeback windows, early writeback data, or retry
@@ -216,7 +187,7 @@ impl BashMemCtrl {
     /// here), emitting resulting actions into `sink`.
     pub fn on_delivery(
         &mut self,
-        now: Time,
+        _now: Time,
         msg: &Message<ProtoMsg>,
         order: Option<u64>,
         sink: &mut ActionSink,
@@ -228,23 +199,14 @@ impl BashMemCtrl {
                     self.node
                 );
                 let order = order.expect("ordered request network");
-                self.on_request(now, req, &msg.dests, order, sink)
+                self.on_request(req, &msg.dests, order, sink)
             }
-            ProtoMsg::WbData { block, from, data } => {
-                self.on_wb_data(now, *block, *from, *data, sink)
-            }
+            ProtoMsg::WbData { block, from, data } => self.on_wb_data(*block, *from, *data, sink),
             other => unreachable!("unexpected message at an ordered-network home: {other:?}"),
         }
     }
 
-    fn on_request(
-        &mut self,
-        now: Time,
-        req: &Request,
-        mask: &NodeSet,
-        order: u64,
-        sink: &mut ActionSink,
-    ) {
+    fn on_request(&mut self, req: &Request, mask: &NodeSet, order: u64, sink: &mut ActionSink) {
         let block = req.block;
         let before = self.state_label(block);
         let ev: &'static str = match (req.kind, req.retry > 0) {
@@ -274,13 +236,12 @@ impl BashMemCtrl {
             return;
         }
 
-        self.process_request(now, req, mask, order, sink);
+        self.process_request(req, mask, order, sink);
         self.log.record(before, ev, self.state_label(block));
     }
 
     fn process_request(
         &mut self,
-        now: Time,
         req: &Request,
         mask: &NodeSet,
         order: u64,
@@ -290,7 +251,7 @@ impl BashMemCtrl {
         if req.kind == TxnKind::PutM {
             let early = {
                 let st = self.blocks.or_default(block);
-                if st.owner == Owner::Node(req.requestor) {
+                if st.home.owner == Owner::Node(req.requestor) {
                     st.wb = Some(WbPending {
                         from: req.requestor,
                         queued: VecDeque::new(),
@@ -306,14 +267,14 @@ impl BashMemCtrl {
                 }
             };
             if let Some((from, data)) = early {
-                self.on_wb_data(now, block, from, data, sink);
+                self.on_wb_data(block, from, data, sink);
             }
             return;
         }
 
         let (owner, sharers) = {
             let st = self.blocks.or_default(block);
-            (st.owner, st.sharers.clone())
+            (st.home.owner, st.home.sharers.clone())
         };
 
         if is_sufficient(req.kind, mask, owner, &sharers, self.node) {
@@ -323,10 +284,14 @@ impl BashMemCtrl {
             if !self.retry_slots.is_empty() {
                 self.retry_slots.remove(&req.txn);
             }
+            let st = &mut self.blocks.get_mut(block).expect("present").home;
             if owner == Owner::Memory {
-                self.respond_with_data(now, req, order, sink);
+                self.stats.data_responses += 1;
+                sink.send_after(
+                    self.dram_latency,
+                    st.data_reply(self.node, req, Some(order)),
+                );
             }
-            let st = self.blocks.get_mut(block).expect("present");
             match req.kind {
                 TxnKind::GetS => {
                     // Under a hierarchy the spine tracks sharers at cluster
@@ -347,13 +312,12 @@ impl BashMemCtrl {
                 TxnKind::PutM => unreachable!(),
             }
         } else {
-            self.schedule_retry(now, req, owner, &sharers, sink);
+            self.schedule_retry(req, owner, &sharers, sink);
         }
     }
 
     fn schedule_retry(
         &mut self,
-        now: Time,
         req: &Request,
         owner: Owner,
         sharers: &NodeSet,
@@ -366,9 +330,8 @@ impl BashMemCtrl {
                     // Deadlock resolution: cannot allocate a retry buffer —
                     // nack so the requestor reissues as a broadcast.
                     self.stats.nacks_sent += 1;
-                    let delay = self.dram_delay(now);
                     sink.send_after(
-                        delay,
+                        self.dram_latency,
                         Message::unordered(
                             self.node,
                             req.requestor,
@@ -401,9 +364,8 @@ impl BashMemCtrl {
             m.insert(self.node);
             m
         };
-        let delay = self.dram_delay(now);
         sink.send_after(
-            delay,
+            self.dram_latency,
             Message::ordered(
                 self.node,
                 mask,
@@ -418,7 +380,6 @@ impl BashMemCtrl {
 
     fn on_wb_data(
         &mut self,
-        now: Time,
         block: BlockAddr,
         from: NodeId,
         data: BlockData,
@@ -445,12 +406,12 @@ impl BashMemCtrl {
             return;
         }
         let wb = st.wb.take().expect("window checked above");
-        st.owner = Owner::Memory;
-        st.data = data;
+        st.home.owner = Owner::Memory;
+        st.home.data = data;
         self.stats.writebacks_accepted += 1;
         for (req, mask, order) in wb.queued {
             let mid = self.state_label(block);
-            self.process_request(now, &req, &mask, order, sink);
+            self.process_request(&req, &mask, order, sink);
             let ev: &'static str = match req.kind {
                 TxnKind::GetS => "GetS",
                 TxnKind::GetM => "GetM",
@@ -461,38 +422,6 @@ impl BashMemCtrl {
         self.log.record(before, "WbData", self.state_label(block));
     }
 
-    fn respond_with_data(&mut self, now: Time, req: &Request, order: u64, sink: &mut ActionSink) {
-        let data = self.stored_data(req.block);
-        self.stats.data_responses += 1;
-        let delay = self.dram_delay(now);
-        sink.send_after(
-            delay,
-            Message::unordered(
-                self.node,
-                req.requestor,
-                VnetId::DATA,
-                DATA_MSG_BYTES,
-                ProtoMsg::Data {
-                    txn: req.txn,
-                    block: req.block,
-                    data,
-                    from_cache: false,
-                    serialized_at: Some(order),
-                },
-            ),
-        );
-    }
-
-    fn dram_delay(&mut self, now: Time) -> Duration {
-        if self.serialize_dram {
-            let start = now.max(self.dram_free);
-            self.dram_free = start + self.dram_latency;
-            self.dram_free.since(now)
-        } else {
-            self.dram_latency
-        }
-    }
-
     /// Home state label for the block (feeds Table 1); empty while the
     /// coverage log is off.
     fn state_label(&self, block: BlockAddr) -> &'static str {
@@ -500,14 +429,8 @@ impl BashMemCtrl {
             return "";
         }
         match self.blocks.get(block) {
-            None => "Mem",
             Some(b) if b.wb.is_some() => "WbPending",
-            Some(b) => match (b.owner, b.sharers.is_empty()) {
-                (Owner::Memory, true) => "Mem",
-                (Owner::Memory, false) => "MemS",
-                (Owner::Node(_), true) => "Own",
-                (Owner::Node(_), false) => "OwnS",
-            },
+            b => b.map_or(&UNTOUCHED, |b| &b.home).label(),
         }
     }
 }

@@ -388,6 +388,7 @@ fn access_to_a_block_with_writeback_in_flight_stalls_then_issues() {
         Some(2),
     );
     c.deliver(t(210), &data(2, txn.seq, 9, 0), None);
+    let misses = c.stats().misses;
     // Re-access the evicted block 1 while its writeback is unacked.
     let (outcome, acts) = c.access_collect(
         t(220),
@@ -398,6 +399,7 @@ fn access_to_a_block_with_writeback_in_flight_stalls_then_issues() {
     );
     assert!(matches!(outcome, AccessOutcome::Miss { .. }));
     assert!(acts.is_empty(), "stalled: no request until the ack");
+    assert_eq!(c.stats().misses, misses + 1);
     // The ack releases the stalled access as a fresh GetS to the home.
     let acts = c.deliver(t(230), &wb_ack(2, 1, false), Some(3));
     let sent = acts
@@ -412,4 +414,9 @@ fn access_to_a_block_with_writeback_in_flight_stalls_then_issues() {
         .expect("stalled access must issue after the ack");
     assert_eq!(sent.kind, TxnKind::GetS);
     assert_eq!(sent.block, BlockAddr(1));
+    assert_eq!(
+        c.stats().misses,
+        misses + 1,
+        "the stalled access counts once"
+    );
 }

@@ -19,7 +19,13 @@
 //!
 //! * [`types`] — blocks, transactions, protocol messages, the sufficiency
 //!   predicate at the heart of BASH;
+//! * [`actions`] — what controllers emit (sends, miss completions) and
+//!   the reusable sink they emit into;
 //! * [`cache`] — the set-associative data array;
+//! * [`common`] — the shared cache-side core (the processor side both
+//!   engines run: hits and stalls, completions, data replies, evictions,
+//!   state labels) and the home record both homes keep per block, plus the
+//!   MSHR, writeback entry and statistics blocks;
 //! * [`snoopcache`] — the ordered-network cache controller (the paper:
 //!   processors "react identically to requests, regardless of whether they
 //!   are unicasts, multicasts, or broadcasts");

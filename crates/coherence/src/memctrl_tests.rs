@@ -191,7 +191,7 @@ fn dir_req(kind: TxnKind, block: u64, requestor: u16, seq: u64) -> Message<Proto
 
 #[test]
 fn directory_responds_with_data_and_marker_when_memory_owns() {
-    let mut d = DirectoryCtrl::new(NodeId(0), NODES, DRAM, false, true);
+    let mut d = DirectoryCtrl::new(NodeId(0), NODES, DRAM, true);
     let acts = d.deliver(t(0), &dir_req(TxnKind::GetS, 0, 2, 1), None);
     let sends = sent_payloads(&acts);
     assert_eq!(sends.len(), 2);
@@ -200,12 +200,12 @@ fn directory_responds_with_data_and_marker_when_memory_owns() {
         sends[1],
         ProtoMsg::Request(Request { from_dir: true, .. })
     ));
-    assert!(d.entry(BlockAddr(0)).sharers.contains(NodeId(2)));
+    assert!(d.sharers_of(BlockAddr(0)).contains(NodeId(2)));
 }
 
 #[test]
 fn directory_forwards_to_owner_and_sharers_on_getm() {
-    let mut d = DirectoryCtrl::new(NodeId(0), NODES, DRAM, false, true);
+    let mut d = DirectoryCtrl::new(NodeId(0), NODES, DRAM, true);
     d.deliver(t(0), &dir_req(TxnKind::GetM, 0, 1, 1), None); // P1 owner
     d.deliver(t(10), &dir_req(TxnKind::GetS, 0, 3, 1), None); // P3 sharer
     let acts = d.deliver(t(20), &dir_req(TxnKind::GetM, 0, 2, 2), None);
@@ -223,14 +223,13 @@ fn directory_forwards_to_owner_and_sharers_on_getm() {
         sends[0].dests,
         NodeSet::from_nodes([NodeId(1), NodeId(2), NodeId(3)])
     );
-    let e = d.entry(BlockAddr(0));
-    assert_eq!(e.owner, Owner::Node(NodeId(2)));
-    assert!(e.sharers.is_empty());
+    assert_eq!(d.owner_of(BlockAddr(0)), Owner::Node(NodeId(2)));
+    assert!(d.sharers_of(BlockAddr(0)).is_empty());
 }
 
 #[test]
 fn directory_acks_valid_and_stale_writebacks() {
-    let mut d = DirectoryCtrl::new(NodeId(0), NODES, DRAM, false, true);
+    let mut d = DirectoryCtrl::new(NodeId(0), NODES, DRAM, true);
     d.deliver(t(0), &dir_req(TxnKind::GetM, 0, 1, 1), None);
     // Valid writeback from the owner (data travels with the PutM).
     let acts = d.deliver(t(10), &wb_data(0, 1, 55), None);
@@ -238,7 +237,7 @@ fn directory_acks_valid_and_stale_writebacks() {
         ProtoMsg::WbAck { stale, .. } => assert!(!stale),
         other => panic!("expected WbAck, got {other:?}"),
     }
-    assert_eq!(d.entry(BlockAddr(0)).owner, Owner::Memory);
+    assert_eq!(d.owner_of(BlockAddr(0)), Owner::Memory);
     assert_eq!(d.stored_data(BlockAddr(0)).read(0), 55);
     // A second writeback from a non-owner is stale.
     let acts = d.deliver(t(20), &wb_data(0, 3, 99), None);
@@ -258,7 +257,7 @@ fn directory_acks_valid_and_stale_writebacks() {
 // ---------------------------------------------------------------------
 
 fn bash_mem(retry_capacity: usize) -> BashMemCtrl {
-    BashMemCtrl::new(NodeId(0), NODES, None, DRAM, false, retry_capacity, true)
+    BashMemCtrl::new(NodeId(0), NODES, None, DRAM, retry_capacity, true)
 }
 
 fn dualcast(requestor: u16) -> NodeSet {

@@ -6,8 +6,8 @@ use bash_net::{Message, NodeId};
 
 use crate::actions::{AccessOutcome, ActionSink};
 use crate::bash::BashMemCtrl;
-use crate::cache::CacheGeometry;
-use crate::common::{CacheStats, MemStats};
+use crate::cache::{CacheArray, CacheGeometry};
+use crate::common::{CacheCore, CacheStats, MemStats};
 use crate::directory::{DirectoryCacheCtrl, DirectoryCtrl};
 use crate::hierarchy::{home_of, HierarchyConfig};
 use crate::registry::TransitionLog;
@@ -177,46 +177,44 @@ impl CacheCtrl {
         }
     }
 
+    /// The processor side both engines share.
+    fn core(&self) -> &CacheCore {
+        match self {
+            CacheCtrl::Snoop(c) => &c.core,
+            CacheCtrl::Directory(c) => &c.core,
+        }
+    }
+
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &CacheStats {
-        match self {
-            CacheCtrl::Snoop(c) => c.stats(),
-            CacheCtrl::Directory(c) => c.stats(),
-        }
+        &self.core().stats
     }
 
     /// The transition coverage log.
     pub fn log(&self) -> &TransitionLog {
-        match self {
-            CacheCtrl::Snoop(c) => c.log(),
-            CacheCtrl::Directory(c) => c.log(),
-        }
+        &self.core().log
     }
 
     /// Read access to the cache array.
-    pub fn cache(&self) -> &crate::cache::CacheArray {
-        match self {
-            CacheCtrl::Snoop(c) => c.cache(),
-            CacheCtrl::Directory(c) => c.cache(),
-        }
+    pub fn cache(&self) -> &CacheArray {
+        &self.core().cache
     }
 
     /// True when nothing is in flight at this controller.
     pub fn is_quiescent(&self) -> bool {
-        match self {
-            CacheCtrl::Snoop(c) => c.is_quiescent(),
-            CacheCtrl::Directory(c) => c.is_quiescent(),
-        }
+        self.core().is_quiescent()
     }
 
-    /// Makes unexpected deliveries drop (counted) instead of panic — set
-    /// by the driver for the broken-network fault injections, which
-    /// deliberately violate the delivery contract the asserts encode.
+    /// Makes unexpected deliveries drop (counted in `spurious_dropped`)
+    /// instead of panic — set by the driver for the broken-network fault
+    /// injections, which deliberately violate the delivery contract the
+    /// asserts encode; normal runs keep every assert armed.
     pub fn set_tolerant(&mut self, tolerant: bool) {
-        match self {
-            CacheCtrl::Snoop(c) => c.set_tolerant(tolerant),
-            CacheCtrl::Directory(c) => c.set_tolerant(tolerant),
-        }
+        let core = match self {
+            CacheCtrl::Snoop(c) => &mut c.core,
+            CacheCtrl::Directory(c) => &mut c.core,
+        };
+        core.tolerant = tolerant;
     }
 }
 
@@ -234,31 +232,24 @@ impl MemCtrl {
     /// Builds the memory-side controller for `kind`. Only a flat Directory
     /// gets the directory controller; every other personality, and every
     /// node under a hierarchy, gets the ordered-network home.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         kind: ProtocolKind,
         node: NodeId,
         nodes: u16,
         dram_latency: Duration,
-        serialize_dram: bool,
         retry_capacity: usize,
         hier: Option<HierarchyConfig>,
         coverage: bool,
     ) -> Self {
         match (kind, hier) {
-            (ProtocolKind::Directory, None) => MemCtrl::Directory(DirectoryCtrl::new(
-                node,
-                nodes,
-                dram_latency,
-                serialize_dram,
-                coverage,
-            )),
+            (ProtocolKind::Directory, None) => {
+                MemCtrl::Directory(DirectoryCtrl::new(node, nodes, dram_latency, coverage))
+            }
             _ => MemCtrl::Bash(BashMemCtrl::new(
                 node,
                 nodes,
                 hier,
                 dram_latency,
-                serialize_dram,
                 retry_capacity,
                 coverage,
             )),
@@ -331,7 +322,7 @@ impl MemCtrl {
     /// The recorded owner of a home block (invariant checks).
     pub fn owner_record(&self, block: crate::types::BlockAddr) -> crate::types::Owner {
         match self {
-            MemCtrl::Directory(m) => m.entry(block).owner,
+            MemCtrl::Directory(m) => m.owner_of(block),
             MemCtrl::Bash(m) => m.owner_of(block),
         }
     }
@@ -339,7 +330,7 @@ impl MemCtrl {
     /// The sharer superset recorded for a home block.
     pub fn sharer_record(&self, block: crate::types::BlockAddr) -> bash_net::NodeSet {
         match self {
-            MemCtrl::Directory(m) => m.entry(block).sharers,
+            MemCtrl::Directory(m) => m.sharers_of(block),
             MemCtrl::Bash(m) => m.sharers_of(block),
         }
     }
@@ -390,7 +381,7 @@ mod tests {
         for hier in [None, Some(HierarchyConfig::new(4, 2))] {
             for kind in ProtocolKind::ALL {
                 let mut c = cache(kind, 8, hier);
-                let m = MemCtrl::new(kind, NodeId(0), 8, dram, false, 4, hier, false);
+                let m = MemCtrl::new(kind, NodeId(0), 8, dram, 4, hier, false);
                 let flat_directory = kind == ProtocolKind::Directory && hier.is_none();
                 let engines = if flat_directory {
                     matches!((&c, &m), (CacheCtrl::Directory(_), MemCtrl::Directory(_)))

@@ -30,8 +30,14 @@ impl TransitionLog {
 
     /// Creates an enabled log.
     pub fn enabled() -> Self {
+        Self::recording(true)
+    }
+
+    /// Creates a log that records when `on` — a controller's coverage
+    /// flag.
+    pub(crate) fn recording(on: bool) -> Self {
         TransitionLog {
-            enabled: true,
+            enabled: on,
             transitions: BTreeMap::new(),
         }
     }

@@ -582,3 +582,87 @@ fn nack_triggers_a_broadcast_reissue() {
     let acts = c.deliver(t(30), &data_msg(txn, 1, 0, Some(5)), None);
     assert!(acts.iter().any(|a| matches!(a, Action::MissDone { .. })));
 }
+
+#[test]
+fn access_to_a_block_with_writeback_in_flight_stalls_then_issues() {
+    let mut c = snooping(0);
+    let mut install = |block: u64, seq_base: u64| {
+        let (outcome, actions) = c.access_collect(
+            t(seq_base * 100),
+            ProcOp::Store {
+                block: BlockAddr(block),
+                word: 0,
+                value: block,
+            },
+        );
+        let txn = match outcome {
+            AccessOutcome::Miss { txn } => txn,
+            _ => panic!(),
+        };
+        let (req, mask) = issued_request(&actions);
+        c.deliver(
+            t(seq_base * 100 + 5),
+            &req_msg(req.kind, block, 0, txn.seq, mask, 0),
+            Some(seq_base),
+        );
+        c.deliver(
+            t(seq_base * 100 + 10),
+            &data_msg(txn, block, block, None),
+            None,
+        )
+    };
+    install(1, 1);
+    install(5, 2);
+    let acts = install(9, 3); // evicts block 1 (LRU) → PutM
+    let putm = acts
+        .iter()
+        .find_map(|a| match a {
+            Action::SendAfter { msg, .. } => match &msg.payload {
+                ProtoMsg::Request(r) if r.kind == TxnKind::PutM => Some((*r, msg.dests.clone())),
+                _ => None,
+            },
+            _ => None,
+        })
+        .expect("writeback issued");
+    let misses = c.stats().misses;
+    // Re-access the evicted block 1 while its writeback is in flight.
+    let (outcome, acts) = c.access_collect(
+        t(400),
+        ProcOp::Load {
+            block: BlockAddr(1),
+            word: 0,
+        },
+    );
+    let AccessOutcome::Miss { txn } = outcome else {
+        panic!("a stalled access is a miss, got {outcome:?}");
+    };
+    assert!(acts.is_empty(), "stalled: no request until the PutM marker");
+    assert_eq!(c.stats().misses, misses + 1);
+    // The own PutM marker sends the writeback data first, then releases
+    // the stalled access as a GetS carrying its transaction id.
+    let acts = c.deliver(
+        t(410),
+        &req_msg(TxnKind::PutM, 1, 0, putm.0.txn.seq, putm.1, 0),
+        Some(4),
+    );
+    let sent: Vec<&ProtoMsg> = acts
+        .iter()
+        .filter_map(|a| match a {
+            Action::SendAfter { msg, .. } => Some(&msg.payload),
+            _ => None,
+        })
+        .collect();
+    let [ProtoMsg::WbData { block: wb, .. }, ProtoMsg::Request(get)] = sent.as_slice() else {
+        panic!("expected WbData then a request, got {sent:?}");
+    };
+    assert_eq!(*wb, BlockAddr(1));
+    assert_eq!(
+        (get.kind, get.block, get.txn),
+        (TxnKind::GetS, BlockAddr(1), txn)
+    );
+    assert_eq!(
+        c.stats().misses,
+        misses + 1,
+        "the stalled access counts once"
+    );
+}

@@ -129,9 +129,6 @@ pub struct SystemConfig {
     /// the hierarchical BASH engine — Snooping pins cluster-casts,
     /// Directory pins spine dualcasts, BASH adapts per cluster.
     pub hierarchy: Option<HierarchyConfig>,
-    /// Serialize DRAM accesses (off per the paper's endpoint-contention-only
-    /// model; on for the memory-occupancy ablation).
-    pub serialize_dram: bool,
     /// BASH home retry-buffer capacity (per memory controller).
     pub retry_capacity: usize,
     /// Record transition coverage (Table 1 / tester runs).
@@ -210,7 +207,6 @@ impl SystemConfig {
             broadcast_cost_multiplier: 1,
             adaptor: AdaptorConfig::paper_default(),
             hierarchy: None,
-            serialize_dram: false,
             retry_capacity: 64,
             coverage: false,
             capture_ops: false,

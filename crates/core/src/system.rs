@@ -328,7 +328,6 @@ impl<W: Workload> System<W> {
                     NodeId(i),
                     nodes,
                     cfg.dram_latency,
-                    cfg.serialize_dram,
                     cfg.retry_capacity,
                     cfg.hierarchy,
                     cfg.coverage,

@@ -139,6 +139,12 @@ pub fn snooping_unbounded_baseline(
 pub fn write_csv(opts: &Options, name: &str, header: &str, rows: &[String]) -> PathBuf {
     fs::create_dir_all(&opts.out_dir).expect("create results dir");
     let path = opts.out_dir.join(format!("{name}.csv"));
+    fs::write(&path, csv_text(header, rows)).expect("write csv");
+    path
+}
+
+/// The text `write_csv` writes: the header, then one line per row.
+pub fn csv_text(header: &str, rows: &[String]) -> String {
     let mut body = String::with_capacity(rows.len() * 64);
     body.push_str(header);
     body.push('\n');
@@ -146,8 +152,7 @@ pub fn write_csv(opts: &Options, name: &str, header: &str, rows: &[String]) -> P
         body.push_str(r);
         body.push('\n');
     }
-    fs::write(&path, body).expect("write csv");
-    path
+    body
 }
 
 /// Renders a simple ASCII chart of one or more series. `log_x` plots the

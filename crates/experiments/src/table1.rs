@@ -17,6 +17,9 @@ use bash::{run_random_test, DecisionMode, ProtocolKind, TesterConfig, Transition
 
 use crate::common::{write_csv, Options};
 
+/// Header of the full transition listing, `table1_transitions.csv`.
+const LISTING_HEADER: &str = "protocol,controller,state,event,next_state,count";
+
 /// Coverage for one protocol: merged cache and memory logs.
 pub struct Coverage {
     /// Protocol.
@@ -86,7 +89,6 @@ pub fn table1(opts: &Options) {
         "", "Total", "Cache", "Mem/Dir"
     );
     let mut csv = Vec::new();
-    let mut listing = Vec::new();
     for c in &coverage {
         let (cs, ce, ct) = (
             c.cache.state_count(),
@@ -124,12 +126,6 @@ pub fn table1(opts: &Options) {
             me,
             mt
         ));
-        for ((s, e, n), count) in c.cache.iter() {
-            listing.push(format!("{},cache,{s},{e},{n},{count}", c.protocol.name()));
-        }
-        for ((s, e, n), count) in c.mem.iter() {
-            listing.push(format!("{},mem,{s},{e},{n},{count}", c.protocol.name()));
-        }
     }
     let path = write_csv(
         opts,
@@ -140,8 +136,8 @@ pub fn table1(opts: &Options) {
     let listing_path = write_csv(
         opts,
         "table1_transitions",
-        "protocol,controller,state,event,next_state,count",
-        &listing,
+        LISTING_HEADER,
+        &transition_listing(&coverage),
     );
     println!("\n  wrote {}", path.display());
     println!(
@@ -150,9 +146,24 @@ pub fn table1(opts: &Options) {
     );
 }
 
+/// The full transition listing: every transition each protocol's cache
+/// and memory controller recorded, with its hit count.
+fn transition_listing(coverage: &[Coverage]) -> Vec<String> {
+    let mut listing = Vec::new();
+    for c in coverage {
+        for (side, log) in [("cache", &c.cache), ("mem", &c.mem)] {
+            for ((s, e, n), count) in log.iter() {
+                listing.push(format!("{},{side},{s},{e},{n},{count}", c.protocol.name()));
+            }
+        }
+    }
+    listing
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::csv_text;
 
     /// One controller's (states, events, transitions) and total recorded
     /// hits.
@@ -182,10 +193,21 @@ mod tests {
     /// The ordering stated in the module doc: BASH has the most events and
     /// at least 1.5× either base protocol's transitions; state counts stay
     /// within 1.25× of each other. Every controller's counts are pinned
-    /// exactly as well.
+    /// exactly as well, and the full listing byte for byte against
+    /// `tests/golden/table1_transitions.csv` (`scripts/update_goldens.sh`
+    /// regenerates it).
     #[test]
     fn coverage_keeps_the_papers_complexity_ordering() {
         let coverage = collect_coverage();
+        let got = csv_text(LISTING_HEADER, &transition_listing(&coverage));
+        let want = include_str!("../../../tests/golden/table1_transitions.csv");
+        let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+        assert!(
+            got == want,
+            "transition listing differs from tests/golden/table1_transitions.csv \
+             (first differing line: {:?})",
+            first_diff.map(|i| i + 1)
+        );
         for (proto, cache, mem) in PINNED {
             let c = coverage
                 .iter()

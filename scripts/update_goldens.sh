@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates the golden-report regression fixtures under tests/golden/:
+# Regenerates the golden regression fixtures under tests/golden/:
 # re-captures any *missing* mini-trace (committed traces are never
-# overwritten — they are the stable reference streams) and rewrites every
-# golden report text from the current engine. Review and commit the diff;
-# CI's golden-reports job fails on any un-blessed drift.
+# overwritten — they are the stable reference streams), rewrites every
+# golden report text from the current engine, and rewrites the Table 1
+# transition listing (table1_transitions.csv). Review and commit the diff;
+# CI's golden-reports job and the Table 1 pin fail on any un-blessed drift.
 #
 #   scripts/update_goldens.sh             bless goldens (+ capture missing traces)
 #   scripts/update_goldens.sh --migrate   also re-encode committed traces as v2
@@ -28,4 +29,6 @@ if [[ "${1:-}" == "--migrate" ]]; then
 fi
 
 BASH_BLESS=1 cargo test --release --test golden_reports -- --nocapture
+cargo run --release -p bash-experiments -- --out results table1
+cp results/table1_transitions.csv tests/golden/table1_transitions.csv
 echo "goldens updated; review with: git diff tests/golden"

@@ -22,12 +22,21 @@ use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
 use bash_sim::{ConfigError, RunError, RunStats, System, SystemConfig, WatchdogBudget};
 use bash_trace::{Trace, TraceReader};
 use bash_workloads::{
-    catalog, LockingMicrobench, ScriptWorkload, StreamingTraceWorkload, SyntheticWorkload,
-    TraceWorkload, Workload, WorkloadParams,
+    catalog, LockingMicrobench, StreamingTraceWorkload, SyntheticWorkload, TraceWorkload, Workload,
+    WorkloadParams,
 };
 
 /// A type-erased workload, as produced by [`SimBuilder`] workload factories.
 pub type BoxedWorkload = Box<dyn Workload>;
+
+/// The maximum injection delay that perturbs each run of a multi-seed
+/// point (the experiments' historical value).
+const PERTURBATION: Duration = Duration::from_ns(3);
+
+/// How many times the sweep executor re-attempts a grid point whose
+/// simulation panicked (for environmental flakes) before recording a
+/// `kind=panicked` [`PointError`] row.
+const PANIC_RETRIES: u32 = 1;
 
 /// One executed grid point: its measured stats plus (for the first grid
 /// point only, when enabled) the policy trace and the captured op trace.
@@ -45,7 +54,7 @@ pub enum PointErrorKind {
     /// structured [`bash_sim::WedgeDiagnostic`].
     Wedged,
     /// The point's simulation panicked; the panic was caught at the grid
-    /// executor and, after the retry budget, recorded here instead of
+    /// executor and, after one retry, recorded here instead of
     /// aborting the sweep.
     Panicked,
 }
@@ -264,8 +273,6 @@ enum WorkloadSpec {
     Micro { locks: u64, think: Duration },
     /// One of the five synthetic macro workloads.
     Macro(WorkloadParams),
-    /// A fixed, deterministic script (cloned per seed).
-    Script(ScriptWorkload),
     /// A named catalog scenario (resolved at build time; validated first).
     Scenario(String),
     /// A recorded reference stream, replayed per run (shared, not cloned,
@@ -296,7 +303,6 @@ impl WorkloadSpec {
             WorkloadSpec::Macro(params) => {
                 Box::new(SyntheticWorkload::new(nodes, params.clone(), seed ^ 0xA5))
             }
-            WorkloadSpec::Script(script) => Box::new(script.clone()),
             WorkloadSpec::Scenario(name) => {
                 catalog::build(name, nodes, seed ^ 0xA5).expect("validated scenario name")
             }
@@ -319,9 +325,9 @@ impl WorkloadSpec {
 }
 
 /// The interconnect half of a [`SimBuilder`] configuration: topology,
-/// endpoint bandwidth sweep, broadcast cost and latency jitter — the
-/// knobs that describe the *network*, grouped so a campaign can carry
-/// them around as one value and hand them to [`SimBuilder::fabric`].
+/// endpoint bandwidth sweep and broadcast cost — the knobs that describe
+/// the *network*, grouped so a campaign can carry them around as one
+/// value and hand them to [`SimBuilder::fabric`].
 ///
 /// ```
 /// use bash::{FabricSpec, TopologyKind};
@@ -342,9 +348,6 @@ pub struct FabricSpec {
     pub bandwidths: Vec<u64>,
     /// Bandwidth multiplier for full broadcasts (4 in Figure 11).
     pub broadcast_cost: u32,
-    /// Explicit message-latency jitter forced on *every* run, overriding
-    /// the multi-seed perturbation default.
-    pub jitter: Option<Jitter>,
 }
 
 impl Default for FabricSpec {
@@ -353,7 +356,6 @@ impl Default for FabricSpec {
             topology: TopologyKind::Crossbar,
             bandwidths: vec![1600],
             broadcast_cost: 1,
-            jitter: None,
         }
     }
 }
@@ -384,21 +386,15 @@ impl FabricSpec {
         self.broadcast_cost = multiplier;
         self
     }
-
-    /// Forces an explicit latency jitter on every run.
-    pub fn jitter(mut self, jitter: Jitter) -> Self {
-        self.jitter = Some(jitter);
-        self
-    }
 }
 
 /// The robustness half of a [`SimBuilder`] configuration: deterministic
-/// link faults, the quiescence watchdog, and the sweep executor's panic
-/// isolation. Handed to [`SimBuilder::robustness`] as one value, with the
-/// cross-field rules checked together at
-/// [`validate`](SimBuilder::validate) time (an unprotected lossy plane
-/// without a watchdog is rejected unless explicitly allowed).
-#[derive(Debug, Clone)]
+/// link faults and the quiescence watchdog. Handed to
+/// [`SimBuilder::robustness`] as one value, with the cross-field rules
+/// checked together at [`validate`](SimBuilder::validate) time (an
+/// unprotected lossy plane without a watchdog is rejected unless
+/// explicitly allowed).
+#[derive(Debug, Clone, Default)]
 pub struct RobustnessSpec {
     /// Deterministic link faults (drops, corruption, delay, outages)
     /// injected into the routed fabric. With [`FaultPlaneConfig::lossy`]
@@ -410,29 +406,14 @@ pub struct RobustnessSpec {
     /// structured [`bash_sim::WedgeDiagnostic`] instead of spinning
     /// forever; in a sweep the wedge becomes a [`PointError`] row.
     pub watchdog: Option<WatchdogBudget>,
-    /// How many times the sweep executor re-attempts a grid point whose
-    /// simulation panicked (for environmental flakes) before recording a
-    /// `kind=panicked` [`PointError`] row. Default 1.
-    pub panic_retries: u32,
     /// Opts out of [`BuildError::UnprotectedLossyNeedsWatchdog`]: run an
     /// unprotected lossy plane with no watchdog budget, relying on the
     /// drained-queue stall check alone to diagnose the expected wedges.
     pub allow_unprotected_wedges: bool,
 }
 
-impl Default for RobustnessSpec {
-    fn default() -> Self {
-        RobustnessSpec {
-            fault_plane: None,
-            watchdog: None,
-            panic_retries: 1,
-            allow_unprotected_wedges: false,
-        }
-    }
-}
-
 impl RobustnessSpec {
-    /// The default spec: no faults, no watchdog, one panic retry.
+    /// The default spec: no faults, no watchdog.
     pub fn new() -> Self {
         RobustnessSpec::default()
     }
@@ -446,12 +427,6 @@ impl RobustnessSpec {
     /// Arms the quiescence watchdog.
     pub fn watchdog(mut self, budget: WatchdogBudget) -> Self {
         self.watchdog = Some(budget);
-        self
-    }
-
-    /// Sets the panic retry budget of the sweep executor.
-    pub fn panic_retries(mut self, retries: u32) -> Self {
-        self.panic_retries = retries;
         self
     }
 
@@ -602,12 +577,9 @@ pub struct SimBuilder {
     measure: Duration,
     seeds: u32,
     base_seed: u64,
-    perturbation: Duration,
     adaptor: Option<AdaptorConfig>,
     cache: Option<CacheGeometry>,
     retry_capacity: Option<usize>,
-    serialize_dram: Option<bool>,
-    coverage: bool,
     threads: Option<usize>,
     workload: Option<WorkloadSpec>,
 }
@@ -627,26 +599,23 @@ impl SimBuilder {
             measure: Duration::from_ns(400_000),
             seeds: 1,
             base_seed: SystemConfig::paper_default(protocol, 16, 1600).seed,
-            perturbation: Duration::from_ns(3),
             adaptor: None,
             cache: None,
             retry_capacity: None,
-            serialize_dram: None,
-            coverage: false,
             threads: None,
             workload: None,
         }
     }
 
     /// Replaces the whole interconnect configuration (topology, bandwidth
-    /// sweep, broadcast cost, jitter) with `spec`.
+    /// sweep, broadcast cost) with `spec`.
     pub fn fabric(mut self, spec: FabricSpec) -> Self {
         self.fabric = spec;
         self
     }
 
-    /// Replaces the whole robustness configuration (fault plane, watchdog,
-    /// panic retries) with `spec`. The cross-field rules — a fault plane
+    /// Replaces the whole robustness configuration (fault plane, watchdog)
+    /// with `spec`. The cross-field rules — a fault plane
     /// needs a fabric topology; an unprotected lossy plane needs a
     /// watchdog or an explicit opt-out — are checked at
     /// [`validate`](Self::validate) / run time.
@@ -670,12 +639,6 @@ impl SimBuilder {
     /// `docs/HIERARCHY.md`.
     pub fn hierarchy(mut self, spec: HierarchySpec) -> Self {
         self.hierarchy = Some(spec);
-        self
-    }
-
-    /// Returns the system to a flat (single-level) organization.
-    pub fn flat(mut self) -> Self {
-        self.hierarchy = None;
         self
     }
 
@@ -736,9 +699,8 @@ impl SimBuilder {
 
     /// Aggregates every report over `seeds` perturbed runs (the paper's
     /// methodology: deterministic runs perturbed with small random request
-    /// delays, mean ± stddev reported). With more than one seed, runs
-    /// after the first get a small injection-latency jitter; see
-    /// [`perturbation`](Self::perturbation).
+    /// delays, mean ± stddev reported). With more than one seed, every run
+    /// gets a uniform injection delay of up to 3 ns, seeded per run.
     pub fn seeds(mut self, seeds: u32) -> Self {
         self.seeds = seeds;
         self
@@ -747,13 +709,6 @@ impl SimBuilder {
     /// Sets the base RNG seed. Run `s` uses `base + s * 7919`.
     pub fn seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self
-    }
-
-    /// Sets the maximum injection delay used to perturb multi-seed runs
-    /// (default 3 ns, the experiments' historical value).
-    pub fn perturbation(mut self, max_delay: Duration) -> Self {
-        self.perturbation = max_delay;
         self
     }
 
@@ -776,18 +731,6 @@ impl SimBuilder {
         self
     }
 
-    /// Serializes DRAM accesses (the memory-occupancy ablation).
-    pub fn serialize_dram(mut self, on: bool) -> Self {
-        self.serialize_dram = Some(on);
-        self
-    }
-
-    /// Records transition coverage (Table 1 runs).
-    pub fn coverage(mut self, on: bool) -> Self {
-        self.coverage = on;
-        self
-    }
-
     /// Uses the paper's locking microbenchmark: `locks` mostly-uncontended
     /// locks with `think` time between release and the next acquire.
     pub fn locking_microbench(mut self, locks: u64, think: Duration) -> Self {
@@ -798,12 +741,6 @@ impl SimBuilder {
     /// Uses one of the synthetic macro workloads (Table 2 stand-ins).
     pub fn synthetic(mut self, params: WorkloadParams) -> Self {
         self.workload = Some(WorkloadSpec::Macro(params));
-        self
-    }
-
-    /// Uses a fixed, deterministic script (cloned per seed).
-    pub fn script(mut self, script: ScriptWorkload) -> Self {
-        self.workload = Some(WorkloadSpec::Script(script));
         self
     }
 
@@ -964,25 +901,17 @@ impl SimBuilder {
         if let Some(capacity) = self.retry_capacity {
             cfg.retry_capacity = capacity;
         }
-        if let Some(serialize) = self.serialize_dram {
-            cfg.serialize_dram = serialize;
-        }
         if let Some(plane) = &self.robustness.fault_plane {
             cfg = cfg.with_fault_plane(plane.clone());
         }
         if let Some(budget) = self.robustness.watchdog {
             cfg = cfg.with_watchdog(budget);
         }
-        if self.coverage {
-            cfg = cfg.with_coverage();
-        }
-        if let Some(jitter) = &self.fabric.jitter {
-            cfg = cfg.with_jitter(jitter.clone());
-        } else if self.seeds > 1 {
+        if self.seeds > 1 {
             // Perturbation methodology: a small random injection delay per
             // request, seeded per run so every report is reproducible.
             cfg = cfg.with_jitter(Jitter::Uniform {
-                injection_max: self.perturbation,
+                injection_max: PERTURBATION,
                 traversal_max: Duration::ZERO,
                 seed: 0x9E37u64.wrapping_add(seed_index as u64),
             });
@@ -1011,7 +940,7 @@ impl SimBuilder {
 
     /// Runs the configured workload through the verification harness:
     /// the builder's protocol, node count, first bandwidth point, seed,
-    /// and cache/jitter overrides, with the generalized value oracle,
+    /// and cache override, with the generalized value oracle,
     /// quiescence check and structural invariant sweep enabled. Endless
     /// workloads are capped at `ops_per_node` operations per node so the
     /// run reaches quiescence; a [`trace_in`](Self::trace_in) replay
@@ -1035,9 +964,6 @@ impl SimBuilder {
         vcfg.link_mbps = self.fabric.bandwidths[0];
         vcfg.topology = self.fabric.topology;
         vcfg.ops_per_node = ops_per_node;
-        if self.fabric.jitter.is_some() {
-            vcfg.jitter = self.fabric.jitter.clone();
-        }
         if let Some(geometry) = self.cache {
             vcfg.cache = geometry;
         }
@@ -1245,14 +1171,12 @@ impl SimBuilder {
             .unwrap_or_else(pool::available_threads)
             .min(tasks.max(1));
         let capture_all = capture && self.capture.all_points && self.capture.ops_out.is_some();
-        // Panic isolation: a grid point that panics (after the configured
-        // retry budget, for environmental flakes) becomes an error row of
-        // its report instead of unwinding through the whole sweep. Wedges
-        // come back as `Err(PointError)` from `run_point` itself and are
-        // never retried.
-        let retries = self.robustness.panic_retries;
+        // Panic isolation: a grid point that panics (after one retry, for
+        // environmental flakes) becomes an error row of its report instead
+        // of unwinding through the whole sweep. Wedges come back as
+        // `Err(PointError)` from `run_point` itself and are never retried.
         let mut results: Vec<Result<PointResult, PointError>> =
-            pool::run_indexed_isolated(tasks, threads, retries, |i| {
+            pool::run_indexed_isolated(tasks, threads, PANIC_RETRIES, |i| {
                 self.run_point(
                     bandwidths[i / seeds],
                     (i % seeds) as u32,
@@ -1467,6 +1391,5 @@ mod tests {
         let cfg = b.config(1600, 0);
         let h = cfg.hierarchy.expect("hierarchy configured");
         assert_eq!((h.cluster_size, h.banks), (4, 2));
-        assert!(b.flat().config(1600, 0).hierarchy.is_none());
     }
 }

@@ -122,7 +122,6 @@ fn defaults_match_paper_default_config() {
             got.broadcast_cost_multiplier,
             want.broadcast_cost_multiplier
         );
-        assert_eq!(got.serialize_dram, want.serialize_dram);
         assert_eq!(got.retry_capacity, want.retry_capacity);
         assert_eq!(got.coverage, want.coverage);
         assert_eq!(got.seed, want.seed);
