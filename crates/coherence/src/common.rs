@@ -89,7 +89,7 @@ pub struct WbEntry {
 }
 
 /// Statistics kept by every cache controller.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Processor accesses that hit.
     pub hits: u64,
@@ -120,7 +120,7 @@ pub struct CacheStats {
 }
 
 /// Statistics kept by every memory/directory controller.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Requests for which memory supplied the data.
     pub data_responses: u64,
@@ -141,6 +141,64 @@ pub struct MemStats {
     /// duplicated or reordered network traffic from the harness's
     /// broken-network fault injections.
     pub spurious_dropped: u64,
+}
+
+impl CacheStats {
+    /// Adds `other`'s counters into these: how per-controller stats sum
+    /// to whole-system totals.
+    pub fn merge(&mut self, other: &CacheStats) {
+        // Destructured so that a new counter cannot miss the sum.
+        let CacheStats {
+            hits,
+            misses,
+            sharing_misses,
+            writebacks,
+            writebacks_squashed,
+            broadcasts_sent,
+            unicasts_sent,
+            nacks_received,
+            nack_reissues,
+            snoop_responses,
+            spurious_dropped,
+        } = *other;
+        self.hits += hits;
+        self.misses += misses;
+        self.sharing_misses += sharing_misses;
+        self.writebacks += writebacks;
+        self.writebacks_squashed += writebacks_squashed;
+        self.broadcasts_sent += broadcasts_sent;
+        self.unicasts_sent += unicasts_sent;
+        self.nacks_received += nacks_received;
+        self.nack_reissues += nack_reissues;
+        self.snoop_responses += snoop_responses;
+        self.spurious_dropped += spurious_dropped;
+    }
+}
+
+impl MemStats {
+    /// Adds `other`'s counters into these: how per-controller stats sum
+    /// to whole-system totals.
+    pub fn merge(&mut self, other: &MemStats) {
+        // Destructured so that a new counter cannot miss the sum.
+        let MemStats {
+            data_responses,
+            forwards,
+            retries_sent,
+            broadcast_escalations,
+            nacks_sent,
+            writebacks_accepted,
+            writebacks_stale,
+            spurious_dropped,
+        } = *other;
+        self.data_responses += data_responses;
+        self.forwards += forwards;
+        self.retries_sent += retries_sent;
+        self.broadcast_escalations += broadcast_escalations;
+        self.nacks_sent += nacks_sent;
+        self.writebacks_accepted += writebacks_accepted;
+        self.writebacks_stale += writebacks_stale;
+        self.spurious_dropped += spurious_dropped;
+    }
 }
 
 // ---------------------------------------------------------------------

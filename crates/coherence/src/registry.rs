@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 pub type Transition = (&'static str, &'static str, &'static str);
 
 /// Per-controller transition log.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitionLog {
     enabled: bool,
     transitions: BTreeMap<Transition, u64>,

@@ -698,28 +698,11 @@ impl<W: Workload> System<W> {
         let net = &self.net;
         let mut cache = CacheStats::default();
         for c in &self.caches {
-            let s = c.stats();
-            cache.hits += s.hits;
-            cache.misses += s.misses;
-            cache.sharing_misses += s.sharing_misses;
-            cache.writebacks += s.writebacks;
-            cache.writebacks_squashed += s.writebacks_squashed;
-            cache.broadcasts_sent += s.broadcasts_sent;
-            cache.unicasts_sent += s.unicasts_sent;
-            cache.nacks_received += s.nacks_received;
-            cache.nack_reissues += s.nack_reissues;
-            cache.snoop_responses += s.snoop_responses;
+            cache.merge(c.stats());
         }
         let mut mem = MemStats::default();
         for m in &self.mems {
-            let s = m.stats();
-            mem.data_responses += s.data_responses;
-            mem.forwards += s.forwards;
-            mem.retries_sent += s.retries_sent;
-            mem.broadcast_escalations += s.broadcast_escalations;
-            mem.nacks_sent += s.nacks_sent;
-            mem.writebacks_accepted += s.writebacks_accepted;
-            mem.writebacks_stale += s.writebacks_stale;
+            mem.merge(m.stats());
         }
         Snapshot {
             at: self.now,

@@ -28,7 +28,8 @@
 //! protocols without loading it, or print its differential latency diff.
 //!
 //! Each experiment prints an ASCII rendition of the paper's plot and writes
-//! a CSV under `--out` (default `results/`).
+//! a CSV under `--out` (default `results/`). An unknown id, or a flag with a
+//! missing or unparsable value, prints the usage and exits 2.
 
 mod chaos;
 mod common;
@@ -42,41 +43,70 @@ mod topology;
 mod trace;
 mod verify;
 
+use std::str::FromStr;
+
 use common::Options;
 
-fn main() {
+/// Every experiment id the command line accepts, in `--help` order. `all`
+/// runs each of them except `verify`, `chaos` and `wedge-selftest`.
+const IDS: &str = "all fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table1 \
+                   scenarios topology hierarchy verify chaos wedge-selftest";
+
+fn usage() -> String {
+    format!(
+        "usage: bash-experiments [--out DIR] [--scale F] [--seeds N] <ids...>\n  ids: {IDS}\n       \
+         trace <info FILE | migrate IN OUT | replay FILE | diff FILE>"
+    )
+}
+
+/// Parses the arguments after the program name into the options and the
+/// ids, or `None` for `--help`. Flags may appear anywhere.
+fn parse(args: &[String]) -> Result<Option<(Options, Vec<String>)>, String> {
     let mut opts = Options::default();
-    let mut ids: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => {
-                opts.out_dir = args.next().expect("--out needs a directory").into();
-            }
-            "--scale" => {
-                opts.scale = args
-                    .next()
-                    .expect("--scale needs a number")
-                    .parse()
-                    .expect("invalid --scale");
-            }
-            "--seeds" => {
-                opts.seeds = args
-                    .next()
-                    .expect("--seeds needs a count")
-                    .parse()
-                    .expect("invalid --seeds");
-            }
-            "--help" | "-h" => {
-                println!("usage: bash-experiments [--out DIR] [--scale F] [--seeds N] <ids...>");
-                println!("  ids: all fig1..fig12 table1 scenarios topology hierarchy verify");
-                println!("       chaos wedge-selftest");
-                println!("       trace <info FILE | migrate IN OUT | replay FILE | diff FILE>");
-                return;
-            }
+    let mut ids = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--out" => opts.out_dir = value()?.into(),
+            "--scale" => opts.scale = parsed(arg, value()?, |s: &f64| s.is_finite() && *s > 0.0)?,
+            "--seeds" => opts.seeds = parsed(arg, value()?, |n: &u32| *n > 0)?,
+            "--help" | "-h" => return Ok(None),
             other => ids.push(other.to_string()),
         }
     }
+    // `trace` consumes the rest of the line as its own sub-arguments.
+    if ids.first().map(String::as_str) != Some("trace") {
+        let known = |id: &&String| IDS.split_whitespace().any(|k| k == *id);
+        if let Some(unknown) = ids.iter().find(|id| !known(id)) {
+            return Err(format!("unknown id {unknown:?}"));
+        }
+    }
+    Ok(Some((opts, ids)))
+}
+
+/// `value` as a `T` that `ok` accepts.
+fn parsed<T: FromStr>(flag: &str, value: &str, ok: impl Fn(&T) -> bool) -> Result<T, String> {
+    value
+        .parse()
+        .ok()
+        .filter(ok)
+        .ok_or_else(|| format!("{flag}: bad value {value:?}"))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (opts, mut ids) = match parse(&args) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{}", usage());
+            return;
+        }
+        Err(e) => {
+            eprintln!("bash-experiments: {e}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
     // `trace` consumes the rest of the line as its own sub-arguments.
     if ids.first().map(String::as_str) == Some("trace") {
         if !trace::trace_cmd(&opts, &ids[1..]) {
@@ -188,4 +218,43 @@ fn main() {
         }
     }
     eprintln!("done.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn flags_ids_and_trace_parse() {
+        let parse = |line| parse(&args(line)).unwrap();
+        let (opts, ids) = parse("--scale 0.3 fig4 --seeds 3 --out /x table1").unwrap();
+        assert_eq!((opts.scale, opts.seeds), (0.3, 3));
+        assert_eq!(opts.out_dir, std::path::PathBuf::from("/x"));
+        assert_eq!(ids, args("fig4 table1"));
+        assert!(parse("fig1 -h").is_none());
+        let (_, ids) = parse("trace migrate a.trace b.trace").unwrap();
+        assert_eq!(ids, args("trace migrate a.trace b.trace"));
+    }
+
+    #[test]
+    fn unknown_ids_and_bad_flag_values_are_usage_errors() {
+        for line in [
+            "tabel1",
+            "fig4 --verbose",
+            "fig4 trace",
+            "--scale abc fig4",
+            "--scale 0 fig4",
+            "--scale inf fig4",
+            "--seeds 0 fig4",
+            "--seeds -1",
+            "fig4 --out",
+            "--scale",
+        ] {
+            assert!(parse(&args(line)).is_err(), "{line:?} must be rejected");
+        }
+    }
 }

@@ -13,7 +13,8 @@
 //! `MemS`, `Own`, `OwnS`, `WbPending`) with GetS/GetM/PutM/WbData, and
 //! never a retry event.
 
-use bash::{run_random_test, DecisionMode, ProtocolKind, TesterConfig, TransitionLog};
+use bash::tester::RandomWorkload;
+use bash::{run_verify, DecisionMode, Duration, ProtocolKind, TransitionLog};
 
 use crate::common::{write_csv, Options};
 
@@ -38,26 +39,30 @@ pub fn collect_coverage() -> Vec<Coverage> {
     for proto in ProtocolKind::ALL {
         let mut cache = TransitionLog::new();
         let mut mem = TransitionLog::new();
-        let mut configs = vec![
-            TesterConfig::hostile(proto, 1),
-            TesterConfig::hostile(proto, 2),
+        let mut runs = vec![
+            RandomWorkload::hostile(proto, 1),
+            RandomWorkload::hostile(proto, 2),
         ];
         if proto == ProtocolKind::Bash {
-            configs.push(TesterConfig::nack_storm(3));
-            let mut unicast_heavy = TesterConfig::hostile(proto, 4);
-            unicast_heavy.adaptor_mode = DecisionMode::AlwaysUnicast;
-            unicast_heavy.initial_policy = 255;
-            configs.push(unicast_heavy);
+            // The nack storm: one retry buffer, every request unicast.
+            let (mut nack_storm, workload) = RandomWorkload::hostile(proto, 3);
+            nack_storm.retry_capacity = 1;
+            nack_storm.adaptor.mode = DecisionMode::AlwaysUnicast;
+            nack_storm.adaptor.initial_policy = 255;
+            runs.push((nack_storm, workload));
+            let (mut unicast_heavy, workload) = RandomWorkload::hostile(proto, 4);
+            unicast_heavy.adaptor.mode = DecisionMode::AlwaysUnicast;
+            unicast_heavy.adaptor.initial_policy = 255;
+            runs.push((unicast_heavy, workload));
             // High contention on one block maximizes retry races
             // (window-of-vulnerability → broadcast escalation).
-            let mut contended = TesterConfig::hostile(proto, 5);
-            contended.blocks = 1;
+            let (mut contended, _) = RandomWorkload::hostile(proto, 5);
             contended.nodes = 8;
-            contended.adaptor_mode = DecisionMode::Adaptive;
-            configs.push(contended);
+            let workload = RandomWorkload::new(8, 1, Duration::from_ns(300), 0.6, 5);
+            runs.push((contended, workload));
         }
-        for cfg in configs {
-            let report = run_random_test(cfg);
+        for (cfg, workload) in runs {
+            let report = run_verify(&cfg, workload);
             assert!(
                 report.passed(),
                 "{proto:?} violated coherence during coverage collection: {:?}",

@@ -5,7 +5,9 @@
 //! action/check (store/load) pairs, and widely variable message latencies
 //! to force each protocol through a myriad of corner cases."
 //!
-//! This crate is that tester:
+//! This crate is that tester: [`RandomWorkload`] run through
+//! [`run_verify`], the one harness every workload is checked under
+//! ([`RandomWorkload::hostile`] is the tester's setup):
 //!
 //! * **false sharing** — a handful of hot blocks, each node writing its own
 //!   word of them, so data races never exist at word granularity while the
@@ -22,14 +24,15 @@
 //!   block, home owner records match cache states, every cached copy equals
 //!   the owner's data, and each word equals its writer's last store;
 //! * **transition coverage** — every controller records its (state, event)
-//!   transitions, feeding Table 1.
+//!   transitions, which the [`VerifyReport`] merges; Table 1 is built from
+//!   them.
 //!
-//! Beyond the random tester, the crate is a full **scenario-driven
-//! verification subsystem**:
+//! The harness is not tied to the random tester; it is a full
+//! **scenario-driven verification subsystem**:
 //!
-//! * [`verify`] — drive any catalog scenario or replayed trace through
-//!   any protocol with the (generalized) value oracle, quiescence and
-//!   structural invariants enabled;
+//! * [`verify`] — drive any catalog scenario, replayed trace or other
+//!   workload through any protocol with the (generalized) value oracle,
+//!   quiescence and structural invariants enabled;
 //! * [`differential`] — replay one captured trace through all three
 //!   protocols and diff final memory images and per-location value
 //!   histories;
@@ -47,10 +50,10 @@ pub use checker::{CheckViolation, Oracle};
 pub use differential::{
     differential_trace, DiffMismatch, DifferentialReport, LatencyDiff, LatencySummary,
 };
-pub use harness::{run_random_test, sweep_structural, TesterConfig, TesterReport};
+pub use harness::sweep_structural;
 pub use minimize::{minimize_trace, MinimizeOutcome};
 pub use verify::{
-    run_verify, run_verify_scenario, run_verify_trace, verify_catalog, verify_catalog_reports,
-    CheckedWorkload, VerifyConfig, VerifyReport, VerifyVerdict,
+    run_verify, run_verify_scenario, run_verify_trace, verify_catalog_reports, CheckedWorkload,
+    VerifyConfig, VerifyReport,
 };
 pub use workload::RandomWorkload;

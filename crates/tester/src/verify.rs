@@ -14,8 +14,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use bash_adaptive::AdaptorConfig;
 use bash_coherence::cache::CacheGeometry;
-use bash_coherence::{HierarchyConfig, ProcOp, ProtocolKind};
+use bash_coherence::common::{CacheStats, MemStats};
+use bash_coherence::{HierarchyConfig, ProcOp, ProtocolKind, TransitionLog};
 use bash_kernel::{pool, Duration, Time};
 use bash_net::{FaultPlaneConfig, Jitter, NodeId, OrderingMode, TopologyKind};
 use bash_sim::{FaultInjection, RunError, System, SystemConfig, WatchdogBudget, WedgeDiagnostic};
@@ -63,6 +65,11 @@ pub struct VerifyConfig {
     /// directory spine); `None` verifies the flat organization. Both
     /// counts must divide [`nodes`](Self::nodes).
     pub hierarchy: Option<HierarchyConfig>,
+    /// The adaptive mechanism's parameters (BASH's decision mode and
+    /// initial policy steer how often requests unicast and retry).
+    pub adaptor: AdaptorConfig,
+    /// BASH home retry-buffer capacity (1 forces the nack path).
+    pub retry_capacity: usize,
     /// Relative spread of per-node mean latencies across protocols above
     /// which a differential run counts the location as a latency
     /// divergence (informational — latency differences are *expected*
@@ -75,6 +82,8 @@ impl VerifyConfig {
     /// The hostile default for `protocol`: 4 nodes, 800 MB/s, a tiny
     /// thrashing cache, jitter on, 400 ops per node.
     pub fn new(protocol: ProtocolKind, seed: u64) -> Self {
+        // The adaptor and retry buffer default to the paper system's.
+        let paper = SystemConfig::paper_default(protocol, 4, 800);
         VerifyConfig {
             protocol,
             nodes: 4,
@@ -92,6 +101,8 @@ impl VerifyConfig {
             fault_plane: None,
             watchdog: None,
             hierarchy: None,
+            adaptor: paper.adaptor,
+            retry_capacity: paper.retry_capacity,
             latency_tolerance: 0.25,
         }
     }
@@ -99,13 +110,16 @@ impl VerifyConfig {
     /// The `SystemConfig` a verification run under this config uses.
     /// Capture is always on — with completion events, so every
     /// verification trace doubles as input to the differential latency
-    /// pass.
+    /// pass — and so is transition coverage, which feeds Table 1.
     pub fn system_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::paper_default(self.protocol, self.nodes, self.link_mbps)
             .with_topology(self.topology)
             .with_seed(self.seed)
             .with_cache(self.cache)
+            .with_adaptor(self.adaptor.clone())
+            .with_coverage()
             .with_capture_completions();
+        cfg.retry_capacity = self.retry_capacity;
         if let Some(jitter) = &self.jitter {
             cfg = cfg.with_jitter(jitter.clone());
         }
@@ -124,7 +138,7 @@ impl VerifyConfig {
 }
 
 /// The outcome of one verification run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct VerifyReport {
     /// Workload display name.
     pub workload: String,
@@ -161,6 +175,14 @@ pub struct VerifyReport {
     /// [`run_verify_trace`] to reproduce this verdict, or feed it to
     /// [`minimize_trace`](crate::minimize::minimize_trace) on failure.
     pub trace: Trace,
+    /// Transition coverage of every cache controller, merged.
+    pub cache_log: TransitionLog,
+    /// Transition coverage of every memory controller, merged.
+    pub mem_log: TransitionLog,
+    /// Whole-run cache-controller statistics, summed over nodes.
+    pub cache_stats: CacheStats,
+    /// Whole-run memory-controller statistics, summed over nodes.
+    pub mem_stats: MemStats,
 }
 
 impl VerifyReport {
@@ -249,6 +271,16 @@ pub fn run_verify<W: Workload>(cfg: &VerifyConfig, workload: W) -> VerifyReport 
         sweep_structural(&system, &mut o);
     }
 
+    let (mut cache_log, mut cache_stats) = (TransitionLog::new(), CacheStats::default());
+    for c in system.caches() {
+        cache_log.merge(c.log());
+        cache_stats.merge(c.stats());
+    }
+    let (mut mem_log, mut mem_stats) = (TransitionLog::new(), MemStats::default());
+    for m in system.mems() {
+        mem_log.merge(m.log());
+        mem_stats.merge(m.stats());
+    }
     let ordering = system.ordering();
     let trace = system
         .take_captured_trace()
@@ -272,6 +304,10 @@ pub fn run_verify<W: Workload>(cfg: &VerifyConfig, workload: W) -> VerifyReport 
         violations: oracle.violations().to_vec(),
         wedge,
         trace,
+        cache_log,
+        mem_log,
+        cache_stats,
+        mem_stats,
     }
 }
 
@@ -298,29 +334,14 @@ pub fn run_verify_trace(cfg: &VerifyConfig, trace: &Trace) -> VerifyReport {
     run_verify(&cfg, replay)
 }
 
-/// One cell of a [`verify_catalog`] matrix run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyVerdict {
-    /// Catalog scenario name.
-    pub scenario: String,
-    /// Protocol of this cell.
-    pub protocol: ProtocolKind,
-    /// True when the run found no violations.
-    pub passed: bool,
-    /// Number of violations found.
-    pub violations: usize,
-    /// First violation message, when any.
-    pub first_violation: Option<String>,
-    /// Loads the oracle validated (coverage sanity).
-    pub loads_checked: u64,
-}
-
 /// Runs every catalog scenario × every protocol under the invariant
 /// harness and returns the **full reports** (with captured traces),
 /// fanning the (scenario × protocol) grid across `threads` worker
 /// threads. This is the one source of truth for the matrix enumeration:
-/// [`verify_catalog`] condenses it to verdicts for tests, and the
-/// experiments `verify` gate builds its CSV and minimization on it.
+/// the experiments `verify` gate builds its CSV and minimization on it.
+/// Every cell is an independent, self-seeded simulation, so the reports
+/// are **identical at any thread count** — which is itself part of the
+/// determinism contract the root test suite enforces.
 pub fn verify_catalog_reports(
     nodes: u16,
     seed: u64,
@@ -338,31 +359,6 @@ pub fn verify_catalog_reports(
         cfg.ops_per_node = ops_per_node;
         (scenario.name, run_verify_scenario(&cfg, scenario.name))
     })
-}
-
-/// Runs every catalog scenario × every protocol under the invariant
-/// harness (see [`verify_catalog_reports`]) and condenses each cell to a
-/// [`VerifyVerdict`]. Every cell is an independent, self-seeded
-/// simulation, so the verdict list is **identical at any thread count**
-/// — which is itself part of the determinism contract the root test
-/// suite enforces.
-pub fn verify_catalog(
-    nodes: u16,
-    seed: u64,
-    ops_per_node: u64,
-    threads: usize,
-) -> Vec<VerifyVerdict> {
-    verify_catalog_reports(nodes, seed, ops_per_node, threads)
-        .into_iter()
-        .map(|(scenario, report)| VerifyVerdict {
-            scenario: scenario.to_string(),
-            protocol: report.protocol,
-            passed: report.passed(),
-            violations: report.violations.len(),
-            first_violation: report.first_violation().map(str::to_string),
-            loads_checked: report.loads_checked,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -438,9 +434,9 @@ mod tests {
 
     #[test]
     fn matrix_is_thread_invariant() {
-        let serial = verify_catalog(2, 5, 24, 1);
-        let parallel = verify_catalog(2, 5, 24, 4);
-        assert_eq!(serial, parallel);
+        let serial = verify_catalog_reports(2, 5, 24, 1);
+        let parallel = verify_catalog_reports(2, 5, 24, 4);
+        assert!(serial == parallel, "reports must not depend on threads");
         assert_eq!(
             serial.len(),
             catalog::CATALOG.len() * ProtocolKind::ALL.len()

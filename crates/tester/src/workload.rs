@@ -1,28 +1,26 @@
 //! The random action/check workload.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use bash_coherence::cache::CacheGeometry;
 use bash_coherence::types::WORDS_PER_BLOCK;
-use bash_coherence::{BlockAddr, ProcOp};
+use bash_coherence::{BlockAddr, ProcOp, ProtocolKind};
 use bash_kernel::{DetRng, Duration, Time};
 use bash_net::NodeId;
 use bash_workloads::{WorkItem, Workload};
 
-use crate::checker::Oracle;
+use crate::verify::VerifyConfig;
 
-/// A workload issuing random store/load pairs over a small, hotly contended
-/// block pool, validating every load against the [`Oracle`].
+/// An endless stream of random store/load pairs over a small, hotly
+/// contended block pool. Run it under [`run_verify`](crate::run_verify):
+/// the harness's [`CheckedWorkload`](crate::CheckedWorkload) gives every
+/// store its oracle token, checks every load, and caps the stream at
+/// [`VerifyConfig::ops_per_node`].
 #[derive(Debug)]
 pub struct RandomWorkload {
     nodes: u16,
     blocks: u64,
-    ops_per_node: u64,
     max_think: Duration,
     store_fraction: f64,
     rngs: Vec<DetRng>,
-    issued: Vec<u64>,
-    oracle: Rc<RefCell<Oracle>>,
 }
 
 impl RandomWorkload {
@@ -32,35 +30,40 @@ impl RandomWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` exceeds [`WORDS_PER_BLOCK`] or is zero.
+    /// Panics if `nodes` exceeds [`WORDS_PER_BLOCK`] or is zero, or if
+    /// `blocks` is zero.
     pub fn new(
         nodes: u16,
         blocks: u64,
-        ops_per_node: u64,
         max_think: Duration,
         store_fraction: f64,
         seed: u64,
-        oracle: Rc<RefCell<Oracle>>,
     ) -> Self {
         assert!(nodes > 0 && (nodes as usize) <= WORDS_PER_BLOCK);
-        assert!(blocks > 0 && ops_per_node > 0);
+        assert!(blocks > 0);
         let mut root = DetRng::seed_from(seed);
         let rngs = (0..nodes).map(|i| root.fork(i as u64)).collect();
         RandomWorkload {
             nodes,
             blocks,
-            ops_per_node,
             max_think,
             store_fraction,
             rngs,
-            issued: vec![0; nodes as usize],
-            oracle,
         }
     }
 
-    /// Total operations issued so far.
-    pub fn total_issued(&self) -> u64 {
-        self.issued.iter().sum()
+    /// The paper's §3.4 tester setup for `protocol`, and the stream it
+    /// runs: 4 nodes at 800 MB/s with jittered latencies, a 2×2 cache the
+    /// hot pool thrashes (evictions and writeback races constantly), 2000
+    /// ops per node over 6 blocks, think times up to 300 ns and 60%
+    /// stores. BASH starts at policy 128, a 50/50 broadcast/unicast mix.
+    pub fn hostile(protocol: ProtocolKind, seed: u64) -> (VerifyConfig, Self) {
+        let mut cfg = VerifyConfig::new(protocol, seed);
+        cfg.cache = CacheGeometry { sets: 2, ways: 2 };
+        cfg.ops_per_node = 2_000;
+        cfg.adaptor.initial_policy = 128;
+        let workload = RandomWorkload::new(cfg.nodes, 6, Duration::from_ns(300), 0.6, seed);
+        (cfg, workload)
     }
 }
 
@@ -68,10 +71,6 @@ impl Workload for RandomWorkload {
     fn next_item(&mut self, node: NodeId, _now: Time) -> Option<WorkItem> {
         debug_assert!(node.index() < self.rngs.len());
         let idx = node.index();
-        if self.issued[idx] >= self.ops_per_node {
-            return None;
-        }
-        self.issued[idx] += 1;
         let rng = &mut self.rngs[idx];
         let block = BlockAddr(rng.below(self.blocks));
         let think = if self.max_think.is_zero() {
@@ -80,9 +79,13 @@ impl Workload for RandomWorkload {
             Duration::from_ps(rng.below(self.max_think.as_ps() + 1))
         };
         let op = if rng.chance(self.store_fraction) {
+            // The harness replaces the value with the store's oracle token.
             let word = idx % WORDS_PER_BLOCK;
-            let value = self.oracle.borrow_mut().issue_store(node, block, word);
-            ProcOp::Store { block, word, value }
+            ProcOp::Store {
+                block,
+                word,
+                value: 0,
+            }
         } else {
             // Load a random word: sometimes our own (exact check), sometimes
             // another node's (monotonicity check).
@@ -96,10 +99,6 @@ impl Workload for RandomWorkload {
         })
     }
 
-    fn on_complete(&mut self, node: NodeId, now: Time, op: &ProcOp, value: u64) {
-        self.oracle.borrow_mut().observe(node, now, op, value);
-    }
-
     fn name(&self) -> &str {
         "random-tester"
     }
@@ -107,22 +106,23 @@ impl Workload for RandomWorkload {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    fn workload(nodes: u16, ops: u64) -> (RandomWorkload, Rc<RefCell<Oracle>>) {
+    use super::*;
+    use crate::checker::Oracle;
+    use crate::verify::CheckedWorkload;
+
+    /// The stream as the harness runs it: capped at `ops` per node, store
+    /// values replaced by oracle tokens.
+    fn workload(nodes: u16, ops: u64) -> (CheckedWorkload<RandomWorkload>, Rc<RefCell<Oracle>>) {
         let oracle = Rc::new(RefCell::new(Oracle::new()));
-        let wl = RandomWorkload::new(
-            nodes,
-            4,
-            ops,
-            Duration::from_ns(100),
-            0.5,
-            7,
-            Rc::clone(&oracle),
-        );
+        let inner = RandomWorkload::new(nodes, 4, Duration::from_ns(100), 0.5, 7);
+        let wl = CheckedWorkload::new(inner, nodes, ops, Rc::clone(&oracle));
         (wl, oracle)
     }
 
+    /// The endless stream stops where the harness caps it, per node.
     #[test]
     fn issues_exactly_ops_per_node_then_stops() {
         let (mut wl, _oracle) = workload(2, 5);
@@ -131,7 +131,6 @@ mod tests {
         }
         assert!(wl.next_item(NodeId(0), Time::ZERO).is_none());
         assert!(wl.next_item(NodeId(1), Time::ZERO).is_some());
-        assert_eq!(wl.total_issued(), 6);
     }
 
     #[test]
@@ -156,6 +155,7 @@ mod tests {
         }
     }
 
+    /// The harness's tokens for the wrapped stream rise per (node, block).
     #[test]
     fn store_values_come_from_the_oracle_monotonically() {
         let (mut wl, oracle) = workload(1, 300);
@@ -176,7 +176,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "nodes")]
     fn too_many_nodes_for_word_ownership_panics() {
-        let oracle = Rc::new(RefCell::new(Oracle::new()));
-        let _ = RandomWorkload::new(9, 4, 10, Duration::ZERO, 0.5, 1, oracle);
+        let _ = RandomWorkload::new(9, 4, Duration::ZERO, 0.5, 1);
     }
 }

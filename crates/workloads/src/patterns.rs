@@ -208,11 +208,6 @@ impl PatternWorkload {
         &self.params
     }
 
-    /// Total operations issued across all nodes.
-    pub fn total_issued(&self) -> u64 {
-        self.issued.iter().sum()
-    }
-
     fn store(&mut self, idx: usize, block: BlockAddr) -> ProcOp {
         self.counters[idx] += 1;
         ProcOp::Store {

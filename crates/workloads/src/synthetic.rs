@@ -139,7 +139,6 @@ pub struct SyntheticWorkload {
     private_cursor: Vec<u64>,
     /// Per-node monotone store value (coherence check token).
     counters: Vec<u64>,
-    issued: Vec<u64>,
 }
 
 impl SyntheticWorkload {
@@ -162,18 +161,12 @@ impl SyntheticWorkload {
             rngs,
             private_cursor: vec![0; nodes as usize],
             counters: vec![0; nodes as usize],
-            issued: vec![0; nodes as usize],
         }
     }
 
     /// The parameters this generator runs with.
     pub fn params(&self) -> &WorkloadParams {
         &self.params
-    }
-
-    /// Total operations issued.
-    pub fn total_issued(&self) -> u64 {
-        self.issued.iter().sum()
     }
 }
 
@@ -219,7 +212,6 @@ impl Workload for SyntheticWorkload {
                 ProcOp::Load { block, word: 0 }
             }
         };
-        self.issued[idx] += 1;
         Some(WorkItem {
             think,
             instructions,

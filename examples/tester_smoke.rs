@@ -3,7 +3,8 @@
 //!
 //! `cargo run --release --example tester_smoke [snooping|directory|bash]`
 
-use bash::{run_random_test, ProtocolKind, TesterConfig};
+use bash::tester::RandomWorkload;
+use bash::{run_verify, ProtocolKind};
 
 fn main() {
     let protos: Vec<ProtocolKind> = match std::env::args().nth(1).as_deref() {
@@ -18,14 +19,15 @@ fn main() {
     };
     for proto in protos {
         eprintln!("running {proto:?}...");
-        let mut cfg = TesterConfig::hostile(proto, 42);
+        let (mut cfg, workload) = RandomWorkload::hostile(proto, 42);
         cfg.ops_per_node = 500;
-        let report = run_random_test(cfg);
+        let report = run_verify(&cfg, workload);
         println!(
             "{:?}: ops={} loads={} stores={} retries={} nacks={} squashed={} stale={} violations={}",
             proto, report.ops, report.loads_checked, report.stores_applied,
-            report.retries, report.nacks, report.writebacks_squashed,
-            report.writebacks_stale, report.violations.len()
+            report.mem_stats.retries_sent, report.mem_stats.nacks_sent,
+            report.cache_stats.writebacks_squashed, report.mem_stats.writebacks_stale,
+            report.violations.len()
         );
         for v in report.violations.iter().take(5) {
             println!("  VIOLATION: {}", v.what);

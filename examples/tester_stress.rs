@@ -1,34 +1,39 @@
 //! The hostile tester sweep: the nack storm plus ten seeds of every
-//! protocol. Exits loudly on any coherence violation.
+//! protocol. Exits with status 1 on any coherence violation.
 //!
 //! `cargo run --release --example tester_stress`
 
-use bash::{run_random_test, ProtocolKind, TesterConfig};
+use bash::tester::RandomWorkload;
+use bash::{run_verify, DecisionMode, ProtocolKind};
 
 fn main() {
     // Nack storm: one retry buffer, all unicast.
-    let report = run_random_test(TesterConfig::nack_storm(7));
+    let (mut cfg, workload) = RandomWorkload::hostile(ProtocolKind::Bash, 7);
+    cfg.retry_capacity = 1;
+    cfg.adaptor.mode = DecisionMode::AlwaysUnicast;
+    cfg.adaptor.initial_policy = 255;
+    let report = run_verify(&cfg, workload);
     println!(
         "nack_storm: retries={} nacks={} escalations={} violations={}",
-        report.retries,
-        report.nacks,
-        report.escalations,
+        report.mem_stats.retries_sent,
+        report.mem_stats.nacks_sent,
+        report.mem_stats.broadcast_escalations,
         report.violations.len()
     );
     for v in report.violations.iter().take(3) {
         println!("  VIOLATION: {}", v.what);
     }
+    let mut total_viol = report.violations.len();
     // Many seeds, all protocols.
-    let mut total_viol = 0;
     for seed in 0..10 {
         for proto in [
             ProtocolKind::Snooping,
             ProtocolKind::Directory,
             ProtocolKind::Bash,
         ] {
-            let mut cfg = TesterConfig::hostile(proto, seed);
+            let (mut cfg, workload) = RandomWorkload::hostile(proto, seed);
             cfg.ops_per_node = 1000;
-            let r = run_random_test(cfg);
+            let r = run_verify(&cfg, workload);
             if !r.passed() {
                 println!(
                     "{proto:?} seed {seed}: {} violations! e.g. {}",
@@ -40,4 +45,7 @@ fn main() {
         }
     }
     println!("sweep done, total violations: {total_viol}");
+    if total_viol > 0 {
+        std::process::exit(1);
+    }
 }

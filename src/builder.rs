@@ -940,18 +940,21 @@ impl SimBuilder {
 
     /// Runs the configured workload through the verification harness:
     /// the builder's protocol, node count, first bandwidth point, seed,
-    /// and cache override, with the generalized value oracle,
+    /// topology, hierarchy, fault plane, watchdog, and cache, adaptor and
+    /// retry-capacity overrides, with the generalized value oracle,
     /// quiescence check and structural invariant sweep enabled. Endless
     /// workloads are capped at `ops_per_node` operations per node so the
     /// run reaches quiescence; a [`trace_in`](Self::trace_in) replay
     /// ignores the cap and always runs the whole trace (it is the
     /// reproduction path for captured failures).
     ///
-    /// Unlike [`run`](Self::run), this ignores the measurement plan: a
-    /// verification run always executes to idle and sweeps invariants at
-    /// quiescence. The returned report carries the instrumented op trace,
-    /// ready for [`tester::minimize_trace`](bash_tester::minimize_trace)
-    /// if the run failed.
+    /// Unlike [`run`](Self::run), this ignores the measurement plan,
+    /// [`seeds`](Self::seeds) and the fabric's `broadcast_cost`: a
+    /// verification run is one run that always executes to idle and
+    /// sweeps invariants at quiescence. The returned report carries the
+    /// instrumented op trace, ready for
+    /// [`tester::minimize_trace`](bash_tester::minimize_trace) if the run
+    /// failed.
     ///
     /// # Errors
     ///
@@ -970,6 +973,8 @@ impl SimBuilder {
         vcfg.fault_plane = self.robustness.fault_plane.clone();
         vcfg.watchdog = self.robustness.watchdog;
         vcfg.hierarchy = self.hierarchy.map(|h| h.config());
+        vcfg.adaptor = cfg.adaptor.clone();
+        vcfg.retry_capacity = cfg.retry_capacity;
         if let WorkloadSpec::Trace(trace) = spec {
             // A replay must reproduce the whole captured stream: the
             // trace's own length, not the op cap, bounds the run.

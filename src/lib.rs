@@ -71,9 +71,8 @@ pub use bash_sim::{
     SystemConfig, WatchdogBudget, WedgeCause, WedgeDiagnostic,
 };
 pub use bash_tester::{
-    differential_trace, minimize_trace, run_random_test, run_verify, run_verify_trace,
-    verify_catalog, CheckViolation, DiffMismatch, DifferentialReport, LatencyDiff, LatencySummary,
-    MinimizeOutcome, TesterConfig, TesterReport, VerifyConfig, VerifyReport, VerifyVerdict,
+    differential_trace, minimize_trace, run_verify, run_verify_trace, CheckViolation, DiffMismatch,
+    DifferentialReport, LatencyDiff, LatencySummary, MinimizeOutcome, VerifyConfig, VerifyReport,
 };
 pub use bash_trace::{
     ChunkIndex, SeekableTrace, Trace, TraceCapture, TraceError, TraceHeader, TraceReader,

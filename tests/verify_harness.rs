@@ -3,17 +3,19 @@
 //! Two halves:
 //!
 //! * **the harness trusts nothing** — every catalog scenario × every
-//!   protocol must run clean, with identical verdicts at `threads(1)` and
+//!   protocol must run clean, with identical reports at `threads(1)` and
 //!   `threads(4)` (determinism of the matrix executor);
 //! * **the harness catches real breakage** — an intentionally broken
 //!   protocol variant (runtime fault injection: corrupted load returns)
 //!   must be flagged, and the failing trace must shrink to a small,
 //!   replayable `.trace` repro.
 
-use bash::tester::{minimize_trace, run_verify_scenario, run_verify_trace, VerifyConfig};
+use bash::tester::{
+    minimize_trace, run_verify_scenario, run_verify_trace, verify_catalog_reports, VerifyConfig,
+};
 use bash::{
-    differential_trace, verify_catalog, verify_scenario, BuildError, FaultInjection,
-    HierarchyConfig, ProtocolKind, SimBuilder, Trace,
+    differential_trace, verify_scenario, AdaptorConfig, BuildError, DecisionMode, FaultInjection,
+    HierarchyConfig, ProtocolKind, SimBuilder, Trace, VerifyReport,
 };
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -23,18 +25,21 @@ const PROTOCOLS: [ProtocolKind; 3] = [
 ];
 
 /// Acceptance gate: every catalog scenario runs clean under the invariant
-/// harness for all three protocols, and the verdict list is identical
-/// whether the matrix runs on one worker thread or four.
+/// harness for all three protocols, and the full reports (captured traces
+/// included) are identical whether the matrix runs on one worker thread
+/// or four.
 #[test]
 fn catalog_is_clean_and_thread_invariant() {
-    let serial = verify_catalog(4, 0xF00D, 200, 1);
-    let parallel = verify_catalog(4, 0xF00D, 200, 4);
-    assert_eq!(serial, parallel, "verdicts must not depend on threads");
-    for v in &serial {
+    let serial = verify_catalog_reports(4, 0xF00D, 200, 1);
+    let parallel = verify_catalog_reports(4, 0xF00D, 200, 4);
+    assert!(serial == parallel, "reports must not depend on threads");
+    for (scenario, report) in &serial {
         assert!(
-            v.passed,
-            "{}/{:?}: {} violations, first: {:?}",
-            v.scenario, v.protocol, v.violations, v.first_violation
+            report.passed(),
+            "{scenario}/{:?}: {} violations, first: {:?}",
+            report.protocol,
+            report.violations.len(),
+            report.first_violation()
         );
     }
     assert_eq!(serial.len(), bash::catalog::CATALOG.len() * 3);
@@ -53,6 +58,28 @@ fn facade_verify_entry_points_work() {
         .verify(150);
     assert!(report.passed(), "first: {:?}", report.first_violation());
     assert_eq!(report.ops, 600);
+
+    // The builder's adaptor and retry capacity reach the verification run:
+    // all-unicast requests into a one-entry retry buffer must retry and nack.
+    let report = SimBuilder::new(ProtocolKind::Bash)
+        .nodes(4)
+        .adaptor(AdaptorConfig {
+            mode: DecisionMode::AlwaysUnicast,
+            initial_policy: 255,
+            ..AdaptorConfig::paper_default()
+        })
+        .retry_capacity(1)
+        .scenario("migratory")
+        .verify(200);
+    assert!(report.passed(), "first: {:?}", report.first_violation());
+    assert!(
+        report.mem_stats.retries_sent > 0,
+        "unicast misses must retry"
+    );
+    assert!(
+        report.mem_stats.nacks_sent > 0,
+        "one retry entry must overflow"
+    );
 
     assert!(matches!(
         verify_scenario("no-such-scenario", ProtocolKind::Bash),
@@ -193,6 +220,8 @@ fn dropped_invalidations_are_caught_for_every_protocol() {
 /// finds a moved owner to corrupt.
 #[test]
 fn duplicated_deliveries_are_caught_for_every_protocol() {
+    // Deliveries the controllers' tolerant mode dropped as spurious.
+    let dropped = |r: &VerifyReport| r.cache_stats.spurious_dropped + r.mem_stats.spurious_dropped;
     for proto in PROTOCOLS {
         let mut cfg = VerifyConfig::new(proto, 1);
         cfg.ops_per_node = 200;
@@ -202,13 +231,19 @@ fn duplicated_deliveries_are_caught_for_every_protocol() {
             !report.passed(),
             "{proto:?}: duplicated deliveries must be caught"
         );
+        assert!(
+            dropped(&report) > 0,
+            "{proto:?}: the duplicates must reach the tolerant drop path"
+        );
         // Control: the same stream is clean without the fault.
         let mut clean_cfg = cfg.clone();
         clean_cfg.fault = None;
+        let clean = run_verify_trace(&clean_cfg, &report.trace);
         assert!(
-            run_verify_trace(&clean_cfg, &report.trace).passed(),
+            clean.passed(),
             "{proto:?}: the captured stream must be clean without the fault"
         );
+        assert_eq!(dropped(&clean), 0, "{proto:?}: a clean run drops nothing");
     }
 }
 
