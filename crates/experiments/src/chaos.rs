@@ -17,10 +17,7 @@
 //! structured diagnostic instead of a hang — the CI chaos-smoke job
 //! asserts the non-zero exit and the `Wedged` marker.
 
-use bash::{
-    Duration, FabricSpec, FaultPlaneConfig, ProtocolKind, RobustnessSpec, SimBuilder, TopologyKind,
-    WatchdogBudget,
-};
+use bash::{Duration, FaultPlaneConfig, ProtocolKind, SimBuilder, TopologyKind, WatchdogBudget};
 
 use crate::common::{ascii_chart, write_csv, Options};
 
@@ -47,17 +44,14 @@ pub fn chaos(opts: &Options) -> bool {
             for loss in LOSS {
                 let report = SimBuilder::new(proto)
                     .nodes(16)
-                    .fabric(FabricSpec::new(topo))
+                    .topology(topo)
                     .locking_microbench(256, Duration::ZERO)
                     .seed(0xF00D)
                     .seeds(opts.seeds.max(1))
-                    .robustness(
-                        RobustnessSpec::new()
-                            .fault_plane(FaultPlaneConfig::lossy(0xC0A5, loss))
-                            // Generous safety net: an unexpected wedge becomes
-                            // an error row, never a hung experiment run.
-                            .watchdog(WatchdogBudget::events(200_000_000)),
-                    )
+                    .fault_plane(FaultPlaneConfig::lossy(0xC0A5, loss))
+                    // Generous safety net: an unexpected wedge becomes an
+                    // error row, never a hung experiment run.
+                    .watchdog(WatchdogBudget::events(200_000_000))
                     .plan(warmup, measure)
                     .run();
                 for e in &report.errors {
@@ -126,16 +120,13 @@ pub fn chaos(opts: &Options) -> bool {
 pub fn wedge_selftest() -> Option<String> {
     let report = SimBuilder::new(ProtocolKind::Snooping)
         .nodes(8)
-        .fabric(FabricSpec::new(TopologyKind::Ring))
+        .topology(TopologyKind::Ring)
         .locking_microbench(64, Duration::ZERO)
         .seed(0xF00D)
-        .robustness(
-            RobustnessSpec::new()
-                .fault_plane(FaultPlaneConfig::lossy(0xDEAD, 0.3).unprotected())
-                // Backstop against livelock (retry storms); the stalled-drain
-                // check catches the common silent-death wedge without it.
-                .watchdog(WatchdogBudget::events(5_000_000)),
-        )
+        .fault_plane(FaultPlaneConfig::lossy(0xDEAD, 0.3).unprotected())
+        // Backstop against livelock (retry storms); the stalled-drain check
+        // catches the common silent-death wedge without it.
+        .watchdog(WatchdogBudget::events(5_000_000))
         .try_verify(64)
         .expect("wedge-selftest config is valid");
     report.wedge.map(|d| d.to_string())

@@ -9,7 +9,7 @@
 //! traffic stays inside a cluster, how evenly requests spread over the
 //! spine banks, and what the cluster size costs in throughput.
 
-use bash::{Duration, HierarchySpec, ProtocolKind, SimBuilder};
+use bash::{Duration, HierarchyConfig, ProtocolKind, SimBuilder};
 
 use crate::common::{ascii_chart, write_csv, Options};
 
@@ -37,7 +37,7 @@ pub fn hierarchy(opts: &Options) {
             for proto in ProtocolKind::ALL {
                 let report = SimBuilder::new(proto)
                     .nodes(nodes)
-                    .hierarchy(HierarchySpec::new(cluster_size, BANKS))
+                    .hierarchy(HierarchyConfig::new(cluster_size, BANKS))
                     .locking_microbench(256, Duration::ZERO)
                     .seed(0xF00D)
                     .seeds(opts.seeds.max(1))

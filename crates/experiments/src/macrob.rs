@@ -2,7 +2,7 @@
 //! the microbenchmark plus the five synthetic commercial/scientific
 //! workloads).
 
-use bash::{Duration, FabricSpec, ProtocolKind, WorkloadParams};
+use bash::{Duration, ProtocolKind, WorkloadParams};
 
 use crate::common::{
     ascii_chart, point_builder, snooping_unbounded_baseline, sweep_builder, write_csv, Options, Wl,
@@ -51,11 +51,7 @@ pub fn fig10_11(opts: &Options, broadcast_cost: u32) {
         for proto in ProtocolKind::ALL {
             let mut pts = Vec::new();
             let reports = sweep_builder(proto, MACRO_NODES, &MACRO_BANDWIDTHS, &wl, opts)
-                .fabric(
-                    FabricSpec::default()
-                        .bandwidths(MACRO_BANDWIDTHS.iter().copied())
-                        .broadcast_cost(broadcast_cost),
-                )
+                .broadcast_cost(broadcast_cost)
                 .plan(warmup(opts), measure(opts))
                 .run_sweep();
             for (&bw, p) in MACRO_BANDWIDTHS.iter().zip(reports) {
@@ -124,7 +120,7 @@ pub fn fig12(opts: &Options) {
             ProtocolKind::Directory,
         ] {
             let p = point_builder(proto, MACRO_NODES, 1600, &wl, opts)
-                .fabric(FabricSpec::default().broadcast_cost(4))
+                .broadcast_cost(4)
                 .plan(warmup(opts), measure(opts))
                 .run();
             vals.push(p.perf.mean);

@@ -8,7 +8,7 @@
 //! and records the per-run mean and peak link busy fractions the routed
 //! topologies report.
 
-use bash::{Duration, FabricSpec, ProtocolKind, SimBuilder, TopologyKind};
+use bash::{Duration, ProtocolKind, SimBuilder, TopologyKind};
 
 use crate::common::{ascii_chart, write_csv, Options};
 
@@ -28,7 +28,8 @@ pub fn topology(opts: &Options) {
         for proto in ProtocolKind::ALL {
             let reports = SimBuilder::new(proto)
                 .nodes(16)
-                .fabric(FabricSpec::new(topo).bandwidths(BANDWIDTHS))
+                .topology(topo)
+                .bandwidths(BANDWIDTHS)
                 .locking_microbench(256, Duration::ZERO)
                 .seed(0xF00D)
                 .seeds(opts.seeds.max(1))

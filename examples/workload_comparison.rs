@@ -6,7 +6,7 @@
 //! cargo run --release --example workload_comparison
 //! ```
 
-use bash::{CacheGeometry, FabricSpec, ProtocolKind, SimBuilder, WorkloadParams};
+use bash::{CacheGeometry, ProtocolKind, SimBuilder, WorkloadParams};
 
 fn main() {
     println!("Mini Figure 12: 16 processors, 1600 MB/s, 4x broadcast cost");
@@ -24,7 +24,7 @@ fn main() {
         ] {
             let report = SimBuilder::new(proto)
                 .nodes(16)
-                .fabric(FabricSpec::default().broadcast_cost(4))
+                .broadcast_cost(4)
                 .cache(CacheGeometry { sets: 512, ways: 4 })
                 .synthetic(params.clone())
                 .seed(3)

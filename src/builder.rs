@@ -122,8 +122,8 @@ pub enum BuildError {
         /// Node count the builder is configured for.
         nodes: u16,
     },
-    /// [`CaptureSpec::all_points`] was enabled without a
-    /// [`CaptureSpec::ops_out`] path to derive the bundle paths from.
+    /// [`SimBuilder::capture_all_points`] was enabled without a
+    /// [`SimBuilder::ops_out`] path to derive the bundle paths from.
     AllPointsWithoutTraceOut,
     /// [`SimBuilder::trace_in_path`] could not open or decode the trace
     /// file's header.
@@ -138,8 +138,8 @@ pub enum BuildError {
     /// expected outcome, and an unbudgeted run can only be cut off by the
     /// drained-queue stall check — which never fires while retransmission
     /// timers or samplers keep the queue alive. Either arm a
-    /// [`RobustnessSpec::watchdog`], or opt in to unguarded wedges with
-    /// [`RobustnessSpec::allow_unprotected_wedges`].
+    /// [`SimBuilder::watchdog`], or opt in to unguarded wedges with
+    /// [`SimBuilder::allow_unprotected_wedges`].
     UnprotectedLossyNeedsWatchdog,
 }
 
@@ -161,14 +161,14 @@ impl fmt::Display for BuildError {
                 "trace was captured on {trace} nodes but the builder is configured for {nodes}"
             ),
             BuildError::AllPointsWithoutTraceOut => {
-                f.write_str("CaptureSpec::all_points needs an ops_out path to derive bundle paths")
+                f.write_str("capture_all_points needs an ops_out path to derive bundle paths")
             }
             BuildError::TraceUnreadable { path, error } => {
                 write!(f, "trace file {}: {error}", path.display())
             }
             BuildError::UnprotectedLossyNeedsWatchdog => f.write_str(
                 "an unprotected lossy fault plane needs a watchdog budget \
-                 (or RobustnessSpec::allow_unprotected_wedges to opt in to unguarded wedges)",
+                 (or allow_unprotected_wedges to opt in to unguarded wedges)",
             ),
         }
     }
@@ -243,7 +243,7 @@ pub struct RunReport {
     /// Fraction of cache requests broadcast (1 = snooping-like behaviour).
     pub broadcast_fraction: Metric,
     /// Per-sampling-window mean policy-counter trace of the first seed,
-    /// when enabled with [`CaptureSpec::policy`].
+    /// when enabled with [`SimBuilder::policy_trace`].
     pub policy_trace: Option<Vec<(Time, f64)>>,
     /// The raw measured-window statistics of every seed that completed,
     /// in seed order. Failed seeds appear in [`errors`](Self::errors)
@@ -324,262 +324,32 @@ impl WorkloadSpec {
     }
 }
 
-/// The interconnect half of a [`SimBuilder`] configuration: topology,
-/// endpoint bandwidth sweep and broadcast cost — the knobs that describe
-/// the *network*, grouped so a campaign can carry them around as one
-/// value and hand them to [`SimBuilder::fabric`].
-///
-/// ```
-/// use bash::{FabricSpec, TopologyKind};
-///
-/// let spec = FabricSpec::new(TopologyKind::Mesh2D).bandwidth_mbps(800);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FabricSpec {
-    /// Interconnect topology. The default, [`TopologyKind::Crossbar`], is
-    /// the paper's contended-endpoint crossbar; every other kind routes
-    /// messages hop-by-hop through the fabric engine with
-    /// per-directed-link contention and per-link stats in
-    /// [`RunStats::links`](bash_sim::RunStats).
-    pub topology: TopologyKind,
-    /// Endpoint link bandwidths in MB/s: the sweep axis of
-    /// [`SimBuilder::run_sweep`] (the paper's x-axis);
-    /// [`SimBuilder::run`] uses the first point.
-    pub bandwidths: Vec<u64>,
-    /// Bandwidth multiplier for full broadcasts (4 in Figure 11).
-    pub broadcast_cost: u32,
-}
-
-impl Default for FabricSpec {
-    fn default() -> Self {
-        FabricSpec {
-            topology: TopologyKind::Crossbar,
-            bandwidths: vec![1600],
-            broadcast_cost: 1,
-        }
-    }
-}
-
-impl FabricSpec {
-    /// A spec for `topology` with the paper-default 1600 MB/s links.
-    pub fn new(topology: TopologyKind) -> Self {
-        FabricSpec {
-            topology,
-            ..FabricSpec::default()
-        }
-    }
-
-    /// Sets a single endpoint link bandwidth in MB/s.
-    pub fn bandwidth_mbps(mut self, mbps: u64) -> Self {
-        self.bandwidths = vec![mbps];
-        self
-    }
-
-    /// Sets the bandwidth sweep.
-    pub fn bandwidths(mut self, mbps: impl IntoIterator<Item = u64>) -> Self {
-        self.bandwidths = mbps.into_iter().collect();
-        self
-    }
-
-    /// Sets the broadcast bandwidth multiplier.
-    pub fn broadcast_cost(mut self, multiplier: u32) -> Self {
-        self.broadcast_cost = multiplier;
-        self
-    }
-}
-
-/// The robustness half of a [`SimBuilder`] configuration: deterministic
-/// link faults and the quiescence watchdog. Handed to
-/// [`SimBuilder::robustness`] as one value, with the cross-field rules
-/// checked together at [`validate`](SimBuilder::validate) time (an
-/// unprotected lossy plane without a watchdog is rejected unless
-/// explicitly allowed).
-#[derive(Debug, Clone, Default)]
-pub struct RobustnessSpec {
-    /// Deterministic link faults (drops, corruption, delay, outages)
-    /// injected into the routed fabric. With [`FaultPlaneConfig::lossy`]
-    /// (transport enabled) the reliable-delivery layer retransmits until
-    /// every message lands; with [`FaultPlaneConfig::unprotected`]
-    /// messages are simply lost. Requires a fabric topology.
-    pub fault_plane: Option<FaultPlaneConfig>,
-    /// Quiescence watchdog: a run exceeding the budget is cut off with a
-    /// structured [`bash_sim::WedgeDiagnostic`] instead of spinning
-    /// forever; in a sweep the wedge becomes a [`PointError`] row.
-    pub watchdog: Option<WatchdogBudget>,
-    /// Opts out of [`BuildError::UnprotectedLossyNeedsWatchdog`]: run an
-    /// unprotected lossy plane with no watchdog budget, relying on the
-    /// drained-queue stall check alone to diagnose the expected wedges.
-    pub allow_unprotected_wedges: bool,
-}
-
-impl RobustnessSpec {
-    /// The default spec: no faults, no watchdog.
-    pub fn new() -> Self {
-        RobustnessSpec::default()
-    }
-
-    /// Injects deterministic link faults.
-    pub fn fault_plane(mut self, plane: FaultPlaneConfig) -> Self {
-        self.fault_plane = Some(plane);
-        self
-    }
-
-    /// Arms the quiescence watchdog.
-    pub fn watchdog(mut self, budget: WatchdogBudget) -> Self {
-        self.watchdog = Some(budget);
-        self
-    }
-
-    /// Allows an unprotected lossy plane to run without a watchdog.
-    pub fn allow_unprotected_wedges(mut self, on: bool) -> Self {
-        self.allow_unprotected_wedges = on;
-        self
-    }
-}
-
-/// The observability half of a [`SimBuilder`] configuration: what a run
-/// records beyond its [`RunReport`]. Handed to [`SimBuilder::capture`]
-/// as one value.
-#[derive(Debug, Clone, Default)]
-pub struct CaptureSpec {
-    /// Captures the op stream of the first grid point (first bandwidth,
-    /// seed 0) and writes it here in the compact binary form when the run
-    /// finishes; feed the file back through [`SimBuilder::trace_in_path`]
-    /// to replay it under any protocol, bandwidth, or thread count. The
-    /// run **panics** if the path cannot be opened for writing (probed up
-    /// front) or the capture turns out unusable — capture failures are
-    /// programmer errors, not configuration errors.
-    pub ops_out: Option<PathBuf>,
-    /// Captures **every** (bandwidth × seed) grid point into a trace
-    /// bundle next to [`ops_out`](Self::ops_out) (with a `.b<mbps>.s<seed>`
-    /// infix), not just the first. Requires `ops_out`;
-    /// [`SimBuilder::validate`] rejects the combination otherwise.
-    pub all_points: bool,
-    /// Stamps every captured op with its issue→complete latency, so the
-    /// captures are **completion-bearing** traces — the input the
-    /// differential latency pass ([`bash_tester::differential_trace`])
-    /// summarizes per protocol. Off by default: reference-stream goldens
-    /// stay lean and timing-free.
-    pub completions: bool,
-    /// Records the mean policy-counter trace (one point per adaptive
-    /// sampling window) of the first seed into
-    /// [`RunReport::policy_trace`].
-    pub policy: bool,
-}
-
-impl CaptureSpec {
-    /// The default spec: capture nothing.
-    pub fn new() -> Self {
-        CaptureSpec::default()
-    }
-
-    /// Captures the first grid point's op stream to `path`.
-    pub fn ops_to(mut self, path: impl Into<PathBuf>) -> Self {
-        self.ops_out = Some(path.into());
-        self
-    }
-
-    /// Captures every grid point, not just the first.
-    pub fn all_points(mut self, on: bool) -> Self {
-        self.all_points = on;
-        self
-    }
-
-    /// Stamps captured ops with completion latencies.
-    pub fn completions(mut self, on: bool) -> Self {
-        self.completions = on;
-        self
-    }
-
-    /// Records the adaptive policy trace into the report.
-    pub fn policy(mut self, on: bool) -> Self {
-        self.policy = on;
-        self
-    }
-}
-
-/// The two-level-hierarchy half of a [`SimBuilder`] configuration:
-/// nodes grouped into snooping clusters under a directory spine sharded
-/// across address-interleaved banks. Handed to
-/// [`SimBuilder::hierarchy`] as one value; both knobs must divide the
-/// node count ([`SimBuilder::validate`] rejects misfits).
-///
-/// Under a hierarchy every protocol personality rides the hierarchical
-/// BASH engine: Snooping cluster-casts every request, Directory
-/// dualcasts to the spine bank, and BASH chooses per cluster via the
-/// paper's adaptive mechanism fed with cluster-mean utilization. See
-/// `docs/HIERARCHY.md`.
-///
-/// ```
-/// use bash::{HierarchySpec, ProtocolKind, SimBuilder};
-///
-/// let b = SimBuilder::new(ProtocolKind::Bash)
-///     .nodes(64)
-///     .hierarchy(HierarchySpec::new(8, 4));
-/// assert!(b.validate().is_err()); // no workload yet — but the shape fits
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchySpec {
-    /// Nodes per snooping cluster (≥ 1, must divide the node count).
-    pub cluster_size: u16,
-    /// Address-interleaved directory-spine banks (≥ 1, must divide the
-    /// node count).
-    pub banks: u16,
-}
-
-impl HierarchySpec {
-    /// A hierarchy of `cluster_size`-node clusters under `banks` spine
-    /// banks.
-    pub fn new(cluster_size: u16, banks: u16) -> Self {
-        HierarchySpec {
-            cluster_size,
-            banks,
-        }
-    }
-
-    /// Sets the nodes per cluster.
-    pub fn cluster_size(mut self, cluster_size: u16) -> Self {
-        self.cluster_size = cluster_size;
-        self
-    }
-
-    /// Sets the directory-spine bank count.
-    pub fn banks(mut self, banks: u16) -> Self {
-        self.banks = banks;
-        self
-    }
-
-    /// The coherence-layer shape this spec configures.
-    pub fn config(&self) -> HierarchyConfig {
-        HierarchyConfig::new(self.cluster_size, self.banks)
-    }
-}
-
 /// Fluent configuration of one simulation campaign.
 ///
-/// Defaults mirror [`SystemConfig::paper_default`]: the paper's latencies,
-/// cache geometry, adaptive mechanism, retry capacity and seed, with 16
-/// nodes at 1600 MB/s. See the crate-level docs for a quickstart.
-///
-/// Cross-cutting concerns are grouped into typed sub-configs —
-/// [`FabricSpec`] ([`fabric`](Self::fabric)), [`RobustnessSpec`]
-/// ([`robustness`](Self::robustness)) and [`CaptureSpec`]
-/// ([`capture`](Self::capture)) — whose interactions are validated
-/// together.
+/// The builder holds one [`SystemConfig`], started from
+/// [`SystemConfig::paper_default`] (the paper's latencies, cache geometry,
+/// adaptive mechanism, retry capacity and seed, with 16 nodes at
+/// 1600 MB/s), plus the campaign around it: the bandwidth sweep, the
+/// measurement plan, the seeds, what to capture and the workload. Each
+/// setter writes the one value it names; [`config`](Self::config) clones
+/// the system for one grid point. See the crate-level docs for a
+/// quickstart.
 pub struct SimBuilder {
-    protocol: ProtocolKind,
-    nodes: u16,
-    fabric: FabricSpec,
-    robustness: RobustnessSpec,
-    capture: CaptureSpec,
-    hierarchy: Option<HierarchySpec>,
+    /// The system every grid point clones; its `link_mbps` is replaced by
+    /// the point's bandwidth and its `seed` is the base seed.
+    cfg: SystemConfig,
+    bandwidths: Vec<u64>,
+    /// The L2 override. Unset, timed runs keep the paper's L2 while
+    /// [`try_verify`](Self::try_verify) keeps the harness's thrashing one.
+    cache: Option<CacheGeometry>,
+    allow_unprotected_wedges: bool,
+    ops_out: Option<PathBuf>,
+    capture_all_points: bool,
+    capture_completions: bool,
+    policy_trace: bool,
     warmup: Duration,
     measure: Duration,
     seeds: u32,
-    base_seed: u64,
-    adaptor: Option<AdaptorConfig>,
-    cache: Option<CacheGeometry>,
-    retry_capacity: Option<usize>,
     threads: Option<usize>,
     workload: Option<WorkloadSpec>,
 }
@@ -589,82 +359,96 @@ impl SimBuilder {
     /// 16 nodes, 1600 MB/s links, a 100 µs warmup and 400 µs measurement.
     pub fn new(protocol: ProtocolKind) -> Self {
         SimBuilder {
-            protocol,
-            nodes: 16,
-            fabric: FabricSpec::default(),
-            robustness: RobustnessSpec::default(),
-            capture: CaptureSpec::default(),
-            hierarchy: None,
+            cfg: SystemConfig::paper_default(protocol, 16, 1600),
+            bandwidths: vec![1600],
+            cache: None,
+            allow_unprotected_wedges: false,
+            ops_out: None,
+            capture_all_points: false,
+            capture_completions: false,
+            policy_trace: false,
             warmup: Duration::from_ns(100_000),
             measure: Duration::from_ns(400_000),
             seeds: 1,
-            base_seed: SystemConfig::paper_default(protocol, 16, 1600).seed,
-            adaptor: None,
-            cache: None,
-            retry_capacity: None,
             threads: None,
             workload: None,
         }
     }
 
-    /// Replaces the whole interconnect configuration (topology, bandwidth
-    /// sweep, broadcast cost) with `spec`.
-    pub fn fabric(mut self, spec: FabricSpec) -> Self {
-        self.fabric = spec;
-        self
-    }
-
-    /// Replaces the whole robustness configuration (fault plane, watchdog)
-    /// with `spec`. The cross-field rules — a fault plane
-    /// needs a fabric topology; an unprotected lossy plane needs a
-    /// watchdog or an explicit opt-out — are checked at
-    /// [`validate`](Self::validate) / run time.
-    pub fn robustness(mut self, spec: RobustnessSpec) -> Self {
-        self.robustness = spec;
-        self
-    }
-
-    /// Replaces the whole capture configuration (op-trace output,
-    /// completion stamps, policy trace) with `spec`.
-    pub fn capture(mut self, spec: CaptureSpec) -> Self {
-        self.capture = spec;
-        self
-    }
-
-    /// Groups the nodes into a two-level hierarchy: snooping clusters of
-    /// [`HierarchySpec::cluster_size`] nodes under a directory spine
-    /// sharded across [`HierarchySpec::banks`] address-interleaved
-    /// banks. Both counts must divide the node count;
-    /// [`validate`](Self::validate) rejects misfits. See
-    /// `docs/HIERARCHY.md`.
-    pub fn hierarchy(mut self, spec: HierarchySpec) -> Self {
-        self.hierarchy = Some(spec);
-        self
-    }
-
     /// Switches the protocol.
     pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = protocol;
+        self.cfg.protocol = protocol;
         self
     }
 
     /// Sets the system size in nodes.
     pub fn nodes(mut self, nodes: u16) -> Self {
-        self.nodes = nodes;
+        self.cfg.nodes = nodes;
         self
     }
 
-    /// Sets a single endpoint link bandwidth in MB/s (shorthand for the
-    /// [`FabricSpec::bandwidth_mbps`] field of [`fabric`](Self::fabric)).
+    /// Sets the interconnect topology. The default,
+    /// [`TopologyKind::Crossbar`], is the paper's contended-endpoint
+    /// crossbar; every other kind routes messages hop-by-hop through the
+    /// fabric engine with per-directed-link contention and per-link stats
+    /// in [`RunStats::links`](bash_sim::RunStats).
+    ///
+    /// ```
+    /// use bash::{ProtocolKind, SimBuilder, TopologyKind};
+    ///
+    /// let b = SimBuilder::new(ProtocolKind::Bash)
+    ///     .topology(TopologyKind::Mesh2D)
+    ///     .bandwidth_mbps(800);
+    /// assert_eq!(b.config(800, 0).topology, TopologyKind::Mesh2D);
+    /// ```
+    pub fn topology(mut self, topology: TopologyKind) -> Self {
+        self.cfg.topology = topology;
+        self
+    }
+
+    /// Sets a single endpoint link bandwidth in MB/s.
     pub fn bandwidth_mbps(mut self, mbps: u64) -> Self {
-        self.fabric.bandwidths = vec![mbps];
+        self.bandwidths = vec![mbps];
         self
     }
 
     /// Sets the bandwidth sweep for [`run_sweep`](Self::run_sweep) (the
     /// paper's x-axis). [`run`](Self::run) uses the first point.
     pub fn bandwidths(mut self, mbps: impl IntoIterator<Item = u64>) -> Self {
-        self.fabric.bandwidths = mbps.into_iter().collect();
+        self.bandwidths = mbps.into_iter().collect();
+        self
+    }
+
+    /// Sets the bandwidth multiplier for full broadcasts (4 in
+    /// Figure 11).
+    pub fn broadcast_cost(mut self, multiplier: u32) -> Self {
+        self.cfg.broadcast_cost_multiplier = multiplier;
+        self
+    }
+
+    /// Groups the nodes into a two-level hierarchy: snooping clusters of
+    /// [`HierarchyConfig::cluster_size`] nodes under a directory spine
+    /// sharded across [`HierarchyConfig::banks`] address-interleaved
+    /// banks. Both counts must divide the node count;
+    /// [`validate`](Self::validate) rejects misfits.
+    ///
+    /// Under a hierarchy every protocol personality rides the hierarchical
+    /// BASH engine: Snooping cluster-casts every request, Directory
+    /// dualcasts to the spine bank, and BASH chooses per cluster via the
+    /// paper's adaptive mechanism fed with cluster-mean utilization. See
+    /// `docs/HIERARCHY.md`.
+    ///
+    /// ```
+    /// use bash::{BuildError, HierarchyConfig, ProtocolKind, SimBuilder};
+    ///
+    /// let b = SimBuilder::new(ProtocolKind::Bash)
+    ///     .nodes(64)
+    ///     .hierarchy(HierarchyConfig::new(8, 4));
+    /// // No workload yet, but the shape fits.
+    /// assert_eq!(b.validate(), Err(BuildError::MissingWorkload));
+    /// ```
+    pub fn hierarchy(mut self, hierarchy: HierarchyConfig) -> Self {
+        self.cfg.hierarchy = Some(hierarchy);
         self
     }
 
@@ -708,14 +492,14 @@ impl SimBuilder {
 
     /// Sets the base RNG seed. Run `s` uses `base + s * 7919`.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Replaces the paper-default adaptive mechanism configuration (BASH
     /// only).
     pub fn adaptor(mut self, adaptor: AdaptorConfig) -> Self {
-        self.adaptor = Some(adaptor);
+        self.cfg.adaptor = adaptor;
         self
     }
 
@@ -727,7 +511,77 @@ impl SimBuilder {
 
     /// Replaces the paper-default BASH home retry-buffer capacity.
     pub fn retry_capacity(mut self, capacity: usize) -> Self {
-        self.retry_capacity = Some(capacity);
+        self.cfg.retry_capacity = capacity;
+        self
+    }
+
+    /// Injects deterministic link faults (drops, corruption, delay,
+    /// outages) into the routed fabric; a fault plane needs a fabric
+    /// [`topology`](Self::topology). With [`FaultPlaneConfig::lossy`]
+    /// (transport enabled) the reliable-delivery layer retransmits until
+    /// every message lands; with [`FaultPlaneConfig::unprotected`]
+    /// messages are simply lost, and [`validate`](Self::validate) then
+    /// asks for a [`watchdog`](Self::watchdog) or an
+    /// [`allow_unprotected_wedges`](Self::allow_unprotected_wedges) opt-in.
+    pub fn fault_plane(mut self, plane: FaultPlaneConfig) -> Self {
+        self.cfg.fault_plane = Some(plane);
+        self
+    }
+
+    /// Arms the quiescence watchdog: a run exceeding the budget is cut
+    /// off with a structured [`bash_sim::WedgeDiagnostic`] instead of
+    /// spinning forever; in a sweep the wedge becomes a [`PointError`]
+    /// row.
+    pub fn watchdog(mut self, budget: WatchdogBudget) -> Self {
+        self.cfg.watchdog = Some(budget);
+        self
+    }
+
+    /// Opts out of [`BuildError::UnprotectedLossyNeedsWatchdog`]: run an
+    /// unprotected lossy plane with no watchdog budget, relying on the
+    /// drained-queue stall check alone to diagnose the expected wedges.
+    pub fn allow_unprotected_wedges(mut self, on: bool) -> Self {
+        self.allow_unprotected_wedges = on;
+        self
+    }
+
+    /// Captures the op stream of the first grid point (first bandwidth,
+    /// seed 0) and writes it to `path` in the compact binary form when
+    /// the run finishes; feed the file back through
+    /// [`trace_in_path`](Self::trace_in_path) to replay it under any
+    /// protocol, bandwidth, or thread count. The run **panics** if the
+    /// path cannot be opened for writing (probed up front) or the capture
+    /// turns out unusable — capture failures are programmer errors, not
+    /// configuration errors.
+    pub fn ops_out(mut self, path: impl Into<PathBuf>) -> Self {
+        self.ops_out = Some(path.into());
+        self
+    }
+
+    /// Captures **every** (bandwidth × seed) grid point into a trace
+    /// bundle next to the [`ops_out`](Self::ops_out) path (with a
+    /// `.b<mbps>.s<seed>` infix), not just the first. Requires `ops_out`;
+    /// [`validate`](Self::validate) rejects the combination otherwise.
+    pub fn capture_all_points(mut self, on: bool) -> Self {
+        self.capture_all_points = on;
+        self
+    }
+
+    /// Stamps every captured op with its issue→complete latency, so the
+    /// captures are **completion-bearing** traces — the input the
+    /// differential latency pass ([`bash_tester::differential_trace`])
+    /// summarizes per protocol. Off by default: reference-stream goldens
+    /// stay lean and timing-free.
+    pub fn capture_completions(mut self, on: bool) -> Self {
+        self.capture_completions = on;
+        self
+    }
+
+    /// Records the mean policy-counter trace (one point per adaptive
+    /// sampling window) of the first seed into
+    /// [`RunReport::policy_trace`].
+    pub fn policy_trace(mut self, on: bool) -> Self {
+        self.policy_trace = on;
         self
     }
 
@@ -754,11 +608,13 @@ impl SimBuilder {
     }
 
     /// Replays a recorded reference trace instead of generating a
-    /// workload. Adopts the trace's node count (override it afterwards at
-    /// your peril: [`validate`](Self::validate) insists they match, since
-    /// trace records address capture-time nodes).
+    /// workload. Also sets the node count to the trace's: this and
+    /// [`trace_in_path`](Self::trace_in_path) are the only setters that
+    /// write a second value (override the count afterwards at your peril:
+    /// [`validate`](Self::validate) insists they match, since trace
+    /// records address capture-time nodes).
     pub fn trace_in(mut self, trace: Trace) -> Self {
-        self.nodes = trace.nodes;
+        self.cfg.nodes = trace.nodes;
         self.workload = Some(WorkloadSpec::Trace(Arc::new(trace)));
         self
     }
@@ -767,9 +623,9 @@ impl SimBuilder {
     /// it *streaming*: every run of the grid re-opens `path` and pulls
     /// records through a [`TraceReader`] on demand, so a multi-GB trace
     /// never has to fit in memory (unlike [`trace_in`](Self::trace_in),
-    /// which buffers the whole record list). The file header is read (and
-    /// the node count adopted) here; a missing or corrupt header is
-    /// reported immediately.
+    /// which buffers the whole record list). The file header is read here,
+    /// and, as with `trace_in`, the node count is set to the trace's; a
+    /// missing or corrupt header is reported immediately.
     ///
     /// # Errors
     ///
@@ -785,7 +641,7 @@ impl SimBuilder {
         let reader = TraceReader::new(std::io::BufReader::new(file))
             .map_err(|e| unreadable(e.to_string(), &path))?;
         let nodes = reader.header().nodes;
-        self.nodes = nodes;
+        self.cfg.nodes = nodes;
         self.workload = Some(WorkloadSpec::TraceFile { path, nodes });
         Ok(self)
     }
@@ -837,19 +693,17 @@ impl SimBuilder {
     /// like [`build_system`](Self::build_system)): each sweep point's
     /// [`SystemConfig::check`], plus the rules only the builder knows.
     fn check_config(&self) -> Result<(), BuildError> {
-        if self.fabric.bandwidths.is_empty() {
+        if self.bandwidths.is_empty() {
             return Err(BuildError::EmptySweep);
         }
-        for &mbps in &self.fabric.bandwidths {
+        for &mbps in &self.bandwidths {
             self.config(mbps, 0).check().map_err(BuildError::Config)?;
         }
-        if self.capture.all_points && self.capture.ops_out.is_none() {
+        if self.capture_all_points && self.ops_out.is_none() {
             return Err(BuildError::AllPointsWithoutTraceOut);
         }
-        if self.robustness.fault_plane.as_ref().is_some_and(|plane| {
-            plane.breaks_delivery()
-                && self.robustness.watchdog.is_none()
-                && !self.robustness.allow_unprotected_wedges
+        if self.cfg.fault_plane.as_ref().is_some_and(|plane| {
+            plane.breaks_delivery() && self.cfg.watchdog.is_none() && !self.allow_unprotected_wedges
         }) {
             return Err(BuildError::UnprotectedLossyNeedsWatchdog);
         }
@@ -862,50 +716,33 @@ impl SimBuilder {
     /// The spec checks `WorkloadSpec::build` relies on (shared by
     /// [`validate`](Self::validate) and [`build_system`](Self::build_system)).
     fn check_spec(&self, spec: &WorkloadSpec) -> Result<(), BuildError> {
+        let nodes = self.cfg.nodes;
         match spec {
             WorkloadSpec::Scenario(name) if catalog::find(name).is_none() => {
                 Err(BuildError::UnknownScenario(name.clone()))
             }
-            WorkloadSpec::Trace(trace) if trace.nodes != self.nodes => {
+            WorkloadSpec::Trace(trace) if trace.nodes != nodes => {
                 Err(BuildError::TraceNodeMismatch {
                     trace: trace.nodes,
-                    nodes: self.nodes,
+                    nodes,
                 })
             }
-            WorkloadSpec::TraceFile { nodes, .. } if *nodes != self.nodes => {
-                Err(BuildError::TraceNodeMismatch {
-                    trace: *nodes,
-                    nodes: self.nodes,
-                })
+            &WorkloadSpec::TraceFile { nodes: trace, .. } if trace != nodes => {
+                Err(BuildError::TraceNodeMismatch { trace, nodes })
             }
             _ => Ok(()),
         }
     }
 
-    /// The `SystemConfig` run `seed_index` would use at `mbps` — the
-    /// paper defaults plus every builder override.
+    /// The `SystemConfig` run `seed_index` would use at `mbps`: the
+    /// builder's system with that bandwidth, that run's seed, the cache
+    /// override and, with more than one seed, the perturbation jitter.
     pub fn config(&self, mbps: u64, seed_index: u32) -> SystemConfig {
-        let mut cfg = SystemConfig::paper_default(self.protocol, self.nodes, mbps)
-            .with_topology(self.fabric.topology)
-            .with_broadcast_cost(self.fabric.broadcast_cost)
-            .with_seed(self.base_seed.wrapping_add(seed_index as u64 * 7919));
-        if let Some(h) = &self.hierarchy {
-            cfg = cfg.with_hierarchy(h.config());
-        }
-        if let Some(adaptor) = &self.adaptor {
-            cfg = cfg.with_adaptor(adaptor.clone());
-        }
+        let mut cfg = self.cfg.clone();
+        cfg.link_mbps = mbps;
+        cfg.seed = self.cfg.seed.wrapping_add(seed_index as u64 * 7919);
         if let Some(geometry) = self.cache {
-            cfg = cfg.with_cache(geometry);
-        }
-        if let Some(capacity) = self.retry_capacity {
-            cfg.retry_capacity = capacity;
-        }
-        if let Some(plane) = &self.robustness.fault_plane {
-            cfg = cfg.with_fault_plane(plane.clone());
-        }
-        if let Some(budget) = self.robustness.watchdog {
-            cfg = cfg.with_watchdog(budget);
+            cfg.cache_geometry = geometry;
         }
         if self.seeds > 1 {
             // Perturbation methodology: a small random injection delay per
@@ -924,8 +761,8 @@ impl SimBuilder {
     /// time themselves (`try_run_until`, `try_run_to_idle`, traces).
     pub fn build_system(&self) -> Result<System<BoxedWorkload>, BuildError> {
         let spec = self.check_runnable()?;
-        let cfg = self.config(self.fabric.bandwidths[0], 0);
-        let workload = spec.build(self.nodes, cfg.seed);
+        let cfg = self.config(self.bandwidths[0], 0);
+        let workload = spec.build(cfg.nodes, cfg.seed);
         Ok(System::new(cfg, workload))
     }
 
@@ -938,43 +775,49 @@ impl SimBuilder {
         self.workload.as_ref().ok_or(BuildError::MissingWorkload)
     }
 
-    /// Runs the configured workload through the verification harness:
-    /// the builder's protocol, node count, first bandwidth point, seed,
-    /// topology, hierarchy, fault plane, watchdog, and cache, adaptor and
-    /// retry-capacity overrides, with the generalized value oracle,
-    /// quiescence check and structural invariant sweep enabled. Endless
-    /// workloads are capped at `ops_per_node` operations per node so the
-    /// run reaches quiescence; a [`trace_in`](Self::trace_in) replay
-    /// ignores the cap and always runs the whole trace (it is the
+    /// Runs the configured workload through the verification harness,
+    /// with the generalized value oracle, quiescence check and structural
+    /// invariant sweep enabled. The
+    /// [`VerifyConfig`](bash_tester::VerifyConfig) copies the protocol,
+    /// node count, bandwidth, seed, topology, hierarchy, fault plane,
+    /// watchdog, adaptor and retry capacity from
+    /// [`config`](Self::config) at the first bandwidth point and seed
+    /// index 0. It takes the cache only when [`cache`](Self::cache) set
+    /// one, and otherwise keeps the harness's thrashing 4×2 cache.
+    /// Endless workloads are capped at `ops_per_node` operations per node
+    /// so the run reaches quiescence; a [`trace_in`](Self::trace_in)
+    /// replay ignores the cap and always runs the whole trace (it is the
     /// reproduction path for captured failures).
     ///
     /// Unlike [`run`](Self::run), this ignores the measurement plan,
-    /// [`seeds`](Self::seeds) and the fabric's `broadcast_cost`: a
-    /// verification run is one run that always executes to idle and
-    /// sweeps invariants at quiescence. The returned report carries the
-    /// instrumented op trace, ready for
-    /// [`tester::minimize_trace`](bash_tester::minimize_trace) if the run
-    /// failed.
+    /// [`seeds`](Self::seeds) and the
+    /// [`broadcast_cost`](Self::broadcast_cost): a verification run is
+    /// one run that always executes to idle and sweeps invariants at
+    /// quiescence. The returned report carries the instrumented op trace,
+    /// ready for [`tester::minimize_trace`](bash_tester::minimize_trace)
+    /// if the run failed.
     ///
     /// # Errors
     ///
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_verify(&self, ops_per_node: u64) -> Result<bash_tester::VerifyReport, BuildError> {
         let spec = self.check_runnable()?;
-        let cfg = self.config(self.fabric.bandwidths[0], 0);
-        let mut vcfg = bash_tester::VerifyConfig::new(self.protocol, cfg.seed);
-        vcfg.nodes = self.nodes;
-        vcfg.link_mbps = self.fabric.bandwidths[0];
-        vcfg.topology = self.fabric.topology;
-        vcfg.ops_per_node = ops_per_node;
-        if let Some(geometry) = self.cache {
-            vcfg.cache = geometry;
+        let cfg = self.config(self.bandwidths[0], 0);
+        let mut vcfg = bash_tester::VerifyConfig {
+            nodes: cfg.nodes,
+            link_mbps: cfg.link_mbps,
+            topology: cfg.topology,
+            ops_per_node,
+            fault_plane: cfg.fault_plane,
+            watchdog: cfg.watchdog,
+            hierarchy: cfg.hierarchy,
+            adaptor: cfg.adaptor,
+            retry_capacity: cfg.retry_capacity,
+            ..bash_tester::VerifyConfig::new(cfg.protocol, cfg.seed)
+        };
+        if self.cache.is_some() {
+            vcfg.cache = cfg.cache_geometry;
         }
-        vcfg.fault_plane = self.robustness.fault_plane.clone();
-        vcfg.watchdog = self.robustness.watchdog;
-        vcfg.hierarchy = self.hierarchy.map(|h| h.config());
-        vcfg.adaptor = cfg.adaptor.clone();
-        vcfg.retry_capacity = cfg.retry_capacity;
         if let WorkloadSpec::Trace(trace) = spec {
             // A replay must reproduce the whole captured stream: the
             // trace's own length, not the op cap, bounds the run.
@@ -989,7 +832,7 @@ impl SimBuilder {
             })?;
             return Ok(bash_tester::run_verify_trace(&vcfg, &trace));
         }
-        let workload = spec.build(self.nodes, cfg.seed);
+        let workload = spec.build(vcfg.nodes, vcfg.seed);
         Ok(bash_tester::run_verify(&vcfg, workload))
     }
 
@@ -1012,9 +855,9 @@ impl SimBuilder {
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_run(&self) -> Result<RunReport, BuildError> {
         self.validate()?;
-        let bandwidths = &self.fabric.bandwidths[..1];
+        let bandwidths = &self.bandwidths[..1];
         Ok(self
-            .run_grid(bandwidths, self.capture.ops_out.is_some())
+            .run_grid(bandwidths, self.ops_out.is_some())
             .0
             .pop()
             .expect("one bandwidth point"))
@@ -1043,9 +886,7 @@ impl SimBuilder {
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_run_sweep(&self) -> Result<Vec<RunReport>, BuildError> {
         self.validate()?;
-        Ok(self
-            .run_grid(&self.fabric.bandwidths, self.capture.ops_out.is_some())
-            .0)
+        Ok(self.run_grid(&self.bandwidths, self.ops_out.is_some()).0)
     }
 
     /// Runs every configured bandwidth point in order, one report each
@@ -1062,7 +903,7 @@ impl SimBuilder {
 
     /// Runs the first bandwidth point and also returns the reference
     /// trace captured from its first seed — the programmatic form of
-    /// [`CaptureSpec::ops_out`]. Feed the trace back through
+    /// [`ops_out`](Self::ops_out). Feed the trace back through
     /// [`trace_in`](Self::trace_in) (same plan and config) and the replay
     /// reproduces the returned report byte-for-byte, at any thread count.
     ///
@@ -1078,7 +919,7 @@ impl SimBuilder {
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_run_captured(&self) -> Result<(RunReport, Trace), BuildError> {
         self.validate()?;
-        let (mut reports, trace) = self.run_grid(&self.fabric.bandwidths[..1], true);
+        let (mut reports, trace) = self.run_grid(&self.bandwidths[..1], true);
         Ok((
             reports.pop().expect("one bandwidth point"),
             trace.expect("capture ran (did the first grid point wedge or panic?)"),
@@ -1107,15 +948,15 @@ impl SimBuilder {
         let spec = self.workload.as_ref().expect("validated");
         let mut cfg = self.config(mbps, seed_index);
         if capture {
-            cfg = if self.capture.completions {
+            cfg = if self.capture_completions {
                 cfg.with_capture_completions()
             } else {
                 cfg.with_capture()
             };
         }
-        let workload = spec.build(self.nodes, cfg.seed);
+        let workload = spec.build(cfg.nodes, cfg.seed);
         let mut sys = System::new(cfg, workload);
-        let trace = self.capture.policy && seed_index == 0;
+        let trace = self.policy_trace && seed_index == 0;
         if trace {
             sys.enable_policy_trace();
         }
@@ -1156,9 +997,9 @@ impl SimBuilder {
     ///
     /// With `capture`, the first grid point (first bandwidth, seed 0) also
     /// records its op stream; the trace is returned and, when
-    /// [`CaptureSpec::ops_out`] is set, written to disk.
+    /// [`ops_out`](Self::ops_out) is set, written to disk.
     fn run_grid(&self, bandwidths: &[u64], capture: bool) -> (Vec<RunReport>, Option<Trace>) {
-        if let (true, Some(path)) = (capture, &self.capture.ops_out) {
+        if let (true, Some(path)) = (capture, &self.ops_out) {
             // Probe the output path before burning the whole grid's
             // compute on it: open-for-append creates a missing file and
             // surfaces an unwritable one, without clobbering any existing
@@ -1175,7 +1016,7 @@ impl SimBuilder {
             .threads
             .unwrap_or_else(pool::available_threads)
             .min(tasks.max(1));
-        let capture_all = capture && self.capture.all_points && self.capture.ops_out.is_some();
+        let capture_all = capture && self.capture_all_points && self.ops_out.is_some();
         // Panic isolation: a grid point that panics (after one retry, for
         // environmental flakes) becomes an error row of its report instead
         // of unwinding through the whole sweep. Wedges come back as
@@ -1208,7 +1049,7 @@ impl SimBuilder {
                 .validate()
                 .unwrap_or_else(|e| panic!("captured trace is unusable: {e}"));
         }
-        if let (Some(path), Some(trace)) = (&self.capture.ops_out, &captured) {
+        if let (Some(path), Some(trace)) = (&self.ops_out, &captured) {
             trace
                 .write_to(path)
                 .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
@@ -1217,7 +1058,7 @@ impl SimBuilder {
             }
         }
         if capture_all {
-            let path = self.capture.ops_out.as_ref().expect("checked above");
+            let path = self.ops_out.as_ref().expect("checked above");
             for (i, result) in results.iter_mut().enumerate().skip(1) {
                 // A failed point captured nothing; its error row stands in.
                 let Ok(point) = result else { continue };
@@ -1305,9 +1146,9 @@ impl SimBuilder {
             ops
         };
         RunReport {
-            protocol: self.protocol,
+            protocol: self.cfg.protocol,
             workload: workload_name,
-            nodes: self.nodes,
+            nodes: self.cfg.nodes,
             bandwidth_mbps: mbps,
             seeds: self.seeds,
             perf,
@@ -1364,35 +1205,35 @@ mod tests {
         };
         let err = |e| Err(BuildError::Config(e));
         assert_eq!(
-            with(HierarchySpec::new(0, 4)),
+            with(HierarchyConfig::new(0, 4)),
             err(ConfigError::ZeroClusterSize)
         );
         assert_eq!(
-            with(HierarchySpec::new(4, 0)),
+            with(HierarchyConfig::new(4, 0)),
             err(ConfigError::ZeroHierarchyBanks)
         );
         assert_eq!(
-            with(HierarchySpec::new(3, 4)),
+            with(HierarchyConfig::new(3, 4)),
             err(ConfigError::ClusterSizeMismatch {
                 cluster_size: 3,
                 nodes: 16,
             })
         );
         assert_eq!(
-            with(HierarchySpec::new(4, 3)),
+            with(HierarchyConfig::new(4, 3)),
             err(ConfigError::BankCountMismatch {
                 banks: 3,
                 nodes: 16
             })
         );
-        assert_eq!(with(HierarchySpec::new(4, 4)), Ok(()));
+        assert_eq!(with(HierarchyConfig::new(4, 4)), Ok(()));
     }
 
     #[test]
     fn hierarchy_reaches_the_system_config() {
         let b = SimBuilder::new(ProtocolKind::Snooping)
             .nodes(16)
-            .hierarchy(HierarchySpec::new(4, 2));
+            .hierarchy(HierarchyConfig::new(4, 2));
         let cfg = b.config(1600, 0);
         let h = cfg.hierarchy.expect("hierarchy configured");
         assert_eq!((h.cluster_size, h.banks), (4, 2));

@@ -88,17 +88,15 @@ mod builder;
 mod report_text;
 
 pub use builder::{
-    BoxedWorkload, BuildError, CaptureSpec, FabricSpec, HierarchySpec, Metric, PointError,
-    PointErrorKind, RobustnessSpec, RunReport, SimBuilder,
+    BoxedWorkload, BuildError, Metric, PointError, PointErrorKind, RunReport, SimBuilder,
 };
 pub use report_text::{sweep_canonical_text, REPORT_TEXT_VERSION};
 
 /// The one-line import for the common workflow: configure a
 /// [`SimBuilder`], run it, read the [`RunReport`].
 ///
-/// Pulls in the builder with its three spec groups ([`FabricSpec`],
-/// [`RobustnessSpec`], [`CaptureSpec`]), the enums they are configured
-/// with, the time vocabulary, and the report types — and nothing else.
+/// Pulls in the builder, the enums and configs its setters take, the
+/// time vocabulary, and the report types — and nothing else.
 /// Anything deeper (the event queue, protocol engines, trace codecs)
 /// stays behind the re-exported workspace crates ([`kernel`], [`net`],
 /// [`coherence`], ...).
@@ -116,10 +114,9 @@ pub use report_text::{sweep_canonical_text, REPORT_TEXT_VERSION};
 /// ```
 pub mod prelude {
     pub use crate::builder::{
-        BuildError, CaptureSpec, FabricSpec, HierarchySpec, Metric, PointError, PointErrorKind,
-        RobustnessSpec, RunReport, SimBuilder,
+        BuildError, Metric, PointError, PointErrorKind, RunReport, SimBuilder,
     };
-    pub use bash_coherence::{CacheGeometry, ProtocolKind};
+    pub use bash_coherence::{CacheGeometry, HierarchyConfig, ProtocolKind};
     pub use bash_kernel::{Duration, Time};
     pub use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
     pub use bash_sim::WatchdogBudget;
@@ -146,3 +143,14 @@ pub fn verify_scenario(scenario: &str, protocol: ProtocolKind) -> Result<VerifyR
         .scenario(scenario)
         .try_verify(400)
 }
+
+// The `rust` blocks of the README and the design docs run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+mod readme {}
+#[cfg(doctest)]
+#[doc = include_str!("../docs/FABRIC.md")]
+mod fabric_doc {}
+#[cfg(doctest)]
+#[doc = include_str!("../docs/HIERARCHY.md")]
+mod hierarchy_doc {}

@@ -200,7 +200,7 @@ mod tests {
         assert!(!tiny_report().canonical_text().contains("hierarchy "));
         let report = SimBuilder::new(ProtocolKind::Bash)
             .nodes(8)
-            .hierarchy(crate::HierarchySpec::new(4, 2))
+            .hierarchy(crate::HierarchyConfig::new(4, 2))
             .locking_microbench(32, Duration::ZERO)
             .warmup_ns(2_000)
             .measure_ns(5_000)

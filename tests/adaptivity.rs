@@ -1,9 +1,7 @@
 //! End-to-end tests of BASH's adaptive behaviour — the paper's central
 //! claims, checked on the full system through the `SimBuilder` facade.
 
-use bash::{
-    AdaptorConfig, CacheGeometry, CaptureSpec, Duration, ProtocolKind, RunReport, SimBuilder, Time,
-};
+use bash::{AdaptorConfig, CacheGeometry, Duration, ProtocolKind, RunReport, SimBuilder, Time};
 
 const NODES: u16 = 16;
 const LOCKS: u64 = 256;
@@ -154,7 +152,7 @@ fn adaptation_is_gradual_not_oscillating() {
     // policy trace comes straight off the RunReport here.
     let report = builder(ProtocolKind::Bash, 800)
         .seed(17)
-        .capture(CaptureSpec::new().policy(true))
+        .policy_trace(true)
         .warmup(Duration::ZERO)
         .measure_ns(800_000)
         .run();

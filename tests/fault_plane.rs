@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use bash::{
     catalog, tester::run_verify_scenario, tester::VerifyConfig, BoxedWorkload, Duration,
-    FabricSpec, FaultPlaneConfig, LockingMicrobench, PointErrorKind, ProtocolKind, RobustnessSpec,
-    SimBuilder, TopologyKind, WatchdogBudget,
+    FaultPlaneConfig, LockingMicrobench, PointErrorKind, ProtocolKind, SimBuilder, TopologyKind,
+    WatchdogBudget,
 };
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -86,15 +86,12 @@ fn faulted_reports_are_identical_across_thread_counts() {
     let build = || {
         SimBuilder::new(ProtocolKind::Bash)
             .nodes(8)
-            .fabric(FabricSpec::new(TopologyKind::Mesh2D))
+            .topology(TopologyKind::Mesh2D)
             .scenario("migratory")
             .seed(0xC0FFEE)
             .seeds(3)
-            .robustness(
-                RobustnessSpec::new()
-                    .fault_plane(FaultPlaneConfig::lossy(0xFA57, 0.01))
-                    .watchdog(WatchdogBudget::events(50_000_000)),
-            )
+            .fault_plane(FaultPlaneConfig::lossy(0xFA57, 0.01))
+            .watchdog(WatchdogBudget::events(50_000_000))
             .warmup_ns(5_000)
             .measure_ns(20_000)
     };
@@ -126,9 +123,9 @@ fn faulted_replay_is_identical_buffered_vs_streaming() {
 
     let run = |builder: SimBuilder| {
         builder
-            .fabric(FabricSpec::new(TopologyKind::Ring))
+            .topology(TopologyKind::Ring)
             .seed(0xD15C)
-            .robustness(RobustnessSpec::new().fault_plane(FaultPlaneConfig::lossy(0x10, 0.02)))
+            .fault_plane(FaultPlaneConfig::lossy(0x10, 0.02))
             .warmup_ns(2_000)
             .measure_ns(20_000)
             .run()
@@ -192,14 +189,11 @@ fn a_panicking_grid_point_becomes_an_error_row() {
 fn a_wedged_grid_point_becomes_an_error_row() {
     let report = SimBuilder::new(ProtocolKind::Snooping)
         .nodes(8)
-        .fabric(FabricSpec::new(TopologyKind::Ring))
+        .topology(TopologyKind::Ring)
         .locking_microbench(64, Duration::ZERO)
         .seed(0xF00D)
-        .robustness(
-            RobustnessSpec::new()
-                .fault_plane(FaultPlaneConfig::lossy(0xDEAD, 0.3).unprotected())
-                .allow_unprotected_wedges(true),
-        )
+        .fault_plane(FaultPlaneConfig::lossy(0xDEAD, 0.3).unprotected())
+        .allow_unprotected_wedges(true)
         .warmup_ns(20_000)
         .measure_ns(40_000)
         .run();

@@ -4,9 +4,7 @@
 //! who wins where, and where the crossovers fall. Everything runs through
 //! the `SimBuilder` facade.
 
-use bash::{
-    CacheGeometry, Duration, FabricSpec, ProtocolKind, RunReport, SimBuilder, WorkloadParams,
-};
+use bash::{CacheGeometry, Duration, ProtocolKind, RunReport, SimBuilder, WorkloadParams};
 
 const NODES: u16 = 32; // reduced from the paper's 64 for test runtime
 
@@ -154,7 +152,7 @@ fn figure12_workload_dependence() {
     let run = |proto, params: WorkloadParams| {
         let report = SimBuilder::new(proto)
             .nodes(16)
-            .fabric(FabricSpec::default().broadcast_cost(4))
+            .broadcast_cost(4)
             .cache(CacheGeometry { sets: 512, ways: 4 })
             .synthetic(params)
             .seed(51)

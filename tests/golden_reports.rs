@@ -27,9 +27,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bash::{
-    sweep_canonical_text, FabricSpec, HierarchySpec, ProtocolKind, SimBuilder, TopologyKind, Trace,
-};
+use bash::{sweep_canonical_text, HierarchyConfig, ProtocolKind, SimBuilder, TopologyKind, Trace};
 
 /// The scenarios with committed mini-traces. `phase-shift` is the
 /// adaptive-switching regression: its calm/burst regime flips drive the
@@ -190,7 +188,8 @@ fn mesh_golden_reports_match_and_are_thread_invariant() {
             sweep_canonical_text(
                 &SimBuilder::new(proto)
                     .trace_in(trace.clone())
-                    .fabric(FabricSpec::new(TopologyKind::Mesh2D).bandwidths(BANDWIDTHS))
+                    .topology(TopologyKind::Mesh2D)
+                    .bandwidths(BANDWIDTHS)
                     .seed(SEED)
                     .warmup_ns(WARMUP_NS)
                     .measure_ns(MEASURE_NS)
@@ -291,7 +290,7 @@ fn hierarchy_golden_reports_match_and_are_thread_invariant() {
             sweep_canonical_text(
                 &SimBuilder::new(proto)
                     .trace_in(trace.clone())
-                    .hierarchy(HierarchySpec::new(16, 4))
+                    .hierarchy(HierarchyConfig::new(16, 4))
                     .bandwidths(HIER_BANDWIDTHS)
                     .seed(SEED)
                     .warmup_ns(WARMUP_NS)

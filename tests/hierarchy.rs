@@ -11,8 +11,8 @@
 
 use bash::tester::{run_verify_scenario, VerifyConfig};
 use bash::{
-    differential_trace, ConfigError, Duration, HierarchyConfig, HierarchySpec, ProtocolKind,
-    SimBuilder, SystemConfig,
+    differential_trace, ConfigError, Duration, HierarchyConfig, ProtocolKind, SimBuilder,
+    SystemConfig,
 };
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -127,7 +127,7 @@ fn hierarchy_personalities_and_stats_behave() {
     let run = |proto: ProtocolKind, cluster_size: u16| {
         SimBuilder::new(proto)
             .nodes(64)
-            .hierarchy(HierarchySpec::new(cluster_size, 4))
+            .hierarchy(HierarchyConfig::new(cluster_size, 4))
             .locking_microbench(256, Duration::ZERO)
             .seed(0xF00D)
             .warmup_ns(10_000)
@@ -198,7 +198,7 @@ fn bash_adapts_per_cluster_under_hierarchy() {
     let run = |mbps: u64, warmup: u64, measure: u64| {
         SimBuilder::new(ProtocolKind::Bash)
             .nodes(64)
-            .hierarchy(HierarchySpec::new(8, 4))
+            .hierarchy(HierarchyConfig::new(8, 4))
             .bandwidth_mbps(mbps)
             .locking_microbench(256, Duration::ZERO)
             .seed(0xF00D)
@@ -227,7 +227,7 @@ fn bash_adapts_per_cluster_under_hierarchy() {
 fn misfit_hierarchies_are_rejected() {
     let err = SimBuilder::new(ProtocolKind::Bash)
         .nodes(64)
-        .hierarchy(HierarchySpec::new(12, 4))
+        .hierarchy(HierarchyConfig::new(12, 4))
         .locking_microbench(64, Duration::ZERO)
         .validate()
         .unwrap_err();

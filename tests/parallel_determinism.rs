@@ -4,7 +4,7 @@
 //! are reassembled in grid order, so `.threads(8)` must be *exactly* equal
 //! — every metric, every per-seed `RunStats` — to `.threads(1)`.
 
-use bash::{CaptureSpec, Duration, ProtocolKind, RunReport, SimBuilder};
+use bash::{Duration, ProtocolKind, RunReport, SimBuilder};
 
 fn sweep(proto: ProtocolKind) -> SimBuilder {
     SimBuilder::new(proto)
@@ -66,7 +66,7 @@ fn policy_trace_survives_parallel_execution() {
             .nodes(8)
             .bandwidths([200, 1600])
             .seeds(2)
-            .capture(CaptureSpec::new().policy(true))
+            .policy_trace(true)
             .locking_microbench(128, Duration::ZERO)
             .warmup_ns(20_000)
             .measure_ns(60_000)

@@ -4,9 +4,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bash::{
-    AdaptorConfig, BuildError, CacheGeometry, CaptureSpec, ConfigError, Duration, FabricSpec,
-    FaultInjection, FaultPlaneConfig, HierarchySpec, Jitter, ProtocolKind, RobustnessSpec,
-    RunReport, SimBuilder, SystemConfig, TopologyKind, WatchdogBudget,
+    AdaptorConfig, BuildError, CacheGeometry, ConfigError, Duration, FaultInjection,
+    FaultPlaneConfig, HierarchyConfig, Jitter, ProtocolKind, RunReport, SimBuilder, SystemConfig,
+    TopologyKind, WatchdogBudget,
 };
 
 fn valid() -> SimBuilder {
@@ -208,40 +208,29 @@ fn unprotected_lossy_without_watchdog_rejected() {
     // opt-in) before it will run one.
     let lossy = || {
         valid()
-            .fabric(FabricSpec::new(TopologyKind::Ring))
-            .robustness(
-                RobustnessSpec::new()
-                    .fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2).unprotected()),
-            )
+            .topology(TopologyKind::Ring)
+            .fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2).unprotected())
     };
     assert_eq!(
         lossy().try_run().unwrap_err(),
         BuildError::UnprotectedLossyNeedsWatchdog
     );
     // Either arming a watchdog or opting into unguarded wedges clears it.
-    let armed = lossy().robustness(
-        RobustnessSpec::new()
-            .fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2).unprotected())
-            .watchdog(WatchdogBudget::events(1_000_000)),
-    );
+    let armed = lossy().watchdog(WatchdogBudget::events(1_000_000));
     assert!(armed.validate().is_ok());
-    let opted = lossy().robustness(
-        RobustnessSpec::new()
-            .fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2).unprotected())
-            .allow_unprotected_wedges(true),
-    );
+    let opted = lossy().allow_unprotected_wedges(true);
     assert!(opted.validate().is_ok());
     // A *protected* lossy plane retransmits, so it never needs one.
     let protected = valid()
-        .fabric(FabricSpec::new(TopologyKind::Ring))
-        .robustness(RobustnessSpec::new().fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2)));
+        .topology(TopologyKind::Ring)
+        .fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2));
     assert!(protected.validate().is_ok());
 }
 
 #[test]
 fn fault_plane_still_needs_a_routed_fabric() {
     let err = valid()
-        .robustness(RobustnessSpec::new().fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2)))
+        .fault_plane(FaultPlaneConfig::lossy(0xBAD, 0.2))
         .try_run()
         .unwrap_err();
     assert_eq!(err, BuildError::Config(ConfigError::FaultPlaneNeedsFabric));
@@ -255,14 +244,15 @@ fn fault_plane_still_needs_a_routed_fabric() {
 #[test]
 fn every_config_rule_is_a_typed_error_not_a_panic() {
     use ConfigError as E;
-    let hier = |size, banks| valid().hierarchy(HierarchySpec::new(size, banks));
+    let hier = |size, banks| valid().hierarchy(HierarchyConfig::new(size, banks));
     // Out-of-range fault planes and adaptors must surface their own check's
     // reason (`unwrap_err` fails the test if that check passes them).
     let plane = |plane: FaultPlaneConfig| {
         let want = E::BadFaultPlane(plane.check().unwrap_err());
-        let ring = valid().fabric(FabricSpec::new(TopologyKind::Ring));
-        let spec = RobustnessSpec::new().fault_plane(plane);
-        (ring.robustness(spec), want)
+        (
+            valid().topology(TopologyKind::Ring).fault_plane(plane),
+            want,
+        )
     };
     let adaptor = |set: fn(&mut AdaptorConfig)| {
         let mut a = AdaptorConfig::paper_default();
@@ -270,16 +260,15 @@ fn every_config_rule_is_a_typed_error_not_a_panic() {
         let want = E::BadAdaptor(a.check().unwrap_err());
         (valid().adaptor(a), want)
     };
-    let free_broadcasts = FabricSpec::default().broadcast_cost(0);
     let no_ways = CacheGeometry { sets: 16, ways: 0 };
-    let xbar_plane = RobustnessSpec::new().fault_plane(FaultPlaneConfig::lossy(1, 0.1));
+    let xbar_plane = FaultPlaneConfig::lossy(1, 0.1);
     let mut no_retransmits = FaultPlaneConfig::lossy(1, 0.1);
     no_retransmits.transport.as_mut().unwrap().retransmit_budget = 0;
     let rows = [
         (valid().nodes(0), E::ZeroNodes),
         (valid().nodes(5000), E::TooManyNodes),
         (valid().bandwidths([800, 0]), E::ZeroBandwidth),
-        (valid().fabric(free_broadcasts), E::BadBroadcastCost),
+        (valid().broadcast_cost(0), E::BadBroadcastCost),
         (valid().retry_capacity(0), E::ZeroRetryCapacity),
         (valid().cache(no_ways), E::BadCacheGeometry),
         (hier(0, 2), E::ZeroClusterSize),
@@ -292,7 +281,7 @@ fn every_config_rule_is_a_typed_error_not_a_panic() {
             },
         ),
         (hier(4, 3), E::BankCountMismatch { banks: 3, nodes: 8 }),
-        (valid().robustness(xbar_plane), E::FaultPlaneNeedsFabric),
+        (valid().fault_plane(xbar_plane), E::FaultPlaneNeedsFabric),
         plane(FaultPlaneConfig::lossy(1, 1.5)),
         plane(no_retransmits),
         adaptor(|a| a.policy_bits = 0),
@@ -321,7 +310,7 @@ fn every_config_rule_is_a_typed_error_not_a_panic() {
 #[test]
 fn trace_policy_lands_in_the_report() {
     let report = valid()
-        .capture(CaptureSpec::new().policy(true))
+        .policy_trace(true)
         .warmup(Duration::ZERO)
         .measure_ns(100_000)
         .run();
@@ -329,4 +318,91 @@ fn trace_policy_lands_in_the_report() {
     assert!(!trace.is_empty());
     let without = valid().run();
     assert!(without.policy_trace.is_none());
+}
+
+/// Each setter writes the one value it names and nothing else, so the
+/// order of the setters cannot matter. Applied forwards and then
+/// backwards, every pair of setters meets in both orders: bandwidths
+/// before and after the broadcast cost, the fault plane before and after
+/// the watchdog, and so on. Both builders must validate alike, keep the
+/// bandwidth sweep, and give the same config at every grid point, and
+/// that config must carry every value that was set.
+#[test]
+fn setters_write_only_their_own_value() {
+    // Unprotected, so a lost watchdog would fail validation.
+    let plane = FaultPlaneConfig::lossy(0x51, 0.01).unprotected();
+    let budget = WatchdogBudget::events(1_000_000);
+    let adaptor = AdaptorConfig {
+        mode: bash::DecisionMode::AlwaysUnicast,
+        initial_policy: 255,
+        ..AdaptorConfig::paper_default()
+    };
+    let cache = CacheGeometry { sets: 8, ways: 2 };
+    let setters: Vec<Box<dyn Fn(SimBuilder) -> SimBuilder>> = vec![
+        Box::new(|b| b.nodes(8)),
+        Box::new(|b| b.bandwidths([400, 800])),
+        Box::new(|b| b.broadcast_cost(4)),
+        Box::new(|b| b.topology(TopologyKind::Ring)),
+        Box::new(move |b| b.fault_plane(plane.clone())),
+        Box::new(move |b| b.watchdog(budget)),
+        Box::new(|b| b.hierarchy(HierarchyConfig::new(4, 2))),
+        Box::new(move |b| b.adaptor(adaptor.clone())),
+        Box::new(move |b| b.cache(cache)),
+        Box::new(|b| b.retry_capacity(3)),
+        Box::new(|b| b.seed(99)),
+        Box::new(|b| b.seeds(2)),
+    ];
+    let start = || SimBuilder::new(ProtocolKind::Bash).locking_microbench(64, Duration::ZERO);
+    let forward = setters.iter().fold(start(), |b, set| set(b));
+    let backward = setters.iter().rev().fold(start(), |b, set| set(b));
+    assert_eq!(forward.validate(), Ok(()));
+    assert_eq!(backward.validate(), Ok(()));
+    // `config` takes the bandwidth as an argument; the builder's own list
+    // shows in the system built at its first point.
+    for b in [&forward, &backward] {
+        let sys = b.build_system().expect("valid");
+        assert_eq!(sys.config().link_mbps, 400, "the bandwidth sweep was lost");
+    }
+    for mbps in [400, 800] {
+        for s in 0..2 {
+            let cfg = forward.config(mbps, s);
+            assert_eq!(
+                format!("{cfg:?}"),
+                format!("{:?}", backward.config(mbps, s)),
+                "the setter order changed the config at {mbps} MB/s, seed {s}"
+            );
+            assert_eq!((cfg.nodes, cfg.link_mbps), (8, mbps));
+            assert_eq!(cfg.broadcast_cost_multiplier, 4);
+            assert_eq!(cfg.topology, TopologyKind::Ring);
+            assert!(cfg.fault_plane.is_some());
+            assert_eq!(cfg.watchdog, Some(budget));
+            let h = cfg.hierarchy.expect("hierarchy kept");
+            assert_eq!((h.cluster_size, h.banks), (4, 2));
+            assert_eq!(cfg.adaptor.initial_policy, 255);
+            assert_eq!((cfg.cache_geometry.sets, cfg.cache_geometry.ways), (8, 2));
+            assert_eq!(cfg.retry_capacity, 3);
+            assert_eq!(cfg.seed, 99 + s as u64 * 7919);
+            assert!(matches!(cfg.jitter, Jitter::Uniform { .. }));
+        }
+    }
+
+    // The capture setters: in either order, the run writes the op trace
+    // and reports the policy trace.
+    let dir = std::env::temp_dir().join("bash_sim_builder_setter_order");
+    std::fs::create_dir_all(&dir).unwrap();
+    for policy_first in [false, true] {
+        let path = dir.join(format!("policy_first_{policy_first}.trace"));
+        std::fs::remove_file(&path).ok();
+        let b = valid().warmup(Duration::ZERO).measure_ns(20_000);
+        let b = if policy_first {
+            b.policy_trace(true).ops_out(&path)
+        } else {
+            b.ops_out(&path).policy_trace(true)
+        };
+        let report = b.run();
+        assert!(report.policy_trace.is_some(), "policy trace lost");
+        let trace = bash::Trace::read_from(&path).expect("op trace written");
+        assert!(!trace.records.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -2,7 +2,7 @@
 //! it, and get the same report back — across encodings, protocols and
 //! thread counts.
 
-use bash::{CaptureSpec, ProtocolKind, SimBuilder, Trace};
+use bash::{ProtocolKind, SimBuilder, Trace};
 
 const WARMUP_NS: u64 = 5_000;
 const MEASURE_NS: u64 = 20_000;
@@ -86,9 +86,7 @@ fn trace_out_writes_a_loadable_file() {
     let dir = std::env::temp_dir().join("bash_trace_subsystem_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("out.trace");
-    let report = capture_builder(ProtocolKind::Bash)
-        .capture(CaptureSpec::new().ops_to(&path))
-        .run();
+    let report = capture_builder(ProtocolKind::Bash).ops_out(&path).run();
     let trace = Trace::read_from(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let replayed = capture_builder(ProtocolKind::Bash).trace_in(trace).run();
@@ -168,7 +166,7 @@ fn trace_in_path_rejects_missing_and_corrupt_files() {
 fn completion_capture_is_replay_invisible_and_persistent() {
     let (_, lean) = capture_builder(ProtocolKind::Bash).run_captured();
     let (report, bearing) = capture_builder(ProtocolKind::Bash)
-        .capture(CaptureSpec::new().completions(true))
+        .capture_completions(true)
         .run_captured();
     assert_eq!(lean.completions(), 0, "plain capture stays timing-free");
     // Every record completes except, at most, the one op still in flight
@@ -212,7 +210,8 @@ fn trace_out_all_points_writes_the_whole_grid() {
     capture_builder(ProtocolKind::Snooping)
         .bandwidths([400, 1600])
         .seeds(2)
-        .capture(CaptureSpec::new().ops_to(&base).all_points(true))
+        .ops_out(&base)
+        .capture_all_points(true)
         .run_sweep();
     // One file per (bandwidth, seed) grid point, plus the plain base path
     // carrying the first point.
@@ -246,7 +245,7 @@ fn trace_out_all_points_writes_the_whole_grid() {
 #[test]
 fn trace_out_all_points_requires_a_path() {
     let err = capture_builder(ProtocolKind::Snooping)
-        .capture(CaptureSpec::new().all_points(true))
+        .capture_all_points(true)
         .validate()
         .unwrap_err();
     assert!(matches!(err, bash::BuildError::AllPointsWithoutTraceOut));

@@ -14,8 +14,9 @@ use bash::tester::{
     minimize_trace, run_verify_scenario, run_verify_trace, verify_catalog_reports, VerifyConfig,
 };
 use bash::{
-    differential_trace, verify_scenario, AdaptorConfig, BuildError, DecisionMode, FaultInjection,
-    HierarchyConfig, ProtocolKind, SimBuilder, Trace, VerifyReport,
+    catalog, differential_trace, run_verify, verify_scenario, AdaptorConfig, BuildError,
+    CacheGeometry, DecisionMode, FaultInjection, FaultPlaneConfig, HierarchyConfig, ProtocolKind,
+    SimBuilder, TopologyKind, Trace, VerifyReport, WatchdogBudget,
 };
 
 const PROTOCOLS: [ProtocolKind; 3] = [
@@ -85,6 +86,71 @@ fn facade_verify_entry_points_work() {
         verify_scenario("no-such-scenario", ProtocolKind::Bash),
         Err(BuildError::UnknownScenario(_))
     ));
+
+    // What `try_verify` copies: each builder run equals `run_verify` on a
+    // `VerifyConfig` filled in by hand, with the workload seeded the way
+    // the builder seeds it.
+    let by_hand = |vcfg: &VerifyConfig, scenario: &str| {
+        let workload = catalog::build(scenario, vcfg.nodes, vcfg.seed ^ 0xA5).unwrap();
+        run_verify(vcfg, workload)
+    };
+    // Flat, on a lossy mesh, with a watchdog and a cache override.
+    let plane = FaultPlaneConfig::lossy(0x51, 0.01);
+    let watchdog = WatchdogBudget::events(50_000_000);
+    let cache = CacheGeometry { sets: 8, ways: 2 };
+    let built = SimBuilder::new(ProtocolKind::Bash)
+        .nodes(8)
+        .topology(TopologyKind::Mesh2D)
+        .bandwidth_mbps(400)
+        .fault_plane(plane.clone())
+        .watchdog(watchdog)
+        .cache(cache)
+        .seed(77)
+        .scenario("migratory")
+        .verify(100);
+    let mut vcfg = VerifyConfig::new(ProtocolKind::Bash, 77);
+    vcfg.nodes = 8;
+    vcfg.topology = TopologyKind::Mesh2D;
+    vcfg.link_mbps = 400;
+    vcfg.fault_plane = Some(plane);
+    vcfg.watchdog = Some(watchdog);
+    vcfg.cache = cache;
+    vcfg.ops_per_node = 100;
+    assert_eq!(built, by_hand(&vcfg, "migratory"));
+    // A hierarchy, an all-unicast adaptor and a one-entry retry buffer at
+    // the default bandwidth.
+    let unicast = AdaptorConfig {
+        mode: DecisionMode::AlwaysUnicast,
+        initial_policy: 255,
+        ..AdaptorConfig::paper_default()
+    };
+    let built = SimBuilder::new(ProtocolKind::Bash)
+        .nodes(8)
+        .hierarchy(HierarchyConfig::new(4, 2))
+        .adaptor(unicast.clone())
+        .retry_capacity(1)
+        .seed(78)
+        .scenario("migratory")
+        .verify(100);
+    let mut vcfg = VerifyConfig::new(ProtocolKind::Bash, 78);
+    vcfg.nodes = 8;
+    vcfg.link_mbps = 1600;
+    vcfg.hierarchy = Some(HierarchyConfig::new(4, 2));
+    vcfg.adaptor = unicast;
+    vcfg.retry_capacity = 1;
+    vcfg.ops_per_node = 100;
+    assert!(built.mem_stats.retries_sent > 0 && built.mem_stats.nacks_sent > 0);
+    assert_eq!(built, by_hand(&vcfg, "migratory"));
+    // No cache set: the harness's own thrashing cache, not the paper's L2.
+    let built = SimBuilder::new(ProtocolKind::Directory)
+        .nodes(4)
+        .scenario("zipf")
+        .verify(50);
+    let mut vcfg = VerifyConfig::new(ProtocolKind::Directory, 0xBA5E);
+    vcfg.link_mbps = 1600;
+    vcfg.ops_per_node = 50;
+    assert_eq!((vcfg.cache.sets, vcfg.cache.ways), (4, 2));
+    assert_eq!(built, by_hand(&vcfg, "zipf"));
 }
 
 /// A `trace_in` verification through the facade replays the whole trace:
