@@ -7,9 +7,13 @@
 //! reuses one sink across every event, so the hot event loop performs no
 //! per-event allocation. This keeps every controller unit-testable without
 //! a network or event loop.
+//! A delivery a controller cannot accept is reported the same way, as a
+//! [`Violation`] the driver acts on.
+
+use std::fmt;
 
 use bash_kernel::Duration;
-use bash_net::Message;
+use bash_net::{Message, NodeId};
 
 use crate::types::{BlockAddr, ProtoMsg, TxnId, TxnKind};
 
@@ -42,6 +46,35 @@ pub enum Action {
         /// cache-to-cache transfer) rather than by memory.
         from_cache: bool,
     },
+    /// The controller could not accept a delivery (see [`Violation`]).
+    Violation(Violation),
+}
+
+/// A delivery that breaks the contract the protocols assume of the
+/// network — a totally ordered request network with reliable delivery —
+/// such as data for a transaction the cache does not have open. The
+/// controller that received it reports it once and changes nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Violation {
+    /// The node whose controller rejected the delivery.
+    pub node: NodeId,
+    /// The block the delivery addressed.
+    pub block: BlockAddr,
+    /// The transaction the delivery addressed (`None` for a writeback
+    /// acknowledgment, which names only the block).
+    pub txn: Option<TxnId>,
+    /// The contract rule the delivery broke.
+    pub rule: &'static str,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at {}: {}", self.block, self.node, self.rule)?;
+        if let Some(txn) = self.txn {
+            write!(f, " ({txn})")?;
+        }
+        Ok(())
+    }
 }
 
 impl Action {
@@ -116,6 +149,11 @@ impl ActionSink {
     /// Appends a delayed send.
     pub fn send_after(&mut self, delay: Duration, msg: Message<ProtoMsg>) {
         self.actions.push(Action::send_after(delay, msg));
+    }
+
+    /// Appends a rejected delivery.
+    pub fn violation(&mut self, violation: Violation) {
+        self.actions.push(Action::Violation(violation));
     }
 
     /// Number of buffered actions.

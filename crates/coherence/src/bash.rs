@@ -90,10 +90,6 @@ pub struct BashMemCtrl {
     retry_slots: HashMap<TxnId, u8>,
     retry_capacity: usize,
     dram_latency: Duration,
-    /// Drop (and count) deliveries that violate the network contract
-    /// instead of panicking — set by the driver for the broken-network
-    /// fault injections.
-    tolerant: bool,
     stats: MemStats,
     log: TransitionLog,
 }
@@ -120,7 +116,6 @@ impl BashMemCtrl {
             retry_slots: HashMap::new(),
             retry_capacity,
             dram_latency,
-            tolerant: false,
             stats: MemStats::default(),
             log: TransitionLog::recording(coverage),
         }
@@ -172,15 +167,6 @@ impl BashMemCtrl {
                 .blocks
                 .values()
                 .all(|b| b.wb.is_none() && b.early_wb.is_empty())
-    }
-
-    /// Makes unexpected deliveries (duplicated or reordered network
-    /// traffic) drop — counted in `spurious_dropped` — instead of panic.
-    /// The verification harness enables this for its broken-network fault
-    /// injections, which deliberately violate the delivery contract the
-    /// asserts encode; normal runs keep every assert armed.
-    pub fn set_tolerant(&mut self, tolerant: bool) {
-        self.tolerant = tolerant;
     }
 
     /// Handles a delivery (the driver routes only home-block messages
@@ -388,21 +374,12 @@ impl BashMemCtrl {
         let before = self.state_label(block);
         let st = self.blocks.or_default(block);
         if st.wb.as_ref().is_none_or(|wb| wb.from != from) {
-            if self.tolerant {
-                // A corrupted owner record (duplicated/reordered request
-                // traffic) can leave writeback data arriving with no open
-                // window, or from a node the window no longer credits.
-                // Drop it — the dirty data is lost, which is exactly the
-                // corruption the oracle must then flag.
-                self.stats.spurious_dropped += 1;
-            } else {
-                // The unordered data network outran the ordered PutM
-                // marker (skewed per-destination chains, e.g. under a
-                // retransmitting fault plane). Hold the data; the marker
-                // is guaranteed to follow — the writer only sends data
-                // after observing its own marker in the total order.
-                st.early_wb.push((from, data));
-            }
+            // The unordered data network outran the ordered PutM marker
+            // (skewed per-destination chains, e.g. under a retransmitting
+            // fault plane). Hold the data; the marker is guaranteed to
+            // follow — the writer only sends data after observing its own
+            // marker in the total order.
+            st.early_wb.push((from, data));
             return;
         }
         let wb = st.wb.take().expect("window checked above");

@@ -26,7 +26,7 @@
 use bash_kernel::Duration;
 use bash_net::{Message, NodeId, NodeSet, VnetId};
 
-use crate::actions::{AccessOutcome, Action, ActionSink};
+use crate::actions::{AccessOutcome, Action, ActionSink, Violation};
 use crate::blocktable::BlockTable;
 use crate::cache::{CacheArray, CacheGeometry, Mosi};
 use crate::registry::TransitionLog;
@@ -112,11 +112,6 @@ pub struct CacheStats {
     pub nack_reissues: u64,
     /// Snoops of foreign requests answered with data.
     pub snoop_responses: u64,
-    /// Deliveries dropped in fault-tolerant mode because they addressed a
-    /// transaction this controller no longer (or never) had open —
-    /// duplicated or reordered network traffic from the harness's
-    /// broken-network fault injections.
-    pub spurious_dropped: u64,
 }
 
 /// Statistics kept by every memory/directory controller.
@@ -136,11 +131,6 @@ pub struct MemStats {
     pub writebacks_accepted: u64,
     /// Writebacks ignored as stale (lost an ownership race).
     pub writebacks_stale: u64,
-    /// Deliveries dropped in fault-tolerant mode (writeback data with no
-    /// open window, or from a node the owner record no longer credits) —
-    /// duplicated or reordered network traffic from the harness's
-    /// broken-network fault injections.
-    pub spurious_dropped: u64,
 }
 
 impl CacheStats {
@@ -159,7 +149,6 @@ impl CacheStats {
             nacks_received,
             nack_reissues,
             snoop_responses,
-            spurious_dropped,
         } = *other;
         self.hits += hits;
         self.misses += misses;
@@ -171,7 +160,6 @@ impl CacheStats {
         self.nacks_received += nacks_received;
         self.nack_reissues += nack_reissues;
         self.snoop_responses += snoop_responses;
-        self.spurious_dropped += spurious_dropped;
     }
 }
 
@@ -188,7 +176,6 @@ impl MemStats {
             nacks_sent,
             writebacks_accepted,
             writebacks_stale,
-            spurious_dropped,
         } = *other;
         self.data_responses += data_responses;
         self.forwards += forwards;
@@ -197,7 +184,6 @@ impl MemStats {
         self.nacks_sent += nacks_sent;
         self.writebacks_accepted += writebacks_accepted;
         self.writebacks_stale += writebacks_stale;
-        self.spurious_dropped += spurious_dropped;
     }
 }
 
@@ -231,11 +217,6 @@ pub(crate) struct CacheCore {
     wb_in_flight: usize,
     txn_seq: u64,
     pub(crate) provide_latency: Duration,
-    /// Drop (and count) deliveries that violate the network contract
-    /// instead of panicking — set by the driver for the broken-network
-    /// fault injections, which deliberately violate the delivery contract
-    /// the asserts encode; normal runs keep every assert armed.
-    pub(crate) tolerant: bool,
     pub(crate) stats: CacheStats,
     pub(crate) log: TransitionLog,
 }
@@ -256,7 +237,6 @@ impl CacheCore {
             wb_in_flight: 0,
             txn_seq: 0,
             provide_latency,
-            tolerant: false,
             stats: CacheStats::default(),
             log: TransitionLog::recording(coverage),
         }
@@ -276,7 +256,7 @@ impl CacheCore {
     }
 
     /// The open writeback entry for `block`, if any.
-    fn wb_entry(&self, block: BlockAddr) -> Option<&WbEntry> {
+    pub(crate) fn wb_entry(&self, block: BlockAddr) -> Option<&WbEntry> {
         self.side.get(block).and_then(|b| b.wb.as_ref())
     }
 
@@ -297,15 +277,26 @@ impl CacheCore {
             .is_some_and(|m| m.block == block && m.have_marker && !self.is_local_owner(block))
     }
 
-    /// In tolerant mode, drops (and counts) a delivery addressed to a
-    /// transaction this controller no longer (or never) had open — a
-    /// duplicated or reordered network delivered it to a closed miss.
-    pub(crate) fn drops_closed(&mut self, txn: TxnId) -> bool {
-        let drop = self.tolerant && self.mshr.as_ref().is_none_or(|m| m.txn != txn);
-        if drop {
-            self.stats.spurious_dropped += 1;
-        }
-        drop
+    /// True when `txn` is this cache's open miss.
+    pub(crate) fn is_open(&self, txn: TxnId) -> bool {
+        self.mshr.as_ref().is_some_and(|m| m.txn == txn)
+    }
+
+    /// Rejects a delivery for `block` that breaks `rule` of the delivery
+    /// contract: reports it once as a [`Violation`] and changes nothing.
+    pub(crate) fn reject(
+        &self,
+        block: BlockAddr,
+        txn: Option<TxnId>,
+        rule: &'static str,
+        sink: &mut ActionSink,
+    ) {
+        sink.violation(Violation {
+            node: self.node,
+            block,
+            txn,
+            rule,
+        });
     }
 
     /// Answers a foreign request as the block's owner, from the cache line
@@ -517,7 +508,7 @@ pub(crate) fn resume_stalled(e: &mut impl CacheEngine, block: BlockAddr, sink: &
 /// Accepts the data reply to the open miss, which completes once the
 /// marker is in as well (before it: IS_A / IM_A). `data` carries the
 /// came-from-a-cache flag; `serialized_at` is the order number the reply
-/// is tagged with.
+/// is tagged with. Data for any transaction but the open one is rejected.
 pub(crate) fn on_data(
     e: &mut impl CacheEngine,
     txn: TxnId,
@@ -528,11 +519,10 @@ pub(crate) fn on_data(
 ) {
     let c = e.core();
     let before = c.label(block);
-    if c.drops_closed(txn) {
-        return;
-    }
-    let m = c.mshr.as_mut().expect("data without outstanding miss");
-    assert_eq!(m.txn, txn, "data for a foreign transaction");
+    let Some(m) = c.mshr.as_mut().filter(|m| m.txn == txn) else {
+        let rule = "data for a transaction this cache has not open";
+        return c.reject(block, Some(txn), rule, sink);
+    };
     debug_assert_eq!(m.block, block);
     m.data = Some(data);
     if m.have_marker {

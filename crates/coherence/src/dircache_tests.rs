@@ -6,7 +6,7 @@ use bash_net::{Message, NodeId, NodeSet};
 use crate::actions::{AccessOutcome, Action};
 use crate::cache::{CacheGeometry, Mosi};
 use crate::directory::DirectoryCacheCtrl;
-use crate::test_support::{AccessCollect, Deliver};
+use crate::test_support::{assert_rejects, AccessCollect, Deliver};
 use crate::types::{
     BlockAddr, BlockData, ProcOp, ProtoMsg, Request, TxnId, TxnKind, CONTROL_MSG_BYTES,
     DATA_MSG_BYTES,
@@ -419,4 +419,95 @@ fn access_to_a_block_with_writeback_in_flight_stalls_then_issues() {
         misses + 1,
         "the stalled access counts once"
     );
+}
+
+/// Opens a store miss on `block` at node 2 and returns its transaction.
+fn open_store_miss(c: &mut DirectoryCacheCtrl, block: u64) -> TxnId {
+    let (outcome, _) = c.access_collect(
+        t(0),
+        ProcOp::Store {
+            block: BlockAddr(block),
+            word: 0,
+            value: 1,
+        },
+    );
+    match outcome {
+        AccessOutcome::Miss { txn } => txn,
+        _ => panic!("must miss"),
+    }
+}
+
+fn txn(node: u16, seq: u64) -> TxnId {
+    TxnId {
+        node: NodeId(node),
+        seq,
+    }
+}
+
+#[test]
+fn data_with_no_miss_open_is_rejected() {
+    let mut c = ctrl(2);
+    let v = assert_rejects(
+        &mut c,
+        &data(2, 4, 1, 7),
+        None,
+        BlockAddr(1),
+        Some(txn(2, 4)),
+    );
+    assert_eq!(v.rule, "data for a transaction this cache has not open");
+}
+
+#[test]
+fn a_marker_with_no_miss_open_is_rejected() {
+    let mut c = ctrl(2);
+    let marker = fwd(TxnKind::GetM, 1, 2, 4, NodeSet::singleton(NodeId(2)));
+    let v = assert_rejects(&mut c, &marker, Some(0), BlockAddr(1), Some(txn(2, 4)));
+    assert_eq!(v.rule, "marker for a transaction this cache has not open");
+    // A miss open, for another transaction.
+    let open = open_store_miss(&mut c, 1);
+    assert_ne!(open, txn(2, 4));
+    assert_rejects(&mut c, &marker, Some(1), BlockAddr(1), Some(txn(2, 4)));
+}
+
+#[test]
+fn a_second_marker_is_rejected() {
+    let mut c = ctrl(2);
+    let open = open_store_miss(&mut c, 1);
+    let marker = fwd(TxnKind::GetM, 1, 2, open.seq, NodeSet::singleton(NodeId(2)));
+    assert!(c.deliver(t(5), &marker, Some(0)).is_empty(), "IM_D");
+    let v = assert_rejects(&mut c, &marker, Some(1), BlockAddr(1), Some(open));
+    assert_eq!(v.rule, "second marker for an open transaction");
+}
+
+#[test]
+fn a_wb_ack_with_no_writeback_open_is_rejected() {
+    let mut c = ctrl(2);
+    for stale in [false, true] {
+        let v = assert_rejects(&mut c, &wb_ack(2, 1, stale), Some(0), BlockAddr(1), None);
+        assert_eq!(v.rule, "writeback ack with no writeback open");
+    }
+    // An owned block with no writeback open is no exception.
+    install_m(&mut c, 2, 1, 0);
+    assert_rejects(&mut c, &wb_ack(2, 1, false), Some(1), BlockAddr(1), None);
+}
+
+#[test]
+fn a_stale_wb_ack_for_an_owned_writeback_is_rejected() {
+    let mut c = ctrl(2);
+    // Blocks 1, 5, 9 share a set of two ways: installing 9 evicts 1,
+    // whose writeback stays open and owned until the home acks it.
+    install_m(&mut c, 2, 1, 0);
+    install_m(&mut c, 2, 5, 100);
+    install_m(&mut c, 2, 9, 200);
+    assert!(!c.is_quiescent(), "block 1's writeback is open");
+    // Only an ack behind the forwarded GetM that squashed the writeback
+    // may be stale; this one overtook it.
+    let v = assert_rejects(&mut c, &wb_ack(2, 1, true), Some(4), BlockAddr(1), None);
+    assert_eq!(
+        v.rule,
+        "stale writeback ack for a writeback this cache still owns"
+    );
+    // The writeback is still open: the real ack retires it.
+    c.deliver(t(300), &wb_ack(2, 1, false), Some(5));
+    assert!(c.is_quiescent());
 }

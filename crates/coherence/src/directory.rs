@@ -129,24 +129,23 @@ impl DirectoryCacheCtrl {
     }
 
     /// Our forwarded copy: the marker fixing our place in the VN1 total
-    /// order.
+    /// order. The home forwards exactly one per transaction, so a marker
+    /// for a transaction not open, or a second one, is rejected.
     fn on_own_marker(&mut self, req: &Request, sink: &mut ActionSink) {
         let block = req.block;
         let c = &mut self.core;
         let before = c.label(block);
-        if c.tolerant
-            && c.mshr
-                .as_ref()
-                .is_none_or(|m| m.txn != req.txn || m.have_marker)
-        {
-            // A duplicated home re-forward: either our transaction already
-            // closed, or we already saw the real marker for it.
-            c.stats.spurious_dropped += 1;
-            return;
-        }
-        let m = c.mshr.as_mut().expect("marker without outstanding miss");
-        assert_eq!(m.txn, req.txn, "marker for a foreign transaction");
-        debug_assert!(!m.have_marker);
+        let m = match c.mshr.as_mut() {
+            Some(m) if m.txn == req.txn && !m.have_marker => m,
+            Some(m) if m.txn == req.txn => {
+                let rule = "second marker for an open transaction";
+                return c.reject(block, Some(req.txn), rule, sink);
+            }
+            _ => {
+                let rule = "marker for a transaction this cache has not open";
+                return c.reject(block, Some(req.txn), rule, sink);
+            }
+        };
         m.have_marker = true;
         let have_data = m.data.is_some();
 
@@ -185,26 +184,24 @@ impl DirectoryCacheCtrl {
         self.core.log.record(before, ev, self.core.label(block));
     }
 
+    /// The home's ack retires our writeback. It must find one open, and a
+    /// stale ack follows, on ordered VN1, the forwarded GetM that squashed
+    /// the entry; any other ack is rejected.
     fn on_wb_ack(&mut self, block: BlockAddr, stale: bool, sink: &mut ActionSink) {
-        let before = self.core.label(block);
-        let Some(entry) = self.core.close_writeback(block) else {
-            if self.core.tolerant {
-                self.core.stats.spurious_dropped += 1;
-                return;
+        let c = &mut self.core;
+        let rule = match c.wb_entry(block) {
+            None => Some("writeback ack with no writeback open"),
+            Some(e) if stale && e.valid => {
+                Some("stale writeback ack for a writeback this cache still owns")
             }
-            panic!("ack without wb entry");
+            Some(_) => None,
         };
-        // Under a reordering network a *stale* ack can overtake the
-        // forwarded GetM that squashes the entry, so the entry may still
-        // look valid here; tolerant mode accepts that (the data is lost,
-        // which is exactly the corruption the oracle must then flag).
-        debug_assert!(
-            self.core.tolerant || !stale || !entry.valid,
-            "directory saw the writeback as stale but we still thought we owned it"
-        );
-        self.core
-            .log
-            .record(before, "WbAck", self.core.label(block));
+        if let Some(rule) = rule {
+            return c.reject(block, None, rule, sink);
+        }
+        let before = c.label(block);
+        c.close_writeback(block);
+        c.log.record(before, "WbAck", c.label(block));
         common::resume_stalled(self, block, sink);
     }
 }

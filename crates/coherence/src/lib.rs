@@ -19,8 +19,8 @@
 //!
 //! * [`types`] — blocks, transactions, protocol messages, the sufficiency
 //!   predicate at the heart of BASH;
-//! * [`actions`] — what controllers emit (sends, miss completions) and
-//!   the reusable sink they emit into;
+//! * [`actions`] — what controllers emit (sends, miss completions,
+//!   rejected deliveries) and the reusable sink they emit into;
 //! * [`cache`] — the set-associative data array;
 //! * [`common`] — the shared cache-side core (the processor side both
 //!   engines run: hits and stalls, completions, data replies, evictions,
@@ -59,7 +59,7 @@ mod snoopcache_tests;
 mod test_support;
 pub mod types;
 
-pub use actions::{AccessOutcome, Action, ActionSink};
+pub use actions::{AccessOutcome, Action, ActionSink, Violation};
 pub use blocktable::BlockTable;
 pub use cache::{CacheArray, CacheGeometry, Mosi};
 pub use hierarchy::{home_of, HierarchyConfig};

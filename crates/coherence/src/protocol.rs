@@ -204,18 +204,6 @@ impl CacheCtrl {
     pub fn is_quiescent(&self) -> bool {
         self.core().is_quiescent()
     }
-
-    /// Makes unexpected deliveries drop (counted in `spurious_dropped`)
-    /// instead of panic — set by the driver for the broken-network fault
-    /// injections, which deliberately violate the delivery contract the
-    /// asserts encode; normal runs keep every assert armed.
-    pub fn set_tolerant(&mut self, tolerant: bool) {
-        let core = match self {
-            CacheCtrl::Snoop(c) => &mut c.core,
-            CacheCtrl::Directory(c) => &mut c.core,
-        };
-        core.tolerant = tolerant;
-    }
 }
 
 /// A memory/directory controller of any protocol.
@@ -291,17 +279,6 @@ impl MemCtrl {
         match self {
             MemCtrl::Directory(_) => true, // the directory has no transient state
             MemCtrl::Bash(m) => m.is_quiescent(),
-        }
-    }
-
-    /// Makes unexpected deliveries drop (counted) instead of panic — set
-    /// by the driver for the broken-network fault injections. The
-    /// directory controller is a total state machine (every delivery is
-    /// legal in every state), so it has nothing to relax.
-    pub fn set_tolerant(&mut self, tolerant: bool) {
-        match self {
-            MemCtrl::Directory(_) => {}
-            MemCtrl::Bash(m) => m.set_tolerant(tolerant),
         }
     }
 

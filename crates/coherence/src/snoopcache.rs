@@ -274,7 +274,7 @@ impl SnoopCacheCtrl {
         match req.kind {
             TxnKind::PutM => self.on_own_putm_marker(req, sink),
             TxnKind::GetS | TxnKind::GetM => {
-                if self.core.mshr.as_ref().is_none_or(|m| m.txn != req.txn) {
+                if !self.core.is_open(req.txn) {
                     // A retry copy of a transaction that already completed.
                     return;
                 }
@@ -453,13 +453,13 @@ impl SnoopCacheCtrl {
     // ---- responses ----
 
     fn on_nack(&mut self, txn: TxnId, block: BlockAddr, sink: &mut ActionSink) {
-        let before = self.core.label(block);
-        if self.core.drops_closed(txn) {
-            // A nack for a transaction that already completed: replaying
-            // the deferred queue or reissuing would corrupt an unrelated
-            // in-flight miss.
-            return;
+        if !self.core.is_open(txn) {
+            // Replaying the deferred queue or reissuing would corrupt an
+            // unrelated in-flight miss.
+            let rule = "nack for a transaction this cache has not open";
+            return self.core.reject(block, Some(txn), rule, sink);
         }
+        let before = self.core.label(block);
         self.core.stats.nacks_received += 1;
         // The failed attempt changed no global state: replay anything we
         // deferred as a bystander, then reissue as a broadcast (guaranteed
@@ -467,12 +467,7 @@ impl SnoopCacheCtrl {
         // hierarchy this stays a *full* broadcast — a cluster-cast could
         // miss a foreign-cluster owner and nack again forever.
         self.replay_deferred(None, sink);
-        let m = self
-            .core
-            .mshr
-            .as_mut()
-            .expect("nack without outstanding miss");
-        assert_eq!(m.txn, txn, "nack for a foreign transaction");
+        let m = self.core.mshr.as_mut().expect("checked above");
         m.have_marker = false;
         let kind = m.kind;
         self.core.stats.nack_reissues += 1;

@@ -8,7 +8,7 @@ use bash_net::{Message, NodeId, NodeSet};
 use crate::actions::{AccessOutcome, Action};
 use crate::cache::{CacheGeometry, Mosi};
 use crate::snoopcache::SnoopCacheCtrl;
-use crate::test_support::{AccessCollect, Deliver};
+use crate::test_support::{assert_rejects, AccessCollect, Deliver};
 use crate::types::{
     BlockAddr, BlockData, ProcOp, ProtoMsg, Request, TxnId, TxnKind, CONTROL_MSG_BYTES,
     DATA_MSG_BYTES,
@@ -665,4 +665,86 @@ fn access_to_a_block_with_writeback_in_flight_stalls_then_issues() {
         misses + 1,
         "the stalled access counts once"
     );
+}
+
+/// Opens a store miss on `block` and returns its transaction.
+fn open_store_miss(c: &mut SnoopCacheCtrl, block: u64) -> TxnId {
+    let (outcome, _) = c.access_collect(
+        t(0),
+        ProcOp::Store {
+            block: BlockAddr(block),
+            word: 0,
+            value: 1,
+        },
+    );
+    match outcome {
+        AccessOutcome::Miss { txn } => txn,
+        _ => panic!("must miss"),
+    }
+}
+
+fn nack_msg(txn: TxnId, block: u64) -> Message<ProtoMsg> {
+    Message::unordered(
+        NodeId(1),
+        txn.node,
+        bash_net::VnetId::DATA,
+        CONTROL_MSG_BYTES,
+        ProtoMsg::Nack {
+            txn,
+            block: BlockAddr(block),
+        },
+    )
+}
+
+#[test]
+fn data_for_a_transaction_not_open_is_rejected() {
+    let mut c = bash(0, DecisionMode::AlwaysUnicast);
+    let stray = TxnId {
+        node: NodeId(0),
+        seq: 9,
+    };
+    // No miss open.
+    let v = assert_rejects(
+        &mut c,
+        &data_msg(stray, 1, 7, None),
+        None,
+        BlockAddr(1),
+        Some(stray),
+    );
+    assert_eq!(v.rule, "data for a transaction this cache has not open");
+    // A miss open, for another transaction.
+    let txn = open_store_miss(&mut c, 1);
+    assert_ne!(txn, stray);
+    assert_rejects(
+        &mut c,
+        &data_msg(stray, 1, 7, Some(3)),
+        None,
+        BlockAddr(1),
+        Some(stray),
+    );
+}
+
+#[test]
+fn a_nack_for_a_transaction_not_open_is_rejected() {
+    let mut c = bash(0, DecisionMode::AlwaysUnicast);
+    let stray = TxnId {
+        node: NodeId(0),
+        seq: 9,
+    };
+    // No miss open.
+    let v = assert_rejects(&mut c, &nack_msg(stray, 1), None, BlockAddr(1), Some(stray));
+    assert_eq!(v.rule, "nack for a transaction this cache has not open");
+    // A miss open past its marker, with a foreign request deferred behind
+    // it: a nack for another transaction must neither reissue the miss
+    // nor replay the deferred request.
+    let txn = open_store_miss(&mut c, 1);
+    let home_and_self = NodeSet::from_nodes([NodeId(1), NodeId(0)]);
+    c.deliver(
+        t(5),
+        &req_msg(TxnKind::GetM, 1, 0, txn.seq, home_and_self, 0),
+        Some(0),
+    );
+    let foreign = req_msg(TxnKind::GetM, 1, 3, 1, NodeSet::all(4), 0);
+    assert!(c.deliver(t(6), &foreign, Some(1)).is_empty(), "deferred");
+    assert_rejects(&mut c, &nack_msg(stray, 1), None, BlockAddr(1), Some(stray));
 }

@@ -3,11 +3,14 @@
 //! action lists. One definition, stamped onto each controller type by the
 //! `impl_deliver!` / `impl_access_collect!` macros.
 
+use std::fmt::Debug;
+
 use bash_kernel::Time;
 use bash_net::Message;
 
-use crate::actions::{AccessOutcome, Action};
-use crate::types::{ProcOp, ProtoMsg};
+use crate::actions::{AccessOutcome, Action, Violation};
+use crate::common::CacheEngine;
+use crate::types::{BlockAddr, ProcOp, ProtoMsg, TxnId};
 
 /// Deliver a message and collect the emitted actions.
 pub(crate) trait Deliver {
@@ -56,3 +59,29 @@ macro_rules! impl_access_collect {
 }
 
 pub(crate) use {impl_access_collect, impl_deliver};
+
+/// Delivers `msg` to a cache controller that must reject it: exactly one
+/// [`Action::Violation`], naming the controller's node, `block` and
+/// `txn`, and nothing else — with the whole controller (statistics, MSHR,
+/// writeback entries, deferred requests, coverage log) as it was. Returns
+/// the violation.
+pub(crate) fn assert_rejects<C: Deliver + CacheEngine + Debug>(
+    c: &mut C,
+    msg: &Message<ProtoMsg>,
+    order: Option<u64>,
+    block: BlockAddr,
+    txn: Option<TxnId>,
+) -> Violation {
+    let before = format!("{c:?}");
+    let actions = c.deliver(Time::from_ns(1_000), msg, order);
+    let [Action::Violation(v)] = actions.as_slice() else {
+        panic!("expected exactly one violation, got {actions:?}");
+    };
+    assert_eq!((v.node, v.block, v.txn), (c.core().node, block, txn));
+    assert_eq!(
+        format!("{c:?}"),
+        before,
+        "a rejected delivery changes nothing"
+    );
+    *v
+}

@@ -12,6 +12,11 @@ use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
 /// broken protocols; injecting a fault here produces a "broken protocol
 /// variant" whose violations the harness must detect and whose failing
 /// trace the minimizer must shrink. Never enabled by default.
+///
+/// A run under an injection passes or ends in one of three typed
+/// outcomes, never a panic: a protocol violation (a controller rejected
+/// a delivery the broken network made, and the driver stopped the run
+/// there), a wedge, or an oracle failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultInjection {
     /// Corrupt the value returned by every `period`-th completed load
@@ -73,22 +78,6 @@ pub enum FaultInjection {
         /// Corruption period in eligible home-bound requests (must be ≥ 1).
         period: u64,
     },
-}
-
-impl FaultInjection {
-    /// True for the broken-*network* faults, which deliberately violate
-    /// the delivery contract the controllers' internal asserts encode; the
-    /// driver switches the controllers into tolerant (drop-and-count) mode
-    /// for them so the injected breakage surfaces as an oracle violation
-    /// rather than a panic.
-    pub fn breaks_network(self) -> bool {
-        matches!(
-            self,
-            FaultInjection::DuplicateDeliveries { .. }
-                | FaultInjection::ReorderOrdered { .. }
-                | FaultInjection::StaleSharerMask { .. }
-        )
-    }
 }
 
 /// Full configuration of a simulated system.

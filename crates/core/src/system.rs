@@ -19,7 +19,7 @@
 use bash_coherence::common::{CacheStats, MemStats};
 use bash_coherence::{
     route, AccessOutcome, Action, ActionSink, CacheCtrl, MemCtrl, Owner, ProcOp, ProtoMsg,
-    ProtocolKind, TxnId,
+    ProtocolKind, TxnId, Violation,
 };
 use bash_kernel::stats::{RunningStat, WindowDelta};
 use bash_kernel::{CalendarConfig, Duration, EventQueue, Time};
@@ -30,7 +30,7 @@ use bash_net::{
 use bash_trace::{Trace, TraceCapture, TraceRecord};
 use bash_workloads::{WorkItem, Workload};
 
-use crate::config::{FaultInjection, SystemConfig, WatchdogBudget};
+use crate::config::{SystemConfig, WatchdogBudget};
 use crate::fault_injector::{Admit, FaultInjector, Verdict};
 use crate::stats::{HierarchyStats, LinkStat, RunStats};
 
@@ -123,21 +123,23 @@ pub enum RunError {
     /// The run wedged: a watchdog budget expired, or the event queue
     /// drained without the system reaching quiescence.
     Wedged(Box<WedgeDiagnostic>),
-}
-
-impl RunError {
-    /// The wedge diagnostic carried by this error.
-    pub fn diagnostic(&self) -> &WedgeDiagnostic {
-        match self {
-            RunError::Wedged(d) => d,
-        }
-    }
+    /// A controller rejected a delivery that breaks the protocols'
+    /// delivery contract; the run ended after the event that made it.
+    ProtocolViolation {
+        /// Virtual time of the rejected delivery.
+        at: Time,
+        /// What was rejected, where.
+        violation: Violation,
+    },
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Wedged(d) => d.fmt(f),
+            RunError::ProtocolViolation { at, violation } => {
+                write!(f, "Protocol violation at {at}: {violation}")
+            }
         }
     }
 }
@@ -158,7 +160,7 @@ enum Event {
     /// Adaptive-mechanism sampling tick (all nodes).
     Sample,
     /// Fault injection: a duplicated copy of `msg` arrives at `dst`'s
-    /// memory controller ([`FaultInjection::DuplicateDeliveries`]). The
+    /// memory controller ([`crate::FaultInjection::DuplicateDeliveries`]). The
     /// handle carries a retained arena reference, released on delivery.
     Redeliver {
         dst: NodeId,
@@ -258,9 +260,12 @@ pub struct System<W: Workload> {
     /// [`SystemConfig::capture_completions`] each record is additionally
     /// stamped with its issue→complete latency as the op finishes.
     op_capture: Option<TraceCapture>,
-    /// The configured [`FaultInjection`] at run time (`None` in every
+    /// The configured [`crate::FaultInjection`] at run time (`None` in every
     /// normal run).
     fault: Option<FaultInjector>,
+    /// The first delivery a controller rejected, and when; the run loop
+    /// ends the run on it.
+    violation: Option<(Time, Violation)>,
     /// Bytes delivered inside the sender's cluster (hierarchy runs only).
     hier_intra_bytes: u64,
     /// Bytes delivered across a cluster boundary (hierarchy runs only).
@@ -283,12 +288,7 @@ impl<W: Workload> System<W> {
             panic!("{e}");
         }
         let nodes = cfg.nodes;
-        // Everything derived from the fault plane is computed here, before
-        // the configuration moves into the interconnect below.
-        let unreliable = cfg
-            .fault_plane
-            .as_ref()
-            .is_some_and(bash_net::FaultPlaneConfig::breaks_delivery);
+        // Computed before the fault plane moves into the interconnect.
         let fault_timer_load: usize =
             cfg.fault_plane
                 .as_ref()
@@ -304,7 +304,7 @@ impl<W: Workload> System<W> {
         net_cfg.fault = cfg.fault_plane.take();
         let net = Interconnect::new(net_cfg);
 
-        let mut caches: Vec<CacheCtrl> = (0..nodes)
+        let caches: Vec<CacheCtrl> = (0..nodes)
             .map(|i| {
                 CacheCtrl::new(
                     cfg.protocol,
@@ -321,7 +321,7 @@ impl<W: Workload> System<W> {
                 )
             })
             .collect();
-        let mut mems: Vec<MemCtrl> = (0..nodes)
+        let mems: Vec<MemCtrl> = (0..nodes)
             .map(|i| {
                 MemCtrl::new(
                     cfg.protocol,
@@ -334,20 +334,6 @@ impl<W: Workload> System<W> {
                 )
             })
             .collect();
-
-        // The broken-network faults — and an unprotected lossy fault
-        // plane — deliberately violate the delivery contract the
-        // controllers' asserts encode; switch the controllers to tolerant
-        // (drop-and-count) mode so the breakage surfaces as an oracle
-        // violation or a watchdog wedge instead of a panic.
-        if cfg.fault.is_some_and(FaultInjection::breaks_network) || unreliable {
-            for c in &mut caches {
-                c.set_tolerant(true);
-            }
-            for m in &mut mems {
-                m.set_tolerant(true);
-            }
-        }
 
         // Steady-state queue depth scales with the node count: every node
         // keeps a handful of protocol events in flight, and an armed fault
@@ -406,6 +392,7 @@ impl<W: Workload> System<W> {
             delivery_trace: None,
             op_capture,
             fault: cfg.fault.map(|f| FaultInjector::new(f, nodes)),
+            violation: None,
             hier_intra_bytes: 0,
             hier_inter_bytes: 0,
             hier_bank_requests: cfg
@@ -526,7 +513,9 @@ impl<W: Workload> System<W> {
     /// (inclusive) one at a time, so the watchdog sees each one (see
     /// `docs/ENGINE.md`, "One run loop"). A queue that drains while the
     /// system is not quiescent is a [`WedgeCause::Stalled`] wedge: nothing
-    /// can happen again, so coasting on would measure a dead system.
+    /// can happen again, so coasting on would measure a dead system. A
+    /// delivery a controller rejected ends the run right after the event
+    /// that made it, as a [`RunError::ProtocolViolation`].
     fn run_events(&mut self, until: Time) -> Result<(), RunError> {
         loop {
             while let Some(next) = self.events.peek_time() {
@@ -539,6 +528,7 @@ impl<W: Workload> System<W> {
                 let (now, ev) = self.events.pop().expect("peeked");
                 self.now = now;
                 self.dispatch(ev);
+                self.check_violation()?;
             }
             // Under ReorderOrdered a partial window can be parked in the
             // per-node hold-back buffers with no event left to release it;
@@ -546,11 +536,20 @@ impl<W: Workload> System<W> {
             if !self.flush_reordered() {
                 break;
             }
+            self.check_violation()?;
         }
         if self.is_quiescent() {
             Ok(())
         } else {
             Err(self.wedged(WedgeCause::Stalled))
+        }
+    }
+
+    /// The first rejected delivery, as the error that ends the run.
+    fn check_violation(&self) -> Result<(), RunError> {
+        match self.violation {
+            None => Ok(()),
+            Some((at, violation)) => Err(RunError::ProtocolViolation { at, violation }),
         }
     }
 
@@ -900,6 +899,9 @@ impl<W: Workload> System<W> {
                     self.events.schedule(self.now + delay, Event::Inject(msg));
                 }
                 Action::MissDone { txn, value, .. } => self.miss_done(node, txn, value),
+                Action::Violation(v) => {
+                    self.violation.get_or_insert((self.now, v));
+                }
             }
         }
         self.sink = sink;
@@ -1108,9 +1110,10 @@ mod tests {
         }
     }
 
-    // The run loop's contract (docs/ENGINE.md, "One run loop"). Its fourth
-    // outcome, a `Stalled` wedge, is pinned end to end by
-    // `tests/fault_plane.rs::a_wedged_grid_point_becomes_an_error_row`.
+    // The run loop's contract (docs/ENGINE.md, "One run loop"). Its
+    // `Stalled` wedge and its protocol-violation exit are pinned end to
+    // end by `tests/fault_plane.rs::a_wedged_grid_point_becomes_an_error_row`
+    // and `a_violating_grid_point_becomes_an_error_row`.
 
     /// Node 0 re-loads one block with zero think time: after the first
     /// miss every load hits and re-issues at the same instant, an event
@@ -1142,7 +1145,9 @@ mod tests {
             .with_watchdog(WatchdogBudget::events(10_000));
         let mut sys = System::new(cfg, HitStorm);
         let err = sys.try_run_until(Time::from_ns(1_000_000)).unwrap_err();
-        let d = err.diagnostic();
+        let RunError::Wedged(d) = err else {
+            panic!("expected a wedge, got {err}");
+        };
         assert_eq!(d.cause, WedgeCause::EventBudget { limit: 10_000 });
         assert_eq!(d.events_processed, 10_000);
         assert!(d.at < Time::from_ns(1_000), "the storm is one instant");
@@ -1157,7 +1162,10 @@ mod tests {
             .with_watchdog(WatchdogBudget::virtual_time(limit));
         let mut sys = System::new(cfg, LockingMicrobench::new(4, 8, Duration::ZERO, 1));
         let err = sys.try_run_until(Time::from_ns(20_000)).unwrap_err();
-        assert_eq!(err.diagnostic().cause, WedgeCause::TimeBudget { limit });
+        let RunError::Wedged(d) = err else {
+            panic!("expected a wedge, got {err}");
+        };
+        assert_eq!(d.cause, WedgeCause::TimeBudget { limit });
         assert!(sys.now() <= Time::ZERO + limit);
         assert!(sys.events.peek_time() > Some(Time::ZERO + limit));
     }

@@ -163,13 +163,17 @@ pub struct VerifyReport {
     /// per-writer-order checks, so 0 means the whole run was checked
     /// with single-writer exactness.
     pub multi_writer_locations: usize,
-    /// All violations (empty = pass).
+    /// All violations (empty = pass): what the oracle saw during the run,
+    /// then, for a run that did not finish, its one run error — the wedge
+    /// diagnostic or the protocol violation that ended it — then what the
+    /// structural sweep found.
     pub violations: Vec<CheckViolation>,
     /// The structured diagnostic when the run wedged — a watchdog budget
     /// trip, or a drained queue that never reached quiescence (reported
     /// even with no watchdog armed). The matching violation text is also
     /// in [`violations`](Self::violations), so `passed()` still tells the
-    /// whole truth. `None` on runs that reached quiescence.
+    /// whole truth. `None` on runs that reached quiescence, and on runs a
+    /// protocol violation ended (its text is in `violations` alone).
     pub wedge: Option<WedgeDiagnostic>,
     /// The instrumented op stream the run executed — replay it through
     /// [`run_verify_trace`] to reproduce this verdict, or feed it to
@@ -255,21 +259,20 @@ pub fn run_verify<W: Workload>(cfg: &VerifyConfig, workload: W) -> VerifyReport 
     let oracle = Rc::new(RefCell::new(Oracle::new()));
     let checked = CheckedWorkload::new(workload, cfg.nodes, cfg.ops_per_node, Rc::clone(&oracle));
     let mut system = System::new(cfg.system_config(), checked);
-    let wedge = match system.try_run_to_idle() {
-        Ok(()) => None,
-        Err(RunError::Wedged(diag)) => Some(*diag),
-    };
-
+    // `try_run_to_idle` returns `Ok` only on a quiescent system, so its
+    // error is the one report of a run that did not finish.
+    let outcome = system.try_run_to_idle();
     {
         let mut o = oracle.borrow_mut();
-        if !system.is_quiescent() {
-            o.report("system failed to reach quiescence (possible deadlock)".into());
-        }
-        if let Some(diag) = &wedge {
-            o.report(diag.to_string());
+        if let Err(err) = &outcome {
+            o.report(err.to_string());
         }
         sweep_structural(&system, &mut o);
     }
+    let wedge = match outcome {
+        Err(RunError::Wedged(diag)) => Some(*diag),
+        _ => None,
+    };
 
     let (mut cache_log, mut cache_stats) = (TransitionLog::new(), CacheStats::default());
     for c in system.caches() {

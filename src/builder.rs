@@ -35,7 +35,8 @@ const PERTURBATION: Duration = Duration::from_ns(3);
 
 /// How many times the sweep executor re-attempts a grid point whose
 /// simulation panicked (for environmental flakes) before recording a
-/// `kind=panicked` [`PointError`] row.
+/// `kind=panicked` [`PointError`] row — the last resort, for panics
+/// outside the controllers' contract checks.
 const PANIC_RETRIES: u32 = 1;
 
 /// One executed grid point: its measured stats plus (for the first grid
@@ -53,6 +54,10 @@ pub enum PointErrorKind {
     /// budget (or stalled with work outstanding) and was cut off with a
     /// structured [`bash_sim::WedgeDiagnostic`].
     Wedged,
+    /// A controller rejected a delivery that breaks the protocols'
+    /// delivery contract, and the run ended there
+    /// ([`RunError::ProtocolViolation`]).
+    Violation,
     /// The point's simulation panicked; the panic was caught at the grid
     /// executor and, after one retry, recorded here instead of
     /// aborting the sweep.
@@ -64,24 +69,26 @@ impl PointErrorKind {
     pub fn name(self) -> &'static str {
         match self {
             PointErrorKind::Wedged => "wedged",
+            PointErrorKind::Violation => "violation",
             PointErrorKind::Panicked => "panicked",
         }
     }
 }
 
 /// One failed grid point of a [`RunReport`]: the sweep executor isolates
-/// wedges and panics per (bandwidth × seed) point, so a single poisoned
+/// failures per (bandwidth × seed) point, so a single poisoned
 /// configuration degrades that point instead of aborting the campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointError {
     /// Which seed-perturbed run of this bandwidth point failed.
     pub seed_index: u32,
     /// How many times the point was attempted (panics are retried once;
-    /// wedges are deterministic and never retried).
+    /// wedges and violations are deterministic and never retried).
     pub attempts: u32,
-    /// Wedged (watchdog) or panicked (caught unwind).
+    /// Wedged (watchdog), violation (rejected delivery) or panicked
+    /// (caught unwind).
     pub kind: PointErrorKind,
-    /// The wedge diagnostic or panic payload, rendered.
+    /// The wedge diagnostic, protocol violation or panic payload, rendered.
     pub message: String,
 }
 
@@ -249,7 +256,7 @@ pub struct RunReport {
     /// in seed order. Failed seeds appear in [`errors`](Self::errors)
     /// instead, so `runs.len() + errors.len() == seeds`.
     pub runs: Vec<RunStats>,
-    /// The seeds that wedged or panicked instead of completing (empty on
+    /// The seeds that failed instead of completing (empty on
     /// every healthy run — the normal case). The metrics above aggregate
     /// only the completed seeds.
     pub errors: Vec<PointError>,
@@ -938,7 +945,8 @@ impl SimBuilder {
     }
 
     /// Executes one (bandwidth, seed) grid point: build, warm up, measure.
-    /// A watchdog trip surfaces as a [`PointError`] instead of spinning.
+    /// A watchdog trip or a protocol violation surfaces as a
+    /// [`PointError`] instead of spinning or panicking.
     fn run_point(
         &self,
         mbps: u64,
@@ -968,11 +976,16 @@ impl SimBuilder {
         let stats = match measured {
             Ok(stats) => stats,
             Err(err) => {
-                // A wedge is deterministic, so one attempt is definitive.
+                // A run error is deterministic, so one attempt is
+                // definitive.
+                let kind = match err {
+                    RunError::Wedged(_) => PointErrorKind::Wedged,
+                    RunError::ProtocolViolation { .. } => PointErrorKind::Violation,
+                };
                 return Err(PointError {
                     seed_index,
                     attempts: 1,
-                    kind: PointErrorKind::Wedged,
+                    kind,
                     message: err.to_string(),
                 });
             }
@@ -1019,8 +1032,9 @@ impl SimBuilder {
         let capture_all = capture && self.capture_all_points && self.ops_out.is_some();
         // Panic isolation: a grid point that panics (after one retry, for
         // environmental flakes) becomes an error row of its report instead
-        // of unwinding through the whole sweep. Wedges come back as
-        // `Err(PointError)` from `run_point` itself and are never retried.
+        // of unwinding through the whole sweep. Wedges and violations come
+        // back as `Err(PointError)` from `run_point` itself and are never
+        // retried.
         let mut results: Vec<Result<PointResult, PointError>> =
             pool::run_indexed_isolated(tasks, threads, PANIC_RETRIES, |i| {
                 self.run_point(

@@ -286,8 +286,12 @@ fn dropped_invalidations_are_caught_for_every_protocol() {
 /// finds a moved owner to corrupt.
 #[test]
 fn duplicated_deliveries_are_caught_for_every_protocol() {
-    // Deliveries the controllers' tolerant mode dropped as spurious.
-    let dropped = |r: &VerifyReport| r.cache_stats.spurious_dropped + r.mem_stats.spurious_dropped;
+    // A delivery some controller rejected, ending the run.
+    let violated = |r: &VerifyReport| {
+        r.violations
+            .iter()
+            .any(|v| v.what.starts_with("Protocol violation"))
+    };
     for proto in PROTOCOLS {
         let mut cfg = VerifyConfig::new(proto, 1);
         cfg.ops_per_node = 200;
@@ -298,8 +302,9 @@ fn duplicated_deliveries_are_caught_for_every_protocol() {
             "{proto:?}: duplicated deliveries must be caught"
         );
         assert!(
-            dropped(&report) > 0,
-            "{proto:?}: the duplicates must reach the tolerant drop path"
+            violated(&report),
+            "{proto:?}: a duplicate must reach a controller that rejects it: {:?}",
+            report.first_violation()
         );
         // Control: the same stream is clean without the fault.
         let mut clean_cfg = cfg.clone();
@@ -309,7 +314,7 @@ fn duplicated_deliveries_are_caught_for_every_protocol() {
             clean.passed(),
             "{proto:?}: the captured stream must be clean without the fault"
         );
-        assert_eq!(dropped(&clean), 0, "{proto:?}: a clean run drops nothing");
+        assert!(!violated(&clean), "{proto:?}: a clean run rejects nothing");
     }
 }
 
