@@ -8,9 +8,11 @@
 //! the wheel; far-future timers (retransmission RTOs, sampling ticks)
 //! land in a sorted overflow level and are promoted in bulk when the
 //! cursor reaches them. Scheduling is `O(1)` amortised, and popping
-//! drains one bucket at a time: the bucket is sorted once on entry by
-//! `(time, seq)` and then consumed from the back, so same-timestamp
-//! events pop in exactly the FIFO order the heap would produce.
+//! drains one bucket at a time: the cursor's bucket is sorted once on
+//! entry, ascending by `(time, seq)`, into the *run*, which pops from
+//! the front, so same-timestamp events pop in exactly the FIFO order the
+//! heap would produce. A bucket filled in key order sorts in one
+//! comparison per slot.
 //!
 //! Invariants:
 //!
@@ -23,17 +25,30 @@
 //!   its time is `>=` the end of the wheel window, which strictly
 //!   upper-bounds every wheel event's time. Promotion therefore never
 //!   reorders.
+//! * While the run is nonempty the cursor's wheel slot stays empty: a
+//!   schedule at or before the cursor's bucket (including one into the
+//!   past, which the heap tolerates) joins the run at its sorted place,
+//!   and a key at or after the run's last appends, which every
+//!   same-instant schedule does because `seq` only grows. So the run's
+//!   front is the next event, and a peek or pop checks nothing else.
+//!   With the run empty (after it drains, or when the cursor re-anchors
+//!   on an empty queue) such a schedule lands unsorted in the cursor's
+//!   own bucket, which the next peek or pop enters like any other.
 //! * An occupancy bitmap (one bit per bucket) lets the cursor skip
 //!   empty buckets 64 at a time, so a sparse wheel stays cheap.
-//! * A bucket that drains frees its buffer, so the wheel's memory follows
-//!   the live event count rather than the largest same-instant burst each
-//!   bucket ever absorbed.
+//! * A drained run hands its buffer to a spare list of at most
+//!   `SPARE_BUFFERS` buffers of at most `SPARE_SLOTS` slots each, and
+//!   an empty bucket takes a spare before it allocates. A larger buffer is
+//!   freed when it drains, so a bucket holds at most `SPARE_SLOTS` slots or
+//!   about twice its events, whichever is more: the wheel's memory follows
+//!   the live event count plus a fixed budget, not the largest
+//!   same-instant burst each bucket ever absorbed.
 //!
 //! This module is the raw engine; [`crate::EventQueue`] wraps it (and
 //! the heap) behind one facade that owns the FIFO sequence numbers, so
 //! the two implementations are interchangeable pop-for-pop.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::time::{Duration, Time};
 
@@ -105,6 +120,15 @@ impl Default for CalendarConfig {
     }
 }
 
+/// Most drained buffers the queue keeps for reuse.
+const SPARE_BUFFERS: usize = 16;
+
+/// Largest buffer, in slots, the spare list keeps: a buffer a fan-out
+/// burst grew past this is freed when it drains. So the spare list holds
+/// at most `SPARE_BUFFERS * SPARE_SLOTS` slots, and a bucket at most
+/// `SPARE_SLOTS` or about twice its events, whichever is more.
+const SPARE_SLOTS: usize = 32;
+
 /// One scheduled entry: `(time, seq)` is the total pop order.
 #[derive(Debug)]
 struct Slot<E> {
@@ -133,9 +157,13 @@ pub(crate) struct CalendarQueue<E> {
     /// Virtual bucket index of the cursor. All wheel events have
     /// `vb(time)` in `[cur_vb, cur_vb + nbuckets)`.
     cur_vb: u64,
-    /// Whether the cursor's bucket is sorted (descending, drained from
-    /// the back so pops come out ascending in `(time, seq)`).
-    cur_sorted: bool,
+    /// The entered cursor bucket's events, ascending in `(time, seq)` and
+    /// popped from the front. While it is nonempty the cursor's wheel
+    /// slot stays empty; an empty run holds no buffer.
+    run: VecDeque<Slot<E>>,
+    /// Empty buffers of at most `SPARE_SLOTS` slots, at most
+    /// `SPARE_BUFFERS` of them, for buckets that fill again.
+    spare: Vec<Vec<Slot<E>>>,
     /// Far-future events, beyond the wheel window, in pop order.
     overflow: BTreeMap<(Time, u64), E>,
     len: usize,
@@ -150,7 +178,8 @@ impl<E> CalendarQueue<E> {
             mask: nbuckets - 1,
             width,
             cur_vb: 0,
-            cur_sorted: false,
+            run: VecDeque::new(),
+            spare: Vec::with_capacity(SPARE_BUFFERS),
             overflow: BTreeMap::new(),
             len: 0,
         }
@@ -191,9 +220,8 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             // Empty queue: re-anchor the cursor at the event so the wheel
             // window always starts where the action is.
-            debug_assert!(self.overflow.is_empty());
+            debug_assert!(self.overflow.is_empty() && self.run.is_empty());
             self.cur_vb = self.vb(time);
-            self.cur_sorted = false;
         }
         self.len += 1;
         let v = self.vb(time);
@@ -204,44 +232,51 @@ impl<E> CalendarQueue<E> {
         self.place_in_wheel(Slot { time, seq, event });
     }
 
-    /// Files an in-window slot into its wheel bucket. Slots at or before
-    /// the cursor's bucket (including schedules into the past, which the
-    /// heap tolerates) are clamped into the cursor's bucket; the sorted
-    /// insert keeps them popping as the earliest *remaining* event.
+    /// Files an in-window slot. Slots at or before the cursor's bucket
+    /// (including schedules into the past, which the heap tolerates) pop
+    /// as the earliest *remaining* events: they join a nonempty run at
+    /// their sorted place, or else land in the cursor's own bucket, which
+    /// is sorted when it is entered. Later ones are pushed onto their
+    /// bucket unsorted.
     fn place_in_wheel(&mut self, slot: Slot<E>) {
         let v = self.vb(slot.time);
-        if v <= self.cur_vb {
-            let idx = (self.cur_vb as usize) & self.mask;
-            if self.cur_sorted {
-                // Keep the descending order: earliest keys sit at the
-                // back (next to pop), so a past/now event inserts near
-                // the end — cheap.
-                let key = slot.key();
-                let at = self.buckets[idx].partition_point(|s| s.key() > key);
-                self.buckets[idx].insert(at, slot);
-            } else {
-                self.buckets[idx].push(slot);
+        if v <= self.cur_vb && !self.run.is_empty() {
+            self.join_run(slot);
+            return;
+        }
+        // Earlier slots go to the cursor's bucket. One rotation window
+        // means distinct virtual buckets in the window always map to
+        // distinct physical buckets.
+        let idx = (v.max(self.cur_vb) as usize) & self.mask;
+        let bucket = &mut self.buckets[idx];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
             }
-            self.set_bit(idx);
+        }
+        bucket.push(slot);
+        self.set_bit(idx);
+    }
+
+    /// Adds a slot to the nonempty run at its sorted place. A key at or
+    /// after the run's last appends; only an earlier one searches and
+    /// shifts.
+    fn join_run(&mut self, slot: Slot<E>) {
+        let key = slot.key();
+        if self.run.back().is_some_and(|last| last.key() > key) {
+            let at = self.run.partition_point(|s| s.key() < key);
+            self.run.insert(at, slot);
         } else {
-            // One rotation window means distinct virtual buckets in the
-            // window always map to distinct physical buckets.
-            let idx = (v as usize) & self.mask;
-            self.buckets[idx].push(slot);
-            self.set_bit(idx);
+            self.run.push_back(slot);
         }
     }
 
-    /// Advances `cur_vb` to the next occupied bucket at or after it,
-    /// scanning the occupancy bitmap a word at a time. Returns false
-    /// when the wheel is empty.
+    /// Advances `cur_vb` to the first occupied bucket at or after it,
+    /// scanning the occupancy bitmap a word at a time, and makes that
+    /// bucket the run. Returns false when the wheel is empty.
     fn advance_to_occupied(&mut self) -> bool {
-        let cur_idx = (self.cur_vb as usize) & self.mask;
-        if !self.buckets[cur_idx].is_empty() {
-            return true;
-        }
         let n = self.mask + 1;
-        let mut offset = 1usize;
+        let mut offset = 0usize;
         while offset < n {
             let pos = ((self.cur_vb as usize) + offset) & self.mask;
             let bit = pos % 64;
@@ -256,7 +291,12 @@ impl<E> CalendarQueue<E> {
             if word != 0 {
                 let hop = word.trailing_zeros() as usize;
                 self.cur_vb += (offset + hop) as u64;
-                self.cur_sorted = false;
+                let idx = (self.cur_vb as usize) & self.mask;
+                let mut slots = std::mem::take(&mut self.buckets[idx]);
+                self.clear_bit(idx);
+                slots.sort_unstable_by_key(Slot::key);
+                debug_assert_eq!(self.run.capacity(), 0, "an empty run holds no buffer");
+                self.run = VecDeque::from(slots);
                 return true;
             }
             offset += span;
@@ -264,17 +304,27 @@ impl<E> CalendarQueue<E> {
         false
     }
 
-    /// Ensures the cursor sits on the next event to pop, promoting from
-    /// overflow first. Returns false when empty.
+    /// Ensures the run's front is the next event to pop. Returns false
+    /// when the queue is empty. While the run is nonempty this is one
+    /// branch: every other wheel event sits in a later bucket and every
+    /// overflow event beyond the window.
+    #[inline]
+    fn settle(&mut self) -> bool {
+        !self.run.is_empty() || self.enter_next_bucket()
+    }
+
+    /// Refills the empty run from the first occupied bucket at or after
+    /// the cursor, promoting from overflow first. Returns false when the
+    /// queue is empty.
     ///
     /// Promotion must happen *before* the cursor advances: an overflow
     /// event was filed against the window position at its insert time,
     /// and once the window has slid far enough to cover its bucket the
     /// event must re-enter the wheel or the cursor could sail past it to
-    /// a later wheel event. Promoting on every settle keeps the
+    /// a later wheel event. Promoting before every advance keeps the
     /// invariant that the cursor never passes an unpromoted overflow
     /// event's bucket.
-    fn settle(&mut self) -> bool {
+    fn enter_next_bucket(&mut self) -> bool {
         if self.len == 0 {
             return false;
         }
@@ -285,7 +335,6 @@ impl<E> CalendarQueue<E> {
                 .first_key_value()
                 .expect("len > 0 with an empty wheel implies overflow events");
             self.cur_vb = self.vb(first_time);
-            self.cur_sorted = false;
         }
         self.promote_in_window();
         let found = self.advance_to_occupied();
@@ -294,9 +343,9 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Moves every overflow event whose bucket now fits the wheel window
-    /// back into the wheel. Order-safe: promoted events land in buckets
-    /// at or ahead of the cursor and per-bucket sorting restores
-    /// `(time, seq)` order.
+    /// back into the wheel. Order-safe: the run is empty here, so promoted
+    /// events land in buckets at or ahead of the cursor, where sorting on
+    /// entry restores `(time, seq)` order.
     fn promote_in_window(&mut self) {
         let Some((&(first_time, _), _)) = self.overflow.first_key_value() else {
             return;
@@ -316,51 +365,47 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Sorts the cursor's bucket (once per entry) for back-to-front
-    /// draining and returns its physical index.
-    fn prepare_current(&mut self) -> usize {
-        let idx = (self.cur_vb as usize) & self.mask;
-        if !self.cur_sorted {
-            self.buckets[idx].sort_unstable_by_key(|s| std::cmp::Reverse(s.key()));
-            self.cur_sorted = true;
-        }
-        idx
-    }
-
     /// `(time, seq)` of the next event to pop. Needs `&mut self`: the
     /// cursor may advance and the entered bucket is sorted lazily.
     pub(crate) fn peek(&mut self) -> Option<(Time, u64)> {
         if !self.settle() {
             return None;
         }
-        let idx = self.prepare_current();
-        self.buckets[idx].last().map(Slot::key)
+        self.run.front().map(Slot::key)
     }
 
     pub(crate) fn pop(&mut self) -> Option<(Time, E)> {
         if !self.settle() {
             return None;
         }
-        let idx = self.prepare_current();
-        let slot = self.buckets[idx]
-            .pop()
-            .expect("settle() guarantees a nonempty cursor bucket");
+        let slot = self
+            .run
+            .pop_front()
+            .expect("settle() guarantees a nonempty run");
         self.len -= 1;
-        if self.buckets[idx].is_empty() {
-            // Give the buffer back: a fan-out burst must not leave its
-            // capacity parked in a bucket the wheel revisits once a
-            // rotation.
-            self.buckets[idx] = Vec::new();
-            self.clear_bit(idx);
-            self.cur_sorted = false;
+        if self.run.is_empty() {
+            let drained = std::mem::take(&mut self.run);
+            self.recycle(drained.into());
         }
         Some((slot.time, slot.event))
     }
 
-    /// Slots of buffer capacity held across all wheel buckets.
+    /// Keeps a drained buffer for the next bucket that fills, or frees it
+    /// when it is oversized or the spare list is full: a fan-out burst
+    /// must not leave its capacity parked in the queue.
+    fn recycle(&mut self, buf: Vec<Slot<E>>) {
+        debug_assert!(buf.is_empty());
+        if (1..=SPARE_SLOTS).contains(&buf.capacity()) && self.spare.len() < SPARE_BUFFERS {
+            self.spare.push(buf);
+        }
+    }
+
+    /// Slots of buffer capacity held across the wheel, the run and the
+    /// spare list.
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum()
+        let vecs = self.buckets.iter().chain(&self.spare);
+        vecs.map(Vec::capacity).sum::<usize>() + self.run.capacity()
     }
 }
 
@@ -409,13 +454,16 @@ mod tests {
     }
 
     /// A lockstep fan-out lands a huge same-instant burst in one bucket.
-    /// Once it drains and the wheel turns a full rotation with one event
-    /// live at a time, the buckets hold no more buffer than the live
-    /// events need: nothing of the burst, and nothing in the buckets the
-    /// single events passed through.
+    /// Once it drains, and while the wheel turns a full rotation with one
+    /// event live at a time, the queue holds no more buffer than the live
+    /// events need plus the spare list's fixed budget: nothing of the
+    /// burst, and no buffer parked in the buckets the single events
+    /// passed through (a 4-slot buffer in each of the 256 would exceed
+    /// the budget).
     #[test]
     fn drained_buckets_retain_no_capacity() {
         const BURST: u64 = 32_768;
+        const BUDGET: usize = SPARE_BUFFERS * SPARE_SLOTS;
         let cfg = CalendarConfig {
             buckets: 256,
             width_ps: 1_000,
@@ -428,9 +476,8 @@ mod tests {
         for seq in 0..BURST {
             assert_eq!(q.pop(), Some((Time::from_ps(500), seq)));
         }
-        assert_eq!(
-            q.retained_capacity(),
-            0,
+        assert!(
+            q.retained_capacity() <= BUDGET,
             "the drained burst kept its buffer"
         );
         // One full rotation, one event per bucket, each popped before the
@@ -440,9 +487,9 @@ mod tests {
             let at = Time::from_ps(1_500 + k * cfg.width_ps);
             q.schedule(at, seq, seq);
             // A one-slot bucket: Vec's smallest nonzero capacity.
-            assert!(q.retained_capacity() <= 4 * q.len(), "bucket {k}");
+            assert!(q.retained_capacity() <= BUDGET + 4 * q.len(), "bucket {k}");
             assert_eq!(q.pop(), Some((at, seq)));
-            assert_eq!(q.retained_capacity(), 0, "bucket {k}");
+            assert!(q.retained_capacity() <= BUDGET, "bucket {k}");
         }
     }
 }

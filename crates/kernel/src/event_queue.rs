@@ -334,26 +334,35 @@ mod tests {
         assert!((64..=65536).contains(&cfg.buckets));
     }
 
-    /// An operation script a queue can replay: schedule (with a time
-    /// offset from the last pop, so runs stay roughly monotonic like a
-    /// real simulation), schedule a same-instant burst of `count` events
-    /// (a lockstep fan-out), or pop.
+    /// An operation script a queue can replay: schedule at a picosecond
+    /// offset from the last popped time (negative lands in the past, which
+    /// the heap tolerates), schedule a same-instant burst of `count` events
+    /// (a lockstep fan-out), peek and then schedule `offset` ps after the
+    /// peeked time (into the bucket the peek settled, before its pop), or
+    /// pop.
     #[derive(Debug, Clone)]
     enum Op {
-        Schedule(u64),
+        Schedule(i64),
         Burst { offset: u64, count: usize },
+        PeekThenSchedule(u64),
         Pop,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
+        let whole_ns = |ns: u64| Op::Schedule(ns as i64 * 1_000);
         prop_oneof![
-            // Mostly near-future offsets, some same-instant, some far
-            // future (overflow territory for small wheels).
-            4 => (0u64..200).prop_map(Op::Schedule),
+            // Mostly near-future whole-ns offsets, some same-instant, some
+            // far future (overflow territory for small wheels).
+            4 => (0u64..200).prop_map(whole_ns),
             1 => Just(Op::Schedule(0)),
-            1 => (10_000u64..200_000).prop_map(Op::Schedule),
+            1 => (10_000u64..200_000).prop_map(whole_ns),
+            // Picosecond offsets put many distinct times in one bucket, as
+            // the verifier's latency jitter does.
+            2 => (0u64..20_000).prop_map(|ps| Op::Schedule(ps as i64)),
+            1 => (1u64..20_000).prop_map(|ps| Op::Schedule(-(ps as i64))),
             // Bursts big enough that draining them frees a large buffer.
             1 => (0u64..200, 1usize..=512).prop_map(|(offset, count)| Op::Burst { offset, count }),
+            2 => (0u64..5_000).prop_map(Op::PeekThenSchedule),
             3 => Just(Op::Pop),
         ]
     }
@@ -381,10 +390,12 @@ mod tests {
         }
 
         /// Heap and calendar produce byte-identical pop sequences for any
-        /// interleaved schedule/pop script, including same-timestamp FIFO
-        /// ties, same-instant bursts whose drained buckets free their
-        /// buffers, and far-future overflow promotion. This is the property
-        /// that lets the engine swap queues without disturbing goldens.
+        /// interleaved schedule/peek/pop script, including same-timestamp
+        /// FIFO ties, schedules into the past and between a peek and its
+        /// pop, many distinct picosecond times in one bucket, same-instant
+        /// bursts whose drained buffers are freed or recycled, and
+        /// far-future overflow promotion. This is the property that lets
+        /// the engine swap queues without disturbing goldens.
         #[test]
         fn prop_calendar_matches_heap(
             ops in proptest::collection::vec(op_strategy(), 1..300),
@@ -394,22 +405,15 @@ mod tests {
             let mut heap = EventQueue::new();
             let mut cal = EventQueue::calendar(CalendarConfig { buckets, width_ps: width });
             let mut next_id = 0usize;
-            let mut clock = 0u64; // last popped time in ns, keeps scripts sim-like
+            let mut clock = 0u64; // last popped time in ps, keeps scripts sim-like
             for op in &ops {
-                match *op {
-                    Op::Schedule(offset) => {
-                        let t = Time::from_ns(clock + offset);
-                        heap.schedule(t, next_id);
-                        cal.schedule(t, next_id);
-                        next_id += 1;
-                    }
-                    Op::Burst { offset, count } => {
-                        let t = Time::from_ns(clock + offset);
-                        for _ in 0..count {
-                            heap.schedule(t, next_id);
-                            cal.schedule(t, next_id);
-                            next_id += 1;
-                        }
+                let times = match *op {
+                    Op::Schedule(offset) => vec![Time::from_ps(clock.saturating_add_signed(offset))],
+                    Op::Burst { offset, count } => vec![Time::from_ps(clock + offset * 1_000); count],
+                    Op::PeekThenSchedule(offset) => {
+                        let peeked = heap.peek_time();
+                        prop_assert_eq!(peeked, cal.peek_time());
+                        vec![peeked.unwrap_or(Time::from_ps(clock)) + Duration::from_ps(offset)]
                     }
                     Op::Pop => {
                         prop_assert_eq!(heap.peek_time(), cal.peek_time());
@@ -417,9 +421,15 @@ mod tests {
                         let b = cal.pop();
                         prop_assert_eq!(a, b);
                         if let Some((t, _)) = a {
-                            clock = t.as_ns();
+                            clock = t.as_ps();
                         }
+                        Vec::new()
                     }
+                };
+                for t in times {
+                    heap.schedule(t, next_id);
+                    cal.schedule(t, next_id);
+                    next_id += 1;
                 }
                 prop_assert_eq!(heap.len(), cal.len());
             }

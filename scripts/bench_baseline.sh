@@ -54,9 +54,11 @@ if ! grep -q '"blocktable": {' "$OUT"; then
   fail=1
 fi
 # Memory gate: peak RSS after the scale section (the 4096-node point
-# dominates it) must stay under 1 GB. Queued events carry arena handles
-# and drained calendar buckets free their buffers, so the queue's memory
-# follows the live event count; either regression multiplies it.
+# dominates it) must stay under 1 GB. Queued events carry arena handles,
+# and a drained calendar bucket's buffer is kept only in a fixed spare
+# list (16 buffers of at most 32 slots; larger ones are freed), so the
+# queue's memory follows the live event count plus a constant; either
+# regression multiplies it.
 rss="$(ratio peak_rss_mb)"
 if [[ -z "$rss" ]]; then
   echo "bench_baseline: $OUT has no peak_rss_mb — scale section malformed" >&2
