@@ -93,8 +93,6 @@ pub struct BandwidthAdaptor {
     mode: DecisionMode,
     interval_cycles: u64,
     samples: u64,
-    broadcasts: u64,
-    unicasts: u64,
 }
 
 impl BandwidthAdaptor {
@@ -111,8 +109,6 @@ impl BandwidthAdaptor {
             mode: cfg.mode,
             interval_cycles: cfg.sampling_interval_cycles,
             samples: 0,
-            broadcasts: 0,
-            unicasts: 0,
         }
     }
 
@@ -139,7 +135,7 @@ impl BandwidthAdaptor {
     /// draw and comparison happen off the critical path in hardware; here it
     /// is just a counter compare.
     pub fn decide(&mut self) -> Cast {
-        let cast = match self.mode {
+        match self.mode {
             DecisionMode::AlwaysBroadcast => Cast::Broadcast,
             DecisionMode::AlwaysUnicast => Cast::Unicast,
             DecisionMode::Adaptive => {
@@ -150,12 +146,7 @@ impl BandwidthAdaptor {
                     Cast::Broadcast
                 }
             }
-        };
-        match cast {
-            Cast::Broadcast => self.broadcasts += 1,
-            Cast::Unicast => self.unicasts += 1,
         }
-        cast
     }
 
     /// Current policy counter value (0 ⇒ always broadcast).
@@ -181,11 +172,6 @@ impl BandwidthAdaptor {
     pub fn samples(&self) -> u64 {
         self.samples
     }
-
-    /// `(broadcasts, unicasts)` decided so far.
-    pub fn decision_counts(&self) -> (u64, u64) {
-        (self.broadcasts, self.unicasts)
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +190,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.decide(), Cast::Broadcast);
         }
-        assert_eq!(a.decision_counts(), (100, 0));
     }
 
     #[test]

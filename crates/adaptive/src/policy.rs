@@ -42,11 +42,6 @@ impl PolicyCounter {
         self.value
     }
 
-    /// Largest representable value (`2^bits − 1`).
-    pub fn max_value(&self) -> u32 {
-        self.max
-    }
-
     /// Saturating increment (utilization above threshold ⇒ lean unicast).
     pub fn bump_up(&mut self) {
         if self.value < self.max {
@@ -99,7 +94,6 @@ mod tests {
     fn with_value_clamps() {
         let c = PolicyCounter::with_value(4, 999);
         assert_eq!(c.value(), 15);
-        assert_eq!(c.max_value(), 15);
     }
 
     #[test]

@@ -157,17 +157,20 @@ impl ActionSink {
     }
 
     /// Number of buffered actions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.actions.len()
     }
 
     /// True when no actions are buffered.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
     }
 
     /// Removes and yields every buffered action in push order, keeping the
     /// buffer's capacity for reuse.
+    #[inline]
     pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {
         self.actions.drain(..)
     }

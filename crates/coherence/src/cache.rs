@@ -64,21 +64,6 @@ pub struct CacheGeometry {
     pub ways: usize,
 }
 
-impl CacheGeometry {
-    /// The paper's L2: 4 MB, 4-way, 64-byte blocks = 16384 sets × 4 ways.
-    pub fn paper_l2() -> Self {
-        CacheGeometry {
-            sets: 16384,
-            ways: 4,
-        }
-    }
-
-    /// Total lines.
-    pub fn lines(&self) -> usize {
-        self.sets * self.ways
-    }
-}
-
 /// The set-associative array.
 ///
 /// # Example
@@ -316,13 +301,6 @@ mod tests {
         let mut c = CacheArray::new(geo(2, 2));
         c.insert(BlockAddr(0), Mosi::S, BlockData::ZERO);
         c.insert(BlockAddr(0), Mosi::M, BlockData::ZERO);
-    }
-
-    #[test]
-    fn paper_l2_geometry() {
-        let g = CacheGeometry::paper_l2();
-        // 4 MB / 64 B = 65536 lines.
-        assert_eq!(g.lines(), 65536);
     }
 
     mod properties {

@@ -59,6 +59,7 @@ pub struct Routing {
 /// and additionally to the memory side on the block's home node (its
 /// directory-spine bank under a hierarchy). The flat Directory splits its
 /// requests by virtual network: home-bound to memory, forwarded to caches.
+#[inline]
 pub fn route(
     kind: ProtocolKind,
     node: NodeId,

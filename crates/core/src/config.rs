@@ -233,12 +233,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the broadcast cost multiplier (Figure 11 uses 4).
-    pub fn with_broadcast_cost(mut self, multiplier: u32) -> Self {
-        self.broadcast_cost_multiplier = multiplier;
-        self
-    }
-
     /// Sets the RNG seed (perturbation methodology: run several seeds and
     /// aggregate).
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -456,10 +450,8 @@ mod tests {
     #[test]
     fn builders_apply() {
         let c = SystemConfig::paper_default(ProtocolKind::Snooping, 4, 800)
-            .with_broadcast_cost(4)
             .with_seed(7)
             .with_coverage();
-        assert_eq!(c.broadcast_cost_multiplier, 4);
         assert_eq!(c.seed, 7);
         assert!(c.coverage);
         assert_eq!(c.check(), Ok(()));

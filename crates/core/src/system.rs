@@ -726,20 +726,18 @@ impl<W: Workload> System<W> {
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
+            // The interconnect appends to the step buffer where it sits in
+            // `self` (disjoint field borrows): moving the buffer out and
+            // back around the call would cost a reload on every event.
             Event::Inject(msg) => {
-                // The step buffer is taken out of `self` for the duration of
-                // the call (borrow discipline) and put back afterwards, so
-                // its capacity is reused by every event.
-                let mut step = std::mem::take(&mut self.net_step);
-                self.net.inject(self.now, msg, &mut self.arena, &mut step);
-                self.absorb_net(&mut step);
-                self.net_step = step;
+                self.net
+                    .inject(self.now, msg, &mut self.arena, &mut self.net_step);
+                self.absorb_net();
             }
             Event::Net(ne) => {
-                let mut step = std::mem::take(&mut self.net_step);
-                self.net.handle(self.now, ne, &mut self.arena, &mut step);
-                self.absorb_net(&mut step);
-                self.net_step = step;
+                self.net
+                    .handle(self.now, ne, &mut self.arena, &mut self.net_step);
+                self.absorb_net();
             }
             Event::ProcIssue(node) => self.proc_issue(node),
             Event::Sample => self.sample(),
@@ -747,13 +745,26 @@ impl<W: Workload> System<W> {
         }
     }
 
-    fn absorb_net(&mut self, step: &mut NetStep<ProtoMsg>) {
-        for (t, e) in step.schedule.drain(..) {
+    /// Schedules what the interconnect step produced, then consumes its
+    /// deliveries in order and empties the buffer. Deliveries are walked
+    /// by index in place: delivering never calls back into the
+    /// interconnect, so nothing appends to them meanwhile.
+    fn absorb_net(&mut self) {
+        for (t, e) in self.net_step.schedule.drain(..) {
             self.events.schedule(t, Event::Net(e));
         }
-        for d in step.deliveries.drain(..) {
-            self.deliver(d.dst, d.msg, d.order);
+        let n = self.net_step.deliveries.len();
+        for i in 0..n {
+            let d = &self.net_step.deliveries[i];
+            let (dst, msg, order) = (d.dst, d.msg, d.order);
+            self.deliver(dst, msg, order);
         }
+        debug_assert_eq!(
+            self.net_step.deliveries.len(),
+            n,
+            "a delivery reached back into the interconnect"
+        );
+        self.net_step.deliveries.clear();
     }
 
     /// Delivers the fault-injected second copy of a duplicated message to
@@ -886,6 +897,10 @@ impl<W: Workload> System<W> {
     /// Applies, in push order, the actions the controllers emitted into
     /// the driver's sink.
     fn apply_sink(&mut self, node: NodeId) {
+        // Most deliveries (a bystander's snoop) emit nothing.
+        if self.sink.is_empty() {
+            return;
+        }
         // The sink is taken out of `self` while its actions run (borrow
         // discipline) and put back, so its capacity serves every event.
         let mut sink = std::mem::take(&mut self.sink);
@@ -1069,6 +1084,7 @@ impl<W: Workload> System<W> {
 mod tests {
     use std::mem::size_of;
 
+    use bash_adaptive::AdaptorConfig;
     use bash_coherence::{BlockAddr, CacheGeometry, HierarchyConfig};
     use bash_net::{FaultPlaneConfig, TopologyKind};
     use bash_workloads::LockingMicrobench;
@@ -1184,6 +1200,62 @@ mod tests {
         assert_eq!(sys.try_run_until(t), Ok(()));
         assert!(sys.events.is_empty(), "the queue drained before t");
         assert_eq!(sys.now(), t);
+    }
+
+    /// `LockingMicrobench` on the first member of every 4-node cluster
+    /// only; the other members issue nothing.
+    struct FirstMembers(LockingMicrobench);
+
+    impl Workload for FirstMembers {
+        fn next_item(&mut self, node: NodeId, now: Time) -> Option<WorkItem> {
+            node.0
+                .is_multiple_of(4)
+                .then(|| self.0.next_item(node, now))?
+        }
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+    }
+
+    /// Under a hierarchy every member of a cluster samples the cluster's
+    /// mean utilization, so the whole cluster shares one policy value
+    /// even though its members' own links are unevenly busy. The low
+    /// threshold puts the busy member's own link far above it and the
+    /// idle members' far below, so sampling per node would split them.
+    #[test]
+    fn hierarchy_members_share_their_cluster_mean_policy() {
+        let mut adaptor = AdaptorConfig::paper_default();
+        adaptor.threshold_percent = 15;
+        let cfg = SystemConfig::paper_default(ProtocolKind::Bash, 16, 100)
+            .with_hierarchy(HierarchyConfig::new(4, 2))
+            .with_adaptor(adaptor);
+        let wl = FirstMembers(LockingMicrobench::new(16, 4096, Duration::ZERO, 1));
+        let mut sys = System::new(cfg, wl);
+        sys.try_run_until(Time::from_ns(60_000)).unwrap();
+        let now = sys.now();
+        let busy: Vec<u64> = (0..16)
+            .map(|i| sys.net.link_tracker(i).busy_time_until(now).as_ps())
+            .collect();
+        let policy: Vec<u32> = sys
+            .caches
+            .iter_mut()
+            .map(|c| c.adaptor_mut().expect("BASH has adaptors").policy_value())
+            .collect();
+        assert!(
+            policy.iter().any(|&p| p > 0),
+            "no policy moved, so equal policies test nothing"
+        );
+        for (c, (b, p)) in busy.chunks(4).zip(policy.chunks(4)).enumerate() {
+            assert!(
+                b.iter().any(|&x| x != b[0]),
+                "cluster {c}: member links equally busy {b:?}, so the load tests nothing"
+            );
+            assert!(
+                p.iter().all(|&x| x == p[0]),
+                "cluster {c}: members' policies {p:?} differ (own-link busy {b:?})"
+            );
+        }
     }
 
     /// Every message that enters the arena leaves it: after a run drains,

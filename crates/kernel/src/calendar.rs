@@ -374,6 +374,10 @@ impl<E> CalendarQueue<E> {
         self.run.front().map(Slot::key)
     }
 
+    /// Removes and returns the next event. Always inlined into
+    /// [`crate::EventQueue::pop`], so the popped slot reaches the run
+    /// loop in registers.
+    #[inline(always)]
     pub(crate) fn pop(&mut self) -> Option<(Time, E)> {
         if !self.settle() {
             return None;

@@ -120,6 +120,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire at `time`.
+    #[inline]
     pub fn schedule(&mut self, time: Time, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -134,6 +135,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
+    ///
+    /// Always inlined, together with the calendar's `pop`: a run loop
+    /// that calls it out of line reads the returned `(Time, E)` back
+    /// through memory on every event, and a plain `#[inline]` leaves this
+    /// facade out of line in the driver (see `docs/ENGINE.md`, "The
+    /// per-event path").
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         let popped = match &mut self.core {
             Core::Heap(heap) => heap.pop().map(|Reverse(e)| (e.time, e.event)),

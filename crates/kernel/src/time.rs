@@ -124,8 +124,16 @@ impl Duration {
     /// Panics if `mbps` is zero.
     pub fn transmission(bytes: u64, mbps: u64) -> Duration {
         assert!(mbps > 0, "link bandwidth must be positive");
-        let num = bytes as u128 * 1_000_000u128;
-        Duration(num.div_ceil(mbps as u128) as u64)
+        // Every message the model sends keeps `bytes * 10^6` within a
+        // u64, so the common case divides in 64 bits; only a size past
+        // about 18 TB takes the (much slower) 128-bit divide.
+        match bytes.checked_mul(1_000_000) {
+            Some(num) => Duration(num.div_ceil(mbps)),
+            None => {
+                let num = bytes as u128 * 1_000_000u128;
+                Duration(num.div_ceil(mbps as u128) as u64)
+            }
+        }
     }
 
     /// Multiplies the span by an integer factor (saturating).
@@ -238,6 +246,28 @@ mod tests {
     fn transmission_rounds_up() {
         // 7 bytes at 3 MB/s = 2_333_333.33.. ps, rounds to 2_333_334.
         assert_eq!(Duration::transmission(7, 3), Duration::from_ps(2_333_334));
+    }
+
+    /// The 64-bit divide rounds exactly as the 128-bit one, on both sides
+    /// of the size where `bytes * 10^6` stops fitting a u64.
+    #[test]
+    fn transmission_matches_the_wide_divide_on_both_paths() {
+        let wide = |bytes: u64, mbps: u64| {
+            let ps = (u128::from(bytes) * 1_000_000).div_ceil(u128::from(mbps));
+            Duration::from_ps(ps as u64)
+        };
+        let edge = u64::MAX / 1_000_000;
+        let sizes = [0, 1, 7, 8, 72, 1 << 20, edge - 1, edge, edge + 1, u64::MAX];
+        let rates = [1, 3, 100, 400, 1600, 6400, 999_983, u64::MAX];
+        for bytes in sizes {
+            for mbps in rates {
+                assert_eq!(
+                    Duration::transmission(bytes, mbps),
+                    wide(bytes, mbps),
+                    "{bytes} B at {mbps} MB/s"
+                );
+            }
+        }
     }
 
     #[test]

@@ -136,12 +136,6 @@ impl FaultPlaneConfig {
         self
     }
 
-    /// Adds a per-link profile override.
-    pub fn with_link(mut self, from: u16, to: u16, profile: LinkFaultProfile) -> Self {
-        self.overrides.push(((from, to), profile));
-        self
-    }
-
     /// True when the plane can lose messages *as the protocols see
     /// them*: the transport is disabled and some profile drops, corrupts,
     /// or takes a link down. A transport-protected plane (or one that
@@ -432,7 +426,8 @@ mod tests {
 
     #[test]
     fn overrides_resolve_per_directed_link() {
-        let cfg = FaultPlaneConfig::lossy(1, 0.0).with_link(1, 2, LinkFaultProfile::lossy(0.9));
+        let mut cfg = FaultPlaneConfig::lossy(1, 0.0);
+        cfg.overrides.push(((1, 2), LinkFaultProfile::lossy(0.9)));
         assert_eq!(cfg.profile_for(0, 1).drop_prob, 0.0);
         assert_eq!(cfg.profile_for(1, 2).drop_prob, 0.9);
         assert_eq!(cfg.profile_for(2, 1).drop_prob, 0.0);

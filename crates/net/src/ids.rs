@@ -23,6 +23,7 @@ pub struct NodeId(pub u16);
 
 impl NodeId {
     /// The numeric index of this node.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -123,6 +124,7 @@ impl NodeSet {
     }
 
     /// A set containing only `node`.
+    #[inline]
     pub fn singleton(node: NodeId) -> NodeSet {
         let mut s = NodeSet::EMPTY;
         s.insert(node);
@@ -304,6 +306,7 @@ impl NodeSet {
     }
 
     /// True if `node` is in the set.
+    #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
         let id = node.0;
         match &self.repr {
@@ -317,6 +320,7 @@ impl NodeSet {
     }
 
     /// Number of nodes in the set.
+    #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Small { len, .. } => *len as usize,
@@ -326,6 +330,7 @@ impl NodeSet {
     }
 
     /// True when no node is in the set.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         match &self.repr {
             Repr::Small { len, .. } => *len == 0,
@@ -450,6 +455,7 @@ impl NodeSet {
     }
 
     /// Iterates the members in increasing id order.
+    #[inline]
     pub fn iter(&self) -> NodeSetIter<'_> {
         NodeSetIter {
             inner: match &self.repr {
@@ -752,6 +758,7 @@ impl Default for NodeSet {
 }
 
 impl PartialEq for NodeSet {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         match (&self.repr, &other.repr) {
             (Repr::Small { len: la, ids: a }, Repr::Small { len: lb, ids: b }) => {
@@ -825,6 +832,7 @@ enum IterRepr<'a> {
 impl Iterator for NodeSetIter<'_> {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
         match &mut self.inner {
             IterRepr::Small { ids, i } => {

@@ -142,11 +142,6 @@ pub struct ChunkIndex {
 }
 
 impl ChunkIndex {
-    /// Total records across all chunks.
-    pub fn total_records(&self) -> u64 {
-        self.entries.iter().map(|e| e.count).sum()
-    }
-
     /// The position of the chunk containing global record `record` — the
     /// one containment search every lookup goes through. Entries are
     /// sorted by `first_record` (chunks are contiguous in file order), so
@@ -1068,17 +1063,6 @@ impl<R: Read + Seek> SeekableTrace<R> {
         }
         decode_chunk_body(&mut br, i, count, entry.first_record, self.header.nodes)
     }
-
-    /// Decodes the chunk containing global record `record` and returns it
-    /// with the in-chunk position of that record.
-    pub fn read_around(&mut self, record: u64) -> Result<(Vec<TraceRecord>, usize), TraceError> {
-        let i = self
-            .index
-            .locate_index(record)
-            .ok_or(TraceError::BadIndex("record out of range"))?;
-        let within = (record - self.index.entries[i].first_record) as usize;
-        Ok((self.read_chunk(i)?, within))
-    }
 }
 
 impl Trace {
@@ -1254,7 +1238,6 @@ mod tests {
         assert_eq!(decoded.unwrap().len(), 100);
         let index = reader.index().expect("index written by default");
         assert_eq!(index.entries.len(), 4); // 32+32+32+4
-        assert_eq!(index.total_records(), 100);
         assert_eq!(index.entries[0].offset, 0);
         assert_eq!(index.locate(95).unwrap().first_record, 64);
         assert_eq!(index.locate(96).unwrap().first_record, 96);
@@ -1294,9 +1277,6 @@ mod tests {
         let last = seekable.read_chunk(3).unwrap();
         assert_eq!(last.len(), 4);
         assert_eq!(&last[..], &t.records[96..]);
-        // And a middle one, by record number.
-        let (chunk, within) = seekable.read_around(40).unwrap();
-        assert_eq!(chunk[within], t.records[40]);
         assert!(matches!(
             seekable.read_chunk(4),
             Err(TraceError::BadIndex(_))

@@ -36,13 +36,11 @@ use crate::{WorkItem, Workload};
 /// ```
 #[derive(Debug)]
 pub struct LockingMicrobench {
-    nodes: u16,
     num_locks: u64,
     think: Duration,
     rngs: Vec<DetRng>,
     /// Per-node monotone store value (doubles as a coherence check token).
     counters: Vec<u64>,
-    acquires: Vec<u64>,
 }
 
 impl LockingMicrobench {
@@ -57,19 +55,11 @@ impl LockingMicrobench {
         let mut root = DetRng::seed_from(seed);
         let rngs = (0..nodes).map(|i| root.fork(i as u64)).collect();
         LockingMicrobench {
-            nodes,
             num_locks,
             think,
             rngs,
             counters: vec![0; nodes as usize],
-            acquires: vec![0; nodes as usize],
         }
-    }
-
-    /// Total lock acquires completed (the performance metric of Figures
-    /// 1 and 5–9 is acquires per unit time).
-    pub fn total_acquires(&self) -> u64 {
-        self.acquires.iter().sum()
     }
 
     /// Number of lock blocks.
@@ -96,13 +86,6 @@ impl Workload for LockingMicrobench {
                 value: *counter,
             },
         })
-    }
-
-    fn on_complete(&mut self, node: NodeId, _now: Time, op: &ProcOp, _value: u64) {
-        if matches!(op, ProcOp::Store { .. }) {
-            self.acquires[node.index()] += 1;
-        }
-        let _ = self.nodes;
     }
 
     fn name(&self) -> &str {
@@ -141,14 +124,6 @@ mod tests {
                 last = value;
             }
         }
-    }
-
-    #[test]
-    fn counts_acquires() {
-        let mut wl = LockingMicrobench::new(2, 8, Duration::ZERO, 7);
-        let item = wl.next_item(NodeId(1), Time::ZERO).unwrap();
-        wl.on_complete(NodeId(1), Time::ZERO, &item.op, 0);
-        assert_eq!(wl.total_acquires(), 1);
     }
 
     #[test]
