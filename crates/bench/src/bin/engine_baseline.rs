@@ -87,8 +87,7 @@ fn queue_churn_ops_per_sec(queue: QueueKind, reps: usize) -> f64 {
     const CHURN: u64 = 2_000_000;
     let run = || {
         let live = NODES * PER_NODE;
-        let mut q: EventQueue<u64> =
-            EventQueue::with_kind(queue, live as usize, Duration::from_ns(4096));
+        let mut q: EventQueue<u64> = EventQueue::with_kind(queue, live as usize, Duration::ZERO);
         for i in 0..live {
             // Fan-out bursts: broadcasts of 256 deliveries share one
             // timestamp.

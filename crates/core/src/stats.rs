@@ -106,8 +106,7 @@ pub struct RunStats {
     pub nacks: u64,
     /// Simulation events processed in the window (engine throughput).
     pub events_processed: u64,
-    /// High-water mark of the event queue over the whole run — the capacity
-    /// `System::new` should pre-allocate for this workload shape.
+    /// High-water mark of the event queue over the whole run.
     pub peak_queue_len: u64,
     /// Per-directed-link stats, in the topology's link order (empty on the
     /// crossbar, which has no routed links).

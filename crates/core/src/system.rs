@@ -22,7 +22,7 @@ use bash_coherence::{
     ProtocolKind, TxnId, Violation,
 };
 use bash_kernel::stats::{RunningStat, WindowDelta};
-use bash_kernel::{CalendarConfig, Duration, EventQueue, Time};
+use bash_kernel::{Duration, EventQueue, Time};
 use bash_net::{
     FaultStats, Interconnect, Jitter, MsgArena, MsgRef, NetConfig, NetEvent, NetStep, NodeId,
     Ordered, OrderingMode,
@@ -288,11 +288,6 @@ impl<W: Workload> System<W> {
             panic!("{e}");
         }
         let nodes = cfg.nodes;
-        // Computed before the fault plane moves into the interconnect.
-        let fault_timer_load: usize =
-            cfg.fault_plane
-                .as_ref()
-                .map_or(0, |fp| if fp.transport.is_some() { 8 } else { 2 });
         let mut net_cfg = NetConfig::new(nodes, cfg.link_mbps);
         net_cfg.traversal = cfg.traversal;
         net_cfg.broadcast_cost_multiplier = cfg.broadcast_cost_multiplier;
@@ -335,18 +330,7 @@ impl<W: Workload> System<W> {
             })
             .collect();
 
-        // Steady-state queue depth scales with the node count: every node
-        // keeps a handful of protocol events in flight, and an armed fault
-        // plane adds per-node timer load (retransmission RTOs under a
-        // reliable transport; delayed redeliveries under plain loss).
-        // Size the queue up front so warmup never reallocates it, and give
-        // the calendar the event horizon — the span a message stays in
-        // flight — so its wheel covers the common case with the overflow
-        // level reserved for far-future timers. `RunStats::peak_queue_len`
-        // reports the observed high-water mark for re-tuning this factor.
-        let queue_cap = (nodes as usize * (16 + fault_timer_load)).max(64);
-        let horizon = cfg.traversal + Duration::transmission(72, cfg.link_mbps);
-        let mut events = EventQueue::calendar(CalendarConfig::sized_for(queue_cap, horizon));
+        let mut events = EventQueue::new();
         let mut procs: Vec<Processor> = (0..nodes).map(|_| Processor::default()).collect();
         // Capture must start before priming: the first item per node is
         // pulled here, not in `fetch_next`.
@@ -710,8 +694,9 @@ impl<W: Workload> System<W> {
             mem,
             links: (0..net.link_count())
                 .map(|i| {
-                    let busy = net.link_tracker(i).busy_time_until(self.now).as_ps();
-                    (busy, net.link_bytes(i), net.link_messages(i))
+                    let link = net.link(i);
+                    let busy = link.busy.busy_time_until(self.now).as_ps();
+                    (busy, link.bytes, link.messages)
                 })
                 .collect(),
             events: self.events.events_processed(),
@@ -1010,7 +995,7 @@ impl<W: Workload> System<W> {
         let mut link_busy = std::mem::take(&mut self.link_busy);
         link_busy.clear();
         for (i, delta) in self.link_deltas.iter_mut().enumerate() {
-            let busy = delta.advance(self.net.link_tracker(i), self.now);
+            let busy = delta.advance(&self.net.link(i).busy, self.now);
             link_busy.push(busy.as_ps().min(window));
         }
         // A node's input is the mean over its incident links: its own
@@ -1235,7 +1220,7 @@ mod tests {
         sys.try_run_until(Time::from_ns(60_000)).unwrap();
         let now = sys.now();
         let busy: Vec<u64> = (0..16)
-            .map(|i| sys.net.link_tracker(i).busy_time_until(now).as_ps())
+            .map(|i| sys.net.link(i).busy.busy_time_until(now).as_ps())
             .collect();
         let policy: Vec<u32> = sys
             .caches

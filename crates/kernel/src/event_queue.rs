@@ -2,28 +2,28 @@
 //!
 //! Events scheduled for the same instant are delivered in insertion order
 //! (FIFO), which keeps simulations reproducible regardless of queue
-//! internals. Two interchangeable implementations live behind one facade:
-//! a binary heap (`O(log n)`, the conservative default) and a bucketed
-//! calendar/time-wheel queue (`O(1)` amortised — see [`crate::calendar`])
-//! for large simulations. The facade owns the FIFO sequence numbers and
-//! the progress counters, so the two implementations produce *identical*
-//! pop sequences for identical schedule sequences — a property pinned by
-//! proptest below.
+//! internals. Every caller gets the bucketed calendar/time-wheel queue
+//! (`O(1)` amortised, sized by its own stream — see [`crate::calendar`]);
+//! a binary heap stays behind [`QueueKind::Heap`] as the reference the
+//! calendar is checked against. The facade owns the FIFO sequence numbers
+//! and the progress counters, so the two implementations produce
+//! *identical* pop sequences for identical schedule sequences — a
+//! property pinned by proptest below.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-pub use crate::calendar::CalendarConfig;
 use crate::calendar::CalendarQueue;
-use crate::time::Time;
+use crate::time::{Duration, Time};
 
 /// Which queue implementation backs an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueKind {
-    /// Binary heap: `O(log n)` per operation, no tuning knobs.
+    /// Binary heap: `O(log n)` per operation, the reference the calendar
+    /// is checked and benchmarked against.
     Heap,
     /// Bucketed calendar / time-wheel: `O(1)` amortised schedule and pop,
-    /// sized by a [`CalendarConfig`].
+    /// with a geometry it measures from its own stream.
     #[default]
     Calendar,
 }
@@ -52,6 +52,10 @@ pub struct EventQueue<E> {
 }
 
 #[derive(Debug)]
+// The calendar carries its measurement ring inline, which dwarfs the
+// heap's three words; but a simulation holds one queue, and boxing the
+// calendar would add a pointer chase to every schedule and pop.
+#[allow(clippy::large_enum_variant)]
 enum Core<E> {
     Heap(BinaryHeap<Reverse<Entry<E>>>),
     Calendar(CalendarQueue<E>),
@@ -82,31 +86,17 @@ impl<E> Ord for Entry<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty heap-backed queue.
+    /// Creates an empty calendar queue, which sizes itself.
     pub fn new() -> Self {
-        Self::from_core(Core::Heap(BinaryHeap::new()))
-    }
-
-    /// Creates an empty heap-backed queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::from_core(Core::Heap(BinaryHeap::with_capacity(cap)))
-    }
-
-    /// Creates an empty calendar-backed queue with the given wheel
-    /// geometry (see [`CalendarConfig::sized_for`]).
-    pub fn calendar(config: CalendarConfig) -> Self {
-        Self::from_core(Core::Calendar(CalendarQueue::new(config)))
+        Self::from_core(Core::Calendar(CalendarQueue::new()))
     }
 
     /// Creates a queue of the given kind. `cap` pre-allocates the heap;
-    /// for the calendar it seeds [`CalendarConfig::sized_for`] together
-    /// with `horizon` (falling back to the default wheel when `horizon`
-    /// is zero).
-    pub fn with_kind(kind: QueueKind, cap: usize, horizon: crate::time::Duration) -> Self {
+    /// the calendar sizes itself and ignores both `cap` and `horizon`.
+    pub fn with_kind(kind: QueueKind, cap: usize, _horizon: Duration) -> Self {
         match kind {
-            QueueKind::Heap => Self::with_capacity(cap),
-            QueueKind::Calendar if horizon.is_zero() => Self::calendar(CalendarConfig::DEFAULT),
-            QueueKind::Calendar => Self::calendar(CalendarConfig::sized_for(cap, horizon)),
+            QueueKind::Heap => Self::from_core(Core::Heap(BinaryHeap::with_capacity(cap))),
+            QueueKind::Calendar => Self::new(),
         }
     }
 
@@ -175,10 +165,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.core {
-            Core::Heap(heap) => heap.len(),
-            Core::Calendar(cal) => cal.len(),
-        }
+        (self.next_seq - self.popped) as usize
     }
 
     /// True when no events are pending.
@@ -191,8 +178,7 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// High-water mark of pending events over the queue's lifetime — the
-    /// capacity a queue for this workload should be created with.
+    /// High-water mark of pending events over the queue's lifetime.
     pub fn peak_len(&self) -> usize {
         self.peak
     }
@@ -205,19 +191,44 @@ impl<E> Default for EventQueue<E> {
 }
 
 #[cfg(test)]
+impl<E> EventQueue<E> {
+    /// The heap the calendar is checked against.
+    fn heap() -> Self {
+        Self::with_kind(QueueKind::Heap, 0, Duration::ZERO)
+    }
+
+    /// A calendar queue re-bucketed into the given geometry.
+    fn calendar_with(buckets: usize, width_ps: u64) -> Self {
+        let mut q = Self::new();
+        q.force_geometry(buckets, width_ps);
+        q
+    }
+
+    /// Re-buckets a calendar queue into the given geometry now (a
+    /// power-of-two bucket count of at least 2, a width of at least
+    /// 1 ps); a heap ignores it.
+    fn force_geometry(&mut self, buckets: usize, width_ps: u64) {
+        if let Core::Calendar(cal) = &mut self.core {
+            cal.force_geometry(buckets, width_ps);
+        }
+    }
+
+    /// `(buckets, width_ps)` of a calendar queue's wheel.
+    fn geometry(&self) -> Option<(usize, u64)> {
+        match &self.core {
+            Core::Heap(_) => None,
+            Core::Calendar(cal) => Some(cal.geometry()),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
     use proptest::prelude::*;
 
     fn both_kinds() -> [EventQueue<usize>; 2] {
-        [
-            EventQueue::new(),
-            EventQueue::calendar(CalendarConfig {
-                buckets: 64,
-                width_ps: 1_000,
-            }),
-        ]
+        [EventQueue::heap(), EventQueue::new()]
     }
 
     #[test]
@@ -299,10 +310,7 @@ mod tests {
     fn far_future_events_survive_the_overflow_level() {
         // A tiny wheel (16 buckets x 1 ns) forces multi-microsecond
         // timers through overflow and bulk promotion.
-        let mut q = EventQueue::calendar(CalendarConfig {
-            buckets: 16,
-            width_ps: 1_000,
-        });
+        let mut q = EventQueue::calendar_with(16, 1_000);
         q.schedule(Time::from_ns(50_000), 99); // far future: overflow
         q.schedule(Time::from_ns(3), 1);
         q.schedule(Time::from_ns(50_000), 100); // same instant, FIFO after 99
@@ -319,10 +327,7 @@ mod tests {
     fn interleaved_schedule_pop_keeps_order() {
         // Schedule into the bucket currently being drained (at and ahead
         // of the cursor) — the sorted-insert path.
-        let mut q = EventQueue::calendar(CalendarConfig {
-            buckets: 16,
-            width_ps: 10_000,
-        });
+        let mut q = EventQueue::calendar_with(16, 10_000);
         q.schedule(Time::from_ns(5), 1);
         q.schedule(Time::from_ns(8), 3);
         assert_eq!(q.pop(), Some((Time::from_ns(5), 1)));
@@ -334,12 +339,68 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// 256 live events, each rescheduled 100 ns after it pops, sit about
+    /// 100 ns / 256 apart: the queue, sized for that stream, settles on
+    /// a bucket width of that spacing, one event per bucket.
     #[test]
     fn sized_for_targets_one_event_per_bucket() {
-        let cfg = CalendarConfig::sized_for(256, Duration::from_ns(100));
-        assert_eq!(cfg.width_ps, 100_000 / 256);
-        assert!(cfg.buckets.is_power_of_two());
-        assert!((64..=65536).contains(&cfg.buckets));
+        const LIVE: u64 = 256;
+        const HORIZON_PS: u64 = 100_000;
+        let mut q = EventQueue::new();
+        for k in 0..LIVE {
+            q.schedule(Time::from_ps(k * HORIZON_PS / LIVE), k);
+        }
+        for _ in 0..20_000 {
+            let (t, id) = q.pop().expect("population stays constant");
+            q.schedule(t + Duration::from_ps(HORIZON_PS), id);
+        }
+        let (buckets, width) = q.geometry().expect("a calendar");
+        assert!(width.abs_diff(HORIZON_PS / LIVE) <= 1, "width {width} ps");
+        assert!(buckets.is_power_of_two());
+        assert!((64..=65536).contains(&buckets));
+    }
+
+    /// A hold-model stream whose population grows a hundredfold and
+    /// falls back, with far-future timers mixed in, re-buckets the
+    /// calendar on its own more than once and still pops exactly as the
+    /// heap does.
+    #[test]
+    fn self_sizing_matches_heap_through_its_resizes() {
+        let mut heap = EventQueue::heap();
+        let mut cal = EventQueue::new();
+        let mut rng = crate::DetRng::seed_from(11);
+        let mut geometries = vec![cal.geometry()];
+        let mut now = Time::ZERO;
+        let mut id = 0usize;
+        for (target, steps) in [(50usize, 20_000), (5_000, 60_000), (100, 60_000)] {
+            for _ in 0..steps {
+                if heap.len() < target {
+                    let ahead = match rng.below(16) {
+                        0 => Duration::from_ns(20_000 + rng.below(80_000)),
+                        1 => Duration::from_ps(rng.below(3_000)),
+                        _ => Duration::from_ns(rng.below(400)),
+                    };
+                    for _ in 0..=rng.below(3) {
+                        heap.schedule(now + ahead, id);
+                        cal.schedule(now + ahead, id);
+                        id += 1;
+                    }
+                }
+                let popped = heap.pop();
+                assert_eq!(popped, cal.pop());
+                if let Some((t, _)) = popped {
+                    now = t;
+                }
+                if geometries.last() != Some(&cal.geometry()) {
+                    geometries.push(cal.geometry());
+                }
+            }
+        }
+        while let Some(popped) = heap.pop() {
+            assert_eq!(Some(popped), cal.pop());
+        }
+        assert_eq!(cal.pop(), None);
+        assert!(geometries.len() >= 3, "geometries {geometries:?}");
     }
 
     /// An operation script a queue can replay: schedule at a picosecond
@@ -347,13 +408,14 @@ mod tests {
     /// the heap tolerates), schedule a same-instant burst of `count` events
     /// (a lockstep fan-out), peek and then schedule `offset` ps after the
     /// peeked time (into the bucket the peek settled, before its pop), or
-    /// pop.
+    /// pop, or re-bucket the calendar into a given geometry.
     #[derive(Debug, Clone)]
     enum Op {
         Schedule(i64),
         Burst { offset: u64, count: usize },
         PeekThenSchedule(u64),
         Pop,
+        Rebucket { buckets: usize, width: u64 },
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -372,6 +434,10 @@ mod tests {
             1 => (0u64..200, 1usize..=512).prop_map(|(offset, count)| Op::Burst { offset, count }),
             2 => (0u64..5_000).prop_map(Op::PeekThenSchedule),
             3 => Just(Op::Pop),
+            // Any geometry at any point: mid-run, between a peek and its
+            // pop, with events on both sides of the new window's end.
+            1 => (2usize..1_024, 1u64..5_000)
+                .prop_map(|(buckets, width)| Op::Rebucket { buckets, width }),
         ]
     }
 
@@ -380,7 +446,7 @@ mod tests {
         /// come out in insertion order.
         #[test]
         fn prop_order(times in proptest::collection::vec(0u64..50, 1..200)) {
-            for mut q in [EventQueue::new(), EventQueue::calendar(CalendarConfig { buckets: 8, width_ps: 2_000 })] {
+            for mut q in [EventQueue::heap(), EventQueue::calendar_with(8, 2_000)] {
                 for (i, &t) in times.iter().enumerate() {
                     q.schedule(Time::from_ns(t), i);
                 }
@@ -401,17 +467,19 @@ mod tests {
         /// interleaved schedule/peek/pop script, including same-timestamp
         /// FIFO ties, schedules into the past and between a peek and its
         /// pop, many distinct picosecond times in one bucket, same-instant
-        /// bursts whose drained buffers are freed or recycled, and
-        /// far-future overflow promotion. This is the property that lets
-        /// the engine swap queues without disturbing goldens.
+        /// bursts whose drained buffers are freed or recycled,
+        /// far-future overflow promotion, and re-buckets into any
+        /// geometry at any point. This is the property that lets the
+        /// engine swap queues, and the calendar change its geometry,
+        /// without disturbing goldens.
         #[test]
         fn prop_calendar_matches_heap(
             ops in proptest::collection::vec(op_strategy(), 1..300),
             buckets in 2usize..64,
             width in 1u64..5_000,
         ) {
-            let mut heap = EventQueue::new();
-            let mut cal = EventQueue::calendar(CalendarConfig { buckets, width_ps: width });
+            let mut heap = EventQueue::heap();
+            let mut cal = EventQueue::calendar_with(buckets, width);
             let mut next_id = 0usize;
             let mut clock = 0u64; // last popped time in ps, keeps scripts sim-like
             for op in &ops {
@@ -431,6 +499,10 @@ mod tests {
                         if let Some((t, _)) = a {
                             clock = t.as_ps();
                         }
+                        Vec::new()
+                    }
+                    Op::Rebucket { buckets, width } => {
+                        cal.force_geometry(buckets, width);
                         Vec::new()
                     }
                 };

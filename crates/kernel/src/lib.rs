@@ -29,7 +29,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarConfig;
 pub use event_queue::{EventQueue, QueueKind};
 pub use rng::DetRng;
 pub use time::{Duration, Time};

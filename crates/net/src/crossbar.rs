@@ -295,12 +295,32 @@ impl<P> NetStep<P> {
     }
 }
 
-/// Per-link accounting.
+/// One link as both engines model it: a FIFO server's busy time, and the
+/// effective bytes and messages it carried.
 #[derive(Debug, Default, Clone)]
-struct LinkState {
-    busy: BusyTracker,
-    bytes: u64,
-    messages: u64,
+pub struct Link {
+    /// Busy-time tracker: the adaptive mechanism's sampling input and the
+    /// utilization reports'.
+    pub busy: BusyTracker,
+    /// Effective bytes carried.
+    pub bytes: u64,
+    /// Messages carried.
+    pub messages: u64,
+}
+
+impl Link {
+    /// Queues a transmission of `bytes` effective bytes lasting `tx`
+    /// behind the link's backlog, no earlier than `t`; returns when it
+    /// completes.
+    #[inline]
+    pub(crate) fn carry(&mut self, t: Time, tx: Duration, bytes: u64) -> Time {
+        let start = t.max(self.busy.busy_until());
+        let end = start + tx;
+        self.busy.mark_busy(start, end);
+        self.bytes += bytes;
+        self.messages += 1;
+        end
+    }
 }
 
 /// The crossbar interconnect. See the module docs for the model.
@@ -309,7 +329,7 @@ pub struct Crossbar<P> {
     cfg: NetConfig,
     cost: MsgCost,
     /// One endpoint link per node, indexed by node id.
-    links: Vec<LinkState>,
+    links: Vec<Link>,
     /// `link_ids[i] == i`: backs [`Crossbar::incident_links`].
     link_ids: Vec<u32>,
     next_order: u64,
@@ -328,7 +348,7 @@ impl<P> Crossbar<P> {
         assert!(cfg.broadcast_cost_multiplier >= 1);
         Crossbar {
             cost: MsgCost::new(&cfg),
-            links: vec![LinkState::default(); cfg.nodes as usize],
+            links: vec![Link::default(); cfg.nodes as usize],
             link_ids: (0..u32::from(cfg.nodes)).collect(),
             next_order: 0,
             cfg,
@@ -357,12 +377,7 @@ impl<P> Crossbar<P> {
         let eff = self.cost.effective_size(m);
         let tx_time = Duration::transmission(eff, self.cfg.link_mbps);
         let inject_delay = self.cost.injection_jitter();
-        let link = &mut self.links[m.src.index()];
-        let start = (now + inject_delay).max(link.busy.busy_until());
-        let end = start + tx_time;
-        link.busy.mark_busy(start, end);
-        link.bytes += eff;
-        link.messages += 1;
+        let end = self.links[m.src.index()].carry(now + inject_delay, tx_time, eff);
         out.schedule.push((end, NetEvent::TxDone(msg, PhantomData)));
     }
 
@@ -395,21 +410,10 @@ impl<P> Crossbar<P> {
         self.links.len()
     }
 
-    /// Busy-time tracker of endpoint link `i` (for the adaptive
-    /// mechanism's sampling and for utilization reports).
-    pub fn link_tracker(&self, i: usize) -> &BusyTracker {
-        &self.links[i].busy
-    }
-
-    /// Total effective bytes pushed through endpoint link `i` (both
-    /// directions).
-    pub fn link_bytes(&self, i: usize) -> u64 {
-        self.links[i].bytes
-    }
-
-    /// Total messages (tx + rx) through endpoint link `i`.
-    pub fn link_messages(&self, i: usize) -> u64 {
-        self.links[i].messages
+    /// Endpoint link `i`: its busy time and the bytes and messages it
+    /// carried in both directions (tx + rx).
+    pub fn link(&self, i: usize) -> &Link {
+        &self.links[i]
     }
 
     /// Ids of the links incident to `node`: its own endpoint link,
@@ -461,12 +465,7 @@ impl<P> Crossbar<P> {
     ) {
         let eff = self.cost.effective_size(arena.get(msg));
         let rx_time = Duration::transmission(eff, self.cfg.link_mbps);
-        let link = &mut self.links[dst.index()];
-        let start = now.max(link.busy.busy_until());
-        let end = start + rx_time;
-        link.busy.mark_busy(start, end);
-        link.bytes += eff;
-        link.messages += 1;
+        let end = self.links[dst.index()].carry(now, rx_time, eff);
         out.schedule
             .push((end, NetEvent::Deliver { dst, msg, order }));
     }
@@ -634,10 +633,10 @@ mod tests {
         assert_eq!(end.as_ns(), 70);
         // Sender link busy 10 of 70 ns; receiver link busy 10 of 70 ns.
         for link in 0..net.link_count() {
-            assert!((net.link_tracker(link).utilization(end) - 10.0 / 70.0).abs() < 1e-9);
+            assert!((net.link(link).busy.utilization(end) - 10.0 / 70.0).abs() < 1e-9);
         }
-        assert_eq!(net.link_bytes(0), 8);
-        assert_eq!(net.link_messages(1), 1);
+        assert_eq!(net.link(0).bytes, 8);
+        assert_eq!(net.link(1).messages, 1);
         assert_eq!(net.incident_links(NodeId(1)), &[1]);
     }
 
@@ -649,8 +648,8 @@ mod tests {
         let m = Message::ordered(NodeId(0), NodeSet::all(2), 8, "dual");
         let out = drive(&mut net, vec![(Time::ZERO, m)]);
         assert_eq!(out.len(), 2);
-        assert_eq!(net.link_bytes(0), 16); // 8 tx + 8 rx
-        assert_eq!(net.link_bytes(1), 8);
+        assert_eq!(net.link(0).bytes, 16); // 8 tx + 8 rx
+        assert_eq!(net.link(1).bytes, 8);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! ```
 //!
 //! Every directed link is an independent FIFO server of the configured
-//! bandwidth ([`BusyTracker`]-backed, exactly like the crossbar's endpoint
-//! links): a message occupies the link for `size / bandwidth`, queued
-//! behind whatever the link is already carrying. Each intermediate vertex
-//! adds the fixed `traversal` latency (store-and-forward switching). On a
+//! bandwidth (a [`Link`], exactly like the crossbar's endpoint links): a
+//! message occupies the link for `size / bandwidth`, queued behind
+//! whatever the link is already carrying. Each intermediate vertex adds
+//! the fixed `traversal` latency (store-and-forward switching). On a
 //! star this reproduces the crossbar's two-link shape — tx, 50 ns, rx —
 //! with the difference that contention is per *directed* link rather than
 //! per bidirectional endpoint.
@@ -46,7 +46,9 @@
 //! # Ordering
 //!
 //! [`Ordered::Total`] messages are sequenced **globally at injection**
-//! (one shared counter, plus a per-destination sequence). Because
+//! (one shared counter, plus a per-destination sequence for each copy
+//! that has a route; a copy that loses its route later gives its
+//! sequence back at its endpoint). Because
 //! multi-hop routes have different lengths and congestion, a later
 //! message can physically overtake an earlier one; every endpoint
 //! therefore *re-sequences*: a copy arriving ahead of its turn is held
@@ -61,11 +63,10 @@
 
 use std::collections::VecDeque;
 
-use bash_kernel::stats::BusyTracker;
 use bash_kernel::{Duration, Time};
 
 use crate::arena::{MsgArena, MsgRef};
-use crate::crossbar::{Crossbar, Delivery, MsgCost, NetConfig, NetEvent, NetStep};
+use crate::crossbar::{Crossbar, Delivery, Link, MsgCost, NetConfig, NetEvent, NetStep};
 use crate::fault::{DropCause, Fate, FaultPlane, FaultStats};
 use crate::ids::{NodeId, NodeSet};
 use crate::message::{Message, Ordered};
@@ -77,10 +78,19 @@ const SELF_LINK: u32 = u32::MAX;
 /// Sentinel tree-node index: no child, no sibling, no delivery.
 const NONE: u32 = u32::MAX;
 
-/// An ordered copy held back at an endpoint: the message's arena handle
-/// plus its global order number. The handle keeps the arena reference the
-/// eventual delivery will transfer.
-type HeldCopy = (MsgRef, u64);
+/// One entry of an endpoint's hold-back ring: the fate of one
+/// per-destination sequence past the one due.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    /// Nothing has arrived for this sequence yet.
+    Awaited,
+    /// An ordered copy that arrived ahead of its turn: the message's arena
+    /// handle plus its global order number. The handle keeps the arena
+    /// reference the eventual delivery will transfer.
+    Copy(MsgRef, u64),
+    /// The sequence's copy found no surviving route and will never arrive.
+    Skipped,
+}
 
 /// A generational handle to an in-flight transmission in a [`Fabric`]'s
 /// flight slab: a 32-bit slot index plus a 32-bit generation, like
@@ -251,13 +261,13 @@ impl FlightSlab {
 /// One endpoint's sequencing state for ordered traffic.
 #[derive(Debug, Default)]
 struct Endpoint {
-    /// Next per-destination sequence to assign at injection.
+    /// Next per-destination sequence to assign to a routed copy.
     next_seq: u64,
     /// Next per-destination sequence the endpoint will release.
     expect_seq: u64,
-    /// Copies that overtook their turn: entry `i` holds sequence
+    /// Sequences past the one due: entry `i` is sequence
     /// `expect_seq + i`.
-    held: VecDeque<Option<HeldCopy>>,
+    held: VecDeque<Held>,
 }
 
 impl Endpoint {
@@ -265,37 +275,71 @@ impl Endpoint {
         self.next_seq += 1;
         self.next_seq - 1
     }
+
+    /// Settles sequence `seq` with `fate`: a copy that arrived, or a skip
+    /// for one whose copy found no surviving route and never will. Due,
+    /// it is delivered (a copy) with the copies queued behind it, up to
+    /// the next gap; early, it is held back.
+    fn settle(&mut self, dst: NodeId, seq: u64, fate: Held, nodes: usize, out: &mut Vec<Delivery>) {
+        if seq < self.expect_seq {
+            // Released already: a rerouted copy raced a surviving
+            // original. No arena release: the `(dst, seq)` pair owns one
+            // delivery reference system-wide, and the copy that settled
+            // first already transferred or released it (its slot may
+            // even be recycled by now).
+            return;
+        }
+        if seq > self.expect_seq {
+            let i = (seq - self.expect_seq) as usize;
+            if self.held.len() <= i {
+                // A ring starts with room for one ordered copy in flight
+                // from every node, and doubles from there.
+                let room = (i + 1).max(nodes);
+                self.held.reserve(room - self.held.len());
+                self.held.resize(i + 1, Held::Awaited);
+            }
+            // A rerouted copy and its surviving original can both arrive
+            // early: the later one overwrites the earlier. A skip never
+            // overwrites a copy.
+            if !matches!((fate, self.held[i]), (Held::Skipped, Held::Copy(..))) {
+                self.held[i] = fate;
+            }
+            return;
+        }
+        // Entry 0 was this sequence's, never held; the ones queued behind
+        // it follow until the next gap.
+        let due = self.held.pop_front();
+        debug_assert!(
+            matches!(due, None | Some(Held::Awaited)),
+            "the sequence due was held back"
+        );
+        let mut settled = Some(fate);
+        while let Some(fate) = settled {
+            if let Held::Copy(msg, order) = fate {
+                let order = Some(order);
+                out.push(Delivery { dst, msg, order });
+            }
+            self.expect_seq += 1;
+            settled = match self.held.front() {
+                Some(Held::Copy(..) | Held::Skipped) => self.held.pop_front(),
+                Some(Held::Awaited) | None => None,
+            };
+        }
+    }
 }
 
 /// Per-directed-link state and accounting.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FabLink {
     from: u16,
     to: u16,
-    busy: BusyTracker,
-    bytes: u64,
-    messages: u64,
+    link: Link,
     /// Instant of the most recent enqueue (peak-demand bucketing).
     last_enqueue: Time,
     /// Messages enqueued at `last_enqueue`.
     demand_now: u32,
     /// Highest same-instant enqueue count seen over the whole run.
     peak_demand: u32,
-}
-
-impl FabLink {
-    fn new(from: u16, to: u16) -> Self {
-        FabLink {
-            from,
-            to,
-            busy: BusyTracker::default(),
-            bytes: 0,
-            messages: 0,
-            last_enqueue: Time::ZERO,
-            demand_now: 0,
-            peak_demand: 0,
-        }
-    }
 }
 
 /// The fabric engine. Drop-in peer of [`Crossbar`]: same
@@ -363,7 +407,11 @@ impl<P> Fabric<P> {
             if (to as usize) < incident.len() {
                 incident[to as usize].push(i as u32);
             }
-            links.push(FabLink::new(from, to));
+            links.push(FabLink {
+                from,
+                to,
+                ..FabLink::default()
+            });
         }
         let n = cfg.nodes as usize;
         let fault = cfg
@@ -417,16 +465,6 @@ impl<P> Fabric<P> {
         (self.links[i].from, self.links[i].to)
     }
 
-    /// Effective bytes forwarded over directed link `i`.
-    pub fn link_bytes(&self, i: usize) -> u64 {
-        self.links[i].bytes
-    }
-
-    /// Messages forwarded over directed link `i`.
-    pub fn link_messages(&self, i: usize) -> u64 {
-        self.links[i].messages
-    }
-
     /// Highest number of same-instant enqueues seen on directed link `i`.
     pub fn link_peak_demand(&self, i: usize) -> u32 {
         self.links[i].peak_demand
@@ -438,9 +476,10 @@ impl<P> Fabric<P> {
         self.flights.live
     }
 
-    /// Busy-time tracker of directed link `i`.
-    pub fn link_tracker(&self, i: usize) -> &BusyTracker {
-        &self.links[i].busy
+    /// Directed link `i`: its busy time and the bytes and messages
+    /// forwarded over it.
+    pub fn link(&self, i: usize) -> &Link {
+        &self.links[i].link
     }
 
     /// Ids of the directed links incident to endpoint `node` (both
@@ -556,11 +595,6 @@ impl<P> Fabric<P> {
         self.start_tree(nodes);
         let mut planned = 0;
         for dst in dests.iter() {
-            let seq = if ordered {
-                self.endpoints[dst.index()].take_seq()
-            } else {
-                0
-            };
             let tail = if dst == src {
                 // Loopback: no link crossing, one switch turnaround.
                 self.add_node(nodes, 0, SELF_LINK)
@@ -578,8 +612,10 @@ impl<P> Fabric<P> {
             let node = &mut nodes[tail as usize];
             node.deliver = planned;
             node.dst = dst;
+            // Only a routed copy takes a sequence: one that will never
+            // arrive must not leave a gap its endpoint waits on forever.
             if ordered {
-                seqs.push(seq);
+                seqs.push(self.endpoints[dst.index()].take_seq());
             }
             planned += 1;
         }
@@ -913,13 +949,24 @@ impl<P> Fabric<P> {
         f.nodes = nodes;
         let Some(tail) = tail else {
             // No surviving route: the copy's delivery will never happen —
-            // give its arena reference back.
+            // give its arena reference back, and its sequence, so the
+            // endpoint releases the ordered copies behind it.
             self.flights.settle(nf, 0, 0);
             self.fault
                 .as_mut()
                 .expect("fault plane")
                 .count_undeliverable();
             arena.release(msg);
+            if order.is_some() {
+                let nodes = self.cfg.nodes as usize;
+                self.endpoints[dst.index()].settle(
+                    dst,
+                    seq,
+                    Held::Skipped,
+                    nodes,
+                    &mut out.deliveries,
+                );
+            }
             return;
         };
         f.nodes[tail as usize].deliver = 0;
@@ -966,48 +1013,12 @@ impl<P> Fabric<P> {
             return;
         };
         let ep = &mut self.endpoints[dst.index()];
-        if seq == ep.expect_seq {
-            out.deliveries.push(Delivery {
-                dst,
-                msg,
-                order: Some(o),
-            });
-            ep.expect_seq += 1;
-            // Entry 0 was this sequence's (never held); the copies
-            // queued behind it follow until the next gap.
-            if let Some(due) = ep.held.pop_front() {
-                debug_assert!(due.is_none(), "the sequence due was held back");
-                while let Some(Some((m, held_order))) = ep.held.front().copied() {
-                    ep.held.pop_front();
-                    out.deliveries.push(Delivery {
-                        dst,
-                        msg: m,
-                        order: Some(held_order),
-                    });
-                    ep.expect_seq += 1;
-                }
-            }
-        } else if self.fault.is_some() && seq < ep.expect_seq {
-            // A rerouted copy raced a surviving original: the
-            // endpoint already released this sequence — dedup.
-            // No arena release: the `(dst, seq)` pair owns one
-            // delivery reference system-wide and the copy that
-            // delivered first already transferred it (this slot
-            // may even be recycled by now).
-        } else {
-            debug_assert!(seq > ep.expect_seq, "sequence delivered twice");
-            let i = (seq - ep.expect_seq) as usize;
-            if ep.held.len() <= i {
-                // A ring starts with room for one ordered copy in flight
-                // from every node, and doubles from there.
-                let room = (i + 1).max(self.cfg.nodes as usize);
-                ep.held.reserve(room - ep.held.len());
-                ep.held.resize(i + 1, None);
-            }
-            // A rerouted copy and its surviving original can both arrive
-            // early: the later one overwrites the earlier.
-            ep.held[i] = Some((msg, o));
-        }
+        debug_assert!(
+            self.fault.is_some() || seq >= ep.expect_seq,
+            "sequence delivered twice"
+        );
+        let nodes = self.cfg.nodes as usize;
+        ep.settle(dst, seq, Held::Copy(msg, o), nodes, &mut out.deliveries);
     }
 
     fn link_id(&self, from: u16, to: u16) -> u32 {
@@ -1034,19 +1045,15 @@ fn launch(
     if li == SELF_LINK {
         return t + traversal;
     }
-    let link = &mut links[li as usize];
-    if link.messages > 0 && link.last_enqueue == t {
-        link.demand_now += 1;
+    let fl = &mut links[li as usize];
+    if fl.link.messages > 0 && fl.last_enqueue == t {
+        fl.demand_now += 1;
     } else {
-        link.last_enqueue = t;
-        link.demand_now = 1;
+        fl.last_enqueue = t;
+        fl.demand_now = 1;
     }
-    link.peak_demand = link.peak_demand.max(link.demand_now);
-    let start = t.max(link.busy.busy_until());
-    let end = start + cost.tx;
-    link.busy.mark_busy(start, end);
-    link.bytes += cost.bytes;
-    link.messages += 1;
+    fl.peak_demand = fl.peak_demand.max(fl.demand_now);
+    let end = fl.link.carry(t, cost.tx, cost.bytes);
     match fault {
         Some(f) => end + f.extra_delay(li as usize),
         None => end,
@@ -1147,10 +1154,9 @@ impl<P> Interconnect<P> {
         }
     }
 
-    // The link view: both engines model a link as a `BusyTracker` FIFO
-    // server with byte and message counters, indexed `0..link_count()`:
-    // one endpoint link per node on the crossbar, one per directed edge
-    // on the fabric.
+    // The link view: both engines model a link as one `Link`, indexed
+    // `0..link_count()`: one endpoint link per node on the crossbar, one
+    // per directed edge on the fabric.
 
     /// Number of links.
     pub fn link_count(&self) -> usize {
@@ -1160,27 +1166,11 @@ impl<P> Interconnect<P> {
         }
     }
 
-    /// Busy-time tracker of link `i`.
-    pub fn link_tracker(&self, i: usize) -> &BusyTracker {
+    /// Link `i`: its busy time and the bytes and messages it carried.
+    pub fn link(&self, i: usize) -> &Link {
         match self {
-            Interconnect::Crossbar(c) => c.link_tracker(i),
-            Interconnect::Fabric(f) => f.link_tracker(i),
-        }
-    }
-
-    /// Effective bytes carried by link `i`.
-    pub fn link_bytes(&self, i: usize) -> u64 {
-        match self {
-            Interconnect::Crossbar(c) => c.link_bytes(i),
-            Interconnect::Fabric(f) => f.link_bytes(i),
-        }
-    }
-
-    /// Messages carried by link `i`.
-    pub fn link_messages(&self, i: usize) -> u64 {
-        match self {
-            Interconnect::Crossbar(c) => c.link_messages(i),
-            Interconnect::Fabric(f) => f.link_messages(i),
+            Interconnect::Crossbar(c) => c.link(i),
+            Interconnect::Fabric(f) => f.link(i),
         }
     }
 
@@ -1335,7 +1325,7 @@ mod tests {
         let m = Message::ordered(NodeId(0), NodeSet::all(4), 8, "bcast");
         let out = drive(&mut net, vec![(Time::ZERO, m)]);
         assert_eq!(out.len(), 4);
-        let total_msgs: u64 = (0..net.link_count()).map(|i| net.link_messages(i)).sum();
+        let total_msgs: u64 = (0..net.link_count()).map(|i| net.link(i).messages).sum();
         assert_eq!(total_msgs, 3, "three tree edges, one crossing each");
         let first = out[0].1.msg;
         assert!(out.iter().all(|(_, d, _)| d.msg == first));
@@ -1385,16 +1375,16 @@ mod tests {
         let up = (0..net.link_count())
             .find(|&i| net.link_endpoints(i) == (0, 4))
             .unwrap();
-        assert_eq!(net.link_bytes(up), 16);
-        assert_eq!(net.link_messages(up), 2);
+        assert_eq!(net.link(up).bytes, 16);
+        assert_eq!(net.link(up).messages, 2);
         assert_eq!(net.link_peak_demand(up), 2);
         // The hub→1 link carried one message.
         let down = (0..net.link_count())
             .find(|&i| net.link_endpoints(i) == (4, 1))
             .unwrap();
-        assert_eq!(net.link_bytes(down), 8);
+        assert_eq!(net.link(down).bytes, 8);
         assert_eq!(net.link_peak_demand(down), 1);
-        assert!(net.link_tracker(up).busy_time_until(Time::from_ns(200)) > Duration::ZERO);
+        assert!(net.link(up).busy.busy_time_until(Time::from_ns(200)) > Duration::ZERO);
         assert_eq!(net.incident_links(NodeId(0)).len(), 2);
     }
 
@@ -1407,7 +1397,7 @@ mod tests {
         let self_copy = out.iter().find(|(_, d, _)| d.dst == NodeId(0)).unwrap();
         // One switch turnaround, no link time.
         assert_eq!(self_copy.0, Time::from_ns(50));
-        let total_msgs: u64 = (0..net.link_count()).map(|i| net.link_messages(i)).sum();
+        let total_msgs: u64 = (0..net.link_count()).map(|i| net.link(i).messages).sum();
         assert_eq!(total_msgs, 1, "only the 0→1 copy crossed a link");
     }
 
@@ -1524,12 +1514,10 @@ mod tests {
         assert_eq!(stats.undeliverable, 0);
     }
 
-    #[test]
-    fn unreachable_destination_is_counted_undeliverable() {
+    /// A 2-ring whose 0→1 link, the only route from node 0 to node 1, is
+    /// down for good; the transport declares it dead at the first loss.
+    fn ring2_with_a_dead_link() -> NetConfig {
         use crate::fault::{FaultPlaneConfig, LinkFaultProfile, TransportConfig};
-        // On a 2-ring the only route 0→1 is the one dead link: the stuck
-        // copy and any later send to 1 are permanently undeliverable, and
-        // both must give back the arena reference they entered with.
         let mut c = cfg(TopologyKind::Ring, 2, 1600);
         c.fault = Some(FaultPlaneConfig {
             seed: 1,
@@ -1547,7 +1535,15 @@ mod tests {
                 retransmit_budget: 1,
             }),
         });
-        let mut net = Fabric::new(c);
+        c
+    }
+
+    #[test]
+    fn unreachable_destination_is_counted_undeliverable() {
+        // The stuck copy and any later send to 1 are permanently
+        // undeliverable, and both must give back the arena reference they
+        // entered with.
+        let mut net = Fabric::new(ring2_with_a_dead_link());
         let mut arena = MsgArena::new();
         let m1 = Message::unordered(NodeId(0), NodeId(1), VnetId::DATA, 8, "a");
         let m2 = Message::unordered(NodeId(0), NodeId(1), VnetId::DATA, 8, "b");
@@ -1569,6 +1565,58 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
+    /// Once the link has died, an ordered copy for node 1 is refused at
+    /// injection. It must take no sequence at node 1, or node 1's own
+    /// ordered loopback, sent after it, would wait forever behind it.
+    #[test]
+    fn a_copy_refused_at_injection_takes_no_sequence() {
+        let mut net = Fabric::new(ring2_with_a_dead_link());
+        let to1 = || NodeSet::singleton(NodeId(1));
+        let kill = Message::unordered(NodeId(0), NodeId(1), VnetId::DATA, 8, "kill");
+        let sends = vec![
+            (Time::ZERO, kill),
+            (
+                Time::from_ns(1_000),
+                Message::ordered(NodeId(0), to1(), 8, "refused"),
+            ),
+            (
+                Time::from_ns(2_000),
+                Message::ordered(NodeId(1), to1(), 8, "loopback"),
+            ),
+        ];
+        let out = drive(&mut net, sends);
+        let delivered: Vec<_> = out.iter().map(|(_, d, p)| (d.dst, *p)).collect();
+        assert_eq!(delivered, vec![(NodeId(1), "loopback")]);
+        assert_eq!(net.fault_stats().unwrap().undeliverable, 2);
+        assert!(net.endpoints[1].held.is_empty());
+    }
+
+    /// An ordered copy for node 1 takes its sequence, is lost on the
+    /// dead link and finds no route around it. The endpoint must give
+    /// that sequence up, so node 1's own ordered loopback, sent after it,
+    /// is delivered instead of held back forever.
+    #[test]
+    fn a_copy_whose_reroute_fails_gives_its_sequence_back() {
+        let mut net = Fabric::new(ring2_with_a_dead_link());
+        let to1 = || NodeSet::singleton(NodeId(1));
+        let sends = vec![
+            (
+                Time::ZERO,
+                Message::ordered(NodeId(0), to1(), 8, "stranded"),
+            ),
+            (
+                Time::from_ns(1_000),
+                Message::ordered(NodeId(1), to1(), 8, "loopback"),
+            ),
+        ];
+        let out = drive(&mut net, sends);
+        let delivered: Vec<_> = out.iter().map(|(_, d, p)| (d.dst, *p)).collect();
+        assert_eq!(delivered, vec![(NodeId(1), "loopback")]);
+        let stats = net.fault_stats().unwrap();
+        assert_eq!((stats.dead_links, stats.undeliverable), (1, 1));
+        assert!(net.endpoints[1].held.is_empty());
+    }
+
     #[test]
     fn multicast_under_a_fault_plane_uses_independent_chains() {
         use crate::fault::{FaultPlaneConfig, FaultStats};
@@ -1582,7 +1630,7 @@ mod tests {
         let out = drive(&mut net, vec![(Time::ZERO, m)]);
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|(_, d, _)| d.order == Some(0)));
-        let total: u64 = (0..net.link_count()).map(|i| net.link_messages(i)).sum();
+        let total: u64 = (0..net.link_count()).map(|i| net.link(i).messages).sum();
         assert_eq!(total, 4, "independent chains: 1 + 2 + 1 crossings");
         assert_eq!(net.fault_stats().unwrap(), FaultStats::default());
     }
@@ -1674,7 +1722,7 @@ mod tests {
             drive(&mut net, skew);
             let round = |net: &mut Fabric<&'static str>, start: Time| {
                 let before: Vec<u64> = (0..net.link_count())
-                    .map(|i| net.link_messages(i))
+                    .map(|i| net.link(i).messages)
                     .collect();
                 let first_order = net.next_order;
                 let sends = (0..nodes)
@@ -1685,7 +1733,7 @@ mod tests {
                     .collect();
                 let out = drive(net, sends);
                 let crossed: Vec<u64> = (0..net.link_count())
-                    .map(|i| net.link_messages(i) - before[i])
+                    .map(|i| net.link(i).messages - before[i])
                     .collect();
                 let mut latency: Vec<(u64, u16, u64)> = out
                     .iter()

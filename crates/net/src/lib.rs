@@ -43,7 +43,7 @@ pub mod message;
 pub mod topology;
 
 pub use arena::{MsgArena, MsgRef};
-pub use crossbar::{Crossbar, Delivery, Jitter, NetConfig, NetEvent, NetStep};
+pub use crossbar::{Crossbar, Delivery, Jitter, Link, NetConfig, NetEvent, NetStep};
 pub use fabric::{Fabric, FlightRef, Interconnect};
 pub use fault::{FaultPlane, FaultPlaneConfig, FaultStats, LinkFaultProfile, TransportConfig};
 pub use ids::{NodeId, NodeSet};

@@ -11,12 +11,16 @@
 #
 # Then `pairs` pairs of runs of `perfbench --workload <workload>
 # --seconds <seconds> --seed <seed>` (defaults: 30 s, seed 1), with the
-# side that runs first alternating from pair to pair. Every run's six
-# end-to-end metrics are printed as it finishes; at the end, for each
-# metric, each side's median and quartiles, the change's wins (ties count
-# for neither) and the median ratio change/base, and whether the modelled
+# side that runs first alternating from pair to pair. Every run's rep
+# count (read from the `{"meta": ...}` line perfbench prints before its
+# result) and six end-to-end metrics are printed as it finishes; at the
+# end, each side's median and quartile rep counts and, for each metric,
+# each side's median and quartiles, the change's wins (ties count for
+# neither) and the median ratio change/base, and whether the modelled
 # metrics (`sim_ops_per_us`, `sim_miss_latency_ns`) are bit-identical
-# across every run of both sides.
+# across every run of both sides. `peak_rss_mb` is the process's peak
+# resident set, which grows with the reps a run fits, so its row is
+# marked when the two sides' median rep counts differ.
 #
 # Exits non-zero if a build or a run fails, or if any run reports a
 # failed simulated run (`failed > 0`).
@@ -67,18 +71,22 @@ build() { # build <side> <rev|.>
 build base "$base_rev"
 build change "$change_rev"
 
-# One run; appends `<side> <pair> <json result line>` to the run log.
+# One run; appends `<side> <pair> <reps> <json result line>` to the run
+# log.
 run() { # run <side> <pair>
-  local side=$1 pair=$2 result
-  result=$(cd "${src[$side]}" && "$work/perfbench-$side" --workload "$workload" \
-    --seconds "$seconds" --seed "$seed" | tail -n 1)
-  printf '%s %s %s\n' "$side" "$pair" "$result" >>"$work/runs.log"
-  python3 - "$repo/BENCHMARK.json" "$side" "$pair" "$result" <<'PY'
+  local side=$1 pair=$2 out reps result
+  out=$(cd "${src[$side]}" && "$work/perfbench-$side" --workload "$workload" \
+    --seconds "$seconds" --seed "$seed")
+  reps=$(printf '%s\n' "$out" | grep '^{"meta": ' | tail -n 1 |
+    python3 -c 'import json, sys; print(json.load(sys.stdin)["meta"]["reps"])')
+  result=$(printf '%s\n' "$out" | tail -n 1)
+  printf '%s %s %s %s\n' "$side" "$pair" "$reps" "$result" >>"$work/runs.log"
+  python3 - "$repo/BENCHMARK.json" "$side" "$pair" "$reps" "$result" <<'PY'
 import json, sys
 names = [m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"]]
-side, pair, res = sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+side, pair, reps, res = sys.argv[2], sys.argv[3], sys.argv[4], json.loads(sys.argv[5])
 vals = " ".join(f"{n}={res['metrics'][n]['value']:.6g}" for n in names)
-print(f"pair {pair:>2} {side:<6} failed={res['failed']} {vals}", flush=True)
+print(f"pair {pair:>2} {side:<6} reps={reps} failed={res['failed']} {vals}", flush=True)
 PY
 }
 
@@ -92,12 +100,14 @@ import json, statistics, sys
 
 spec = json.load(open(sys.argv[1]))["end_to_end"]
 runs = {"base": {}, "change": {}}
+reps = {"base": {}, "change": {}}
 failed = 0
 for line in open(sys.argv[2]):
-    side, pair, res = line.split(" ", 2)
+    side, pair, n, res = line.split(" ", 3)
     res = json.loads(res)
     failed += res["failed"]
     runs[side][int(pair)] = res["metrics"]
+    reps[side][int(pair)] = int(n)
 
 def quartiles(v):
     if len(v) == 1:
@@ -106,7 +116,10 @@ def quartiles(v):
     return q1, q2, q3
 
 pairs = sorted(runs["base"])
+fmt = lambda q: f"{q[0]:.6g} / {q[1]:.6g} / {q[2]:.6g}"
 print(f"\n{'metric':<22} {'base q1 / median / q3':>40} {'change q1 / median / q3':>40} {'wins':>7} {'ratio':>8}")
+rq = {side: quartiles([reps[side][p] for p in pairs]) for side in reps}
+print(f"{'reps':<22} {fmt(rq['base']):>40} {fmt(rq['change']):>40}")
 for m in spec:
     name, higher = m["name"], m["better"] == "higher"
     b = [runs["base"][p][name]["value"] for p in pairs]
@@ -114,8 +127,11 @@ for m in spec:
     wins = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
     bq, cq = quartiles(b), quartiles(c)
     ratio = cq[1] / bq[1] if bq[1] else float("nan")
-    fmt = lambda q: f"{q[0]:.6g} / {q[1]:.6g} / {q[2]:.6g}"
-    print(f"{name:<22} {fmt(bq):>40} {fmt(cq):>40} {wins:>3}/{len(pairs):<3} {ratio:>8.4f}")
+    mark = " *" if name == "peak_rss_mb" and rq["base"][1] != rq["change"][1] else ""
+    print(f"{name:<22} {fmt(bq):>40} {fmt(cq):>40} {wins:>3}/{len(pairs):<3} {ratio:>8.4f}{mark}")
+    if mark:
+        print(f"{'':<22} * median reps differ ({rq['base'][1]:.6g} base, {rq['change'][1]:.6g} change): "
+              "peak RSS grows with the reps a run fits")
     if name == "sim_ns_per_s":
         gain, spread = cq[1] - bq[1], bq[2] - bq[0]
         print(f"{'':<22} median gain {gain:.6g} vs base quartile spread {spread:.6g}: "
