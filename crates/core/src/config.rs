@@ -122,15 +122,6 @@ pub struct SystemConfig {
     pub retry_capacity: usize,
     /// Record transition coverage (Table 1 / tester runs).
     pub coverage: bool,
-    /// Capture every processor op the workload issues into a replayable
-    /// [`bash_trace::Trace`] (see [`System::take_captured_trace`]).
-    ///
-    /// [`System::take_captured_trace`]: crate::System::take_captured_trace
-    pub capture_ops: bool,
-    /// Also stamp every captured op with its issue→complete latency
-    /// (requires [`capture_ops`](Self::capture_ops)), producing a
-    /// completion-bearing trace that latency-diff passes can consume.
-    pub capture_completions: bool,
     /// Message latency perturbation (tester and error-bar methodology).
     pub jitter: Jitter,
     /// Deliberate fault injection (verification-harness self-tests only;
@@ -198,8 +189,6 @@ impl SystemConfig {
             hierarchy: None,
             retry_capacity: 64,
             coverage: false,
-            capture_ops: false,
-            capture_completions: false,
             jitter: Jitter::None,
             fault: None,
             fault_plane: None,
@@ -243,21 +232,6 @@ impl SystemConfig {
     /// Enables transition-coverage recording.
     pub fn with_coverage(mut self) -> Self {
         self.coverage = true;
-        self
-    }
-
-    /// Enables op capture: the run records every issued processor op into
-    /// a replayable trace.
-    pub fn with_capture(mut self) -> Self {
-        self.capture_ops = true;
-        self
-    }
-
-    /// Enables op capture *with* completion events: every captured op is
-    /// stamped with the issue→complete latency the run observed.
-    pub fn with_capture_completions(mut self) -> Self {
-        self.capture_ops = true;
-        self.capture_completions = true;
         self
     }
 
@@ -321,10 +295,6 @@ impl SystemConfig {
                 self.fault_plane.is_some() && self.topology == TopologyKind::Crossbar,
                 E::FaultPlaneNeedsFabric,
             ),
-            (
-                self.capture_completions && !self.capture_ops,
-                E::CompletionsWithoutCapture,
-            ),
         ];
         if let Some((_, e)) = rules.into_iter().find(|(broken, _)| *broken) {
             return Err(e);
@@ -378,8 +348,6 @@ pub enum ConfigError {
     FaultPlaneNeedsFabric,
     /// [`FaultPlaneConfig::check`] failed, for the reason given.
     BadFaultPlane(&'static str),
-    /// Completion capture needs op capture.
-    CompletionsWithoutCapture,
     /// [`AdaptorConfig::check`] failed, for the reason given.
     BadAdaptor(&'static str),
 }
@@ -416,7 +384,6 @@ impl std::fmt::Display for ConfigError {
                 "the fault plane needs a fabric topology (the crossbar has no links)"
             }
             Self::BadFaultPlane(reason) | Self::BadAdaptor(reason) => reason,
-            Self::CompletionsWithoutCapture => "completion capture requires op capture",
         })
     }
 }

@@ -27,7 +27,6 @@ use bash_net::{
     FaultStats, Interconnect, Jitter, MsgArena, MsgRef, NetConfig, NetEvent, NetStep, NodeId,
     Ordered, OrderingMode,
 };
-use bash_trace::{Trace, TraceCapture, TraceRecord};
 use bash_workloads::{WorkItem, Workload};
 
 use crate::config::{SystemConfig, WatchdogBudget};
@@ -169,19 +168,6 @@ enum Event {
     },
 }
 
-/// Appends one pulled work item to the capture hook, if it is enabled.
-fn capture_item(capture: &mut Option<TraceCapture>, node: NodeId, item: &WorkItem) {
-    if let Some(writer) = capture {
-        writer.record(TraceRecord {
-            node,
-            think: item.think,
-            instructions: item.instructions,
-            op: item.op,
-            completion: None,
-        });
-    }
-}
-
 /// An outstanding demand miss at a processor.
 #[derive(Debug)]
 struct PendingMiss {
@@ -254,12 +240,6 @@ pub struct System<W: Workload> {
     measure_start: Snapshot,
     policy_trace: Option<Vec<(Time, f64)>>,
     delivery_trace: Option<Vec<String>>,
-    /// The op-capture hook (enabled with [`SystemConfig::with_capture`]):
-    /// every work item the workload hands a processor is appended here, in
-    /// issue-request order, producing a replayable reference trace. With
-    /// [`SystemConfig::capture_completions`] each record is additionally
-    /// stamped with its issue→complete latency as the op finishes.
-    op_capture: Option<TraceCapture>,
     /// The configured [`crate::FaultInjection`] at run time (`None` in every
     /// normal run).
     fault: Option<FaultInjector>,
@@ -332,16 +312,10 @@ impl<W: Workload> System<W> {
 
         let mut events = EventQueue::new();
         let mut procs: Vec<Processor> = (0..nodes).map(|_| Processor::default()).collect();
-        // Capture must start before priming: the first item per node is
-        // pulled here, not in `fetch_next`.
-        let mut op_capture = cfg
-            .capture_ops
-            .then(|| TraceCapture::new(nodes, cfg.seed, workload.name()));
         for i in 0..nodes {
             let node = NodeId(i);
             match workload.next_item(node, Time::ZERO) {
                 Some(item) => {
-                    capture_item(&mut op_capture, node, &item);
                     let at = Time::ZERO + item.think;
                     procs[i as usize].queued = Some(item);
                     events.schedule(at, Event::ProcIssue(node));
@@ -374,7 +348,6 @@ impl<W: Workload> System<W> {
             measure_start: Snapshot::default(),
             policy_trace: None,
             delivery_trace: None,
-            op_capture,
             fault: cfg.fault.map(|f| FaultInjector::new(f, nodes)),
             violation: None,
             hier_intra_bytes: 0,
@@ -438,19 +411,6 @@ impl<W: Workload> System<W> {
     /// The recorded delivery trace, if enabled.
     pub fn delivery_trace(&self) -> Option<&[String]> {
         self.delivery_trace.as_deref()
-    }
-
-    /// Finalizes and takes the captured reference trace, or `None` when
-    /// capture was not enabled. The trace header carries the run's node
-    /// count, seed and workload name, so replaying it through
-    /// `TraceWorkload` reproduces this run exactly (same config, any
-    /// thread count).
-    pub fn take_captured_trace(&mut self) -> Option<Trace> {
-        let mut writer = self.op_capture.take()?;
-        // The workload may refine its display name as it runs; stamp the
-        // final one so replay reports stay name-identical.
-        writer.set_workload(self.workload.name());
-        Some(writer.finish())
     }
 
     /// Checks the configured watchdog budgets against the next event's
@@ -915,9 +875,6 @@ impl<W: Workload> System<W> {
             AccessOutcome::Hit { value } => {
                 self.counters.ops += 1;
                 self.counters.retired += item.instructions;
-                // A hit completes at issue time in this model: the
-                // completion event records a zero latency.
-                self.capture_completion(node, Duration::ZERO);
                 self.complete_op(node, &item.op, value);
                 self.fetch_next(node);
             }
@@ -946,20 +903,8 @@ impl<W: Workload> System<W> {
         }
         self.counters.ops += 1;
         self.counters.retired += pending.instructions;
-        self.capture_completion(node, self.now.since(pending.issued_at));
         self.complete_op(node, &pending.op, value);
         self.fetch_next(node);
-    }
-
-    /// Stamps the in-flight op's issue→complete latency onto its captured
-    /// record, when completion capture is enabled.
-    fn capture_completion(&mut self, node: NodeId, latency: Duration) {
-        if !self.cfg.capture_completions {
-            return;
-        }
-        if let Some(capture) = &mut self.op_capture {
-            capture.record_completion(node, latency);
-        }
     }
 
     /// Reports a completed op to the workload, applying any configured
@@ -976,7 +921,6 @@ impl<W: Workload> System<W> {
         let idx = node.index();
         match self.workload.next_item(node, self.now) {
             Some(item) => {
-                capture_item(&mut self.op_capture, node, &item);
                 let at = self.now + item.think;
                 self.procs[idx].queued = Some(item);
                 self.events.schedule(at, Event::ProcIssue(node));

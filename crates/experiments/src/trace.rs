@@ -331,8 +331,7 @@ fn diff(path: &str) -> bool {
 mod tests {
     use super::*;
     use bash::net::NodeId;
-    use bash::{BlockAddr, Duration, ProcOp, SeekableTrace};
-    use std::io::Cursor;
+    use bash::{BlockAddr, Duration, ProcOp};
 
     /// A v2 fixture with 32-record chunks: 100 records = 32+32+32+4.
     fn fixture_bytes() -> Vec<u8> {
@@ -361,13 +360,16 @@ mod tests {
     /// only by a recovering reader, which skips that chunk.
     fn corrupted_bytes(chunk: usize) -> Vec<u8> {
         let mut bytes = fixture_bytes();
-        let offset = SeekableTrace::open(Cursor::new(&bytes))
-            .unwrap()
-            .index()
-            .entries[chunk]
-            .offset;
-        let data_start = TraceReader::new(&bytes[..]).unwrap().data_start().unwrap();
-        bytes[data_start as usize + offset as usize + 6] ^= 0x01;
+        // A drained reader holds the trailing index, whose offsets count
+        // from the first chunk.
+        let offset = {
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            for r in &mut reader {
+                r.unwrap();
+            }
+            reader.data_start().unwrap() + reader.index().unwrap().entries[chunk].offset
+        };
+        bytes[offset as usize + 6] ^= 0x01;
         bytes
     }
 

@@ -27,6 +27,7 @@
 //!   divergence fails the run.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bash_coherence::types::WORDS_PER_BLOCK;
 use bash_coherence::{BlockAddr, ProcOp, ProtocolKind};
@@ -34,7 +35,7 @@ use bash_kernel::Time;
 use bash_net::NodeId;
 use bash_sim::System;
 use bash_trace::Trace;
-use bash_workloads::{TraceWorkload, WorkItem, Workload};
+use bash_workloads::{CaptureWorkload, TraceWorkload, WorkItem, Workload};
 
 use crate::harness::authoritative_data;
 use crate::verify::VerifyConfig;
@@ -174,9 +175,10 @@ struct Observation {
     latencies: Vec<Vec<u64>>,
 }
 
-/// A replayer that additionally records every load's observed value.
+/// A replayer that additionally records every load's observed value
+/// and, through its capture, every op's latency.
 struct RecordingWorkload {
-    inner: TraceWorkload,
+    inner: CaptureWorkload<TraceWorkload>,
     histories: BTreeMap<(u16, Location), Vec<u64>>,
 }
 
@@ -223,17 +225,17 @@ fn locations_of(trace: &Trace) -> BTreeMap<Location, BTreeMap<u16, Vec<u64>>> {
     locations
 }
 
-fn replay_one(cfg: &VerifyConfig, trace: &Trace, blocks: &[BlockAddr]) -> Observation {
-    let replay = TraceWorkload::from_trace(trace).expect("trace validated before differential run");
+fn replay_one(cfg: &VerifyConfig, trace: &Arc<Trace>, blocks: &[BlockAddr]) -> Observation {
+    let replay = TraceWorkload::from_trace(Arc::clone(trace))
+        .expect("trace validated before differential run");
+    // The reference stream is already in hand; the replay is captured
+    // anyway (with completion events) because that is how the
+    // per-protocol latency distributions are measured.
     let workload = RecordingWorkload {
-        inner: replay,
+        inner: CaptureWorkload::new(replay, cfg.nodes, cfg.seed, true),
         histories: BTreeMap::new(),
     };
-    // The reference stream is already on disk; the replay's capture runs
-    // anyway (with completion events) because it is how the per-protocol
-    // latency distributions are measured.
-    let sys_cfg = cfg.system_config();
-    let mut system = System::new(sys_cfg, workload);
+    let mut system = System::new(cfg.system_config(), workload);
     let mut obs = Observation {
         quiescent: system.try_run_to_idle().is_ok(),
         ..Observation::default()
@@ -247,14 +249,13 @@ fn replay_one(cfg: &VerifyConfig, trace: &Trace, blocks: &[BlockAddr]) -> Observ
         }
     }
     obs.latencies = vec![Vec::new(); trace.nodes as usize];
-    if let Some(captured) = system.take_captured_trace() {
-        for r in &captured.records {
-            if let Some(lat) = r.completion {
-                obs.latencies[r.node.index()].push(lat.as_ps());
-            }
+    let workload = system.workload_mut();
+    for r in &workload.inner.take_trace().records {
+        if let Some(lat) = r.completion {
+            obs.latencies[r.node.index()].push(lat.as_ps());
         }
     }
-    obs.histories = std::mem::take(&mut system.workload_mut().histories);
+    obs.histories = std::mem::take(&mut workload.histories);
     obs
 }
 
@@ -277,13 +278,14 @@ pub fn differential_trace(cfg: &VerifyConfig, trace: &Trace) -> DifferentialRepo
         .collect();
 
     let protocols: Vec<ProtocolKind> = ProtocolKind::ALL.to_vec();
+    let shared = Arc::new(trace.clone());
     let observations: Vec<Observation> = protocols
         .iter()
         .map(|&p| {
             let mut cfg = cfg.clone();
             cfg.protocol = p;
             cfg.nodes = trace.nodes;
-            replay_one(&cfg, trace, &blocks)
+            replay_one(&cfg, &shared, &blocks)
         })
         .collect();
 

@@ -7,9 +7,10 @@
 //! transparently rewrites every store value with a unique token from the
 //! generalized [`Oracle`] (see [`checker`](crate::checker) for why this
 //! makes every load exactly attributable) and caps the stream so endless
-//! generators reach quiescence. The run captures its instrumented op
-//! stream into a [`Trace`], so a failing run hands the
-//! [`minimize`](crate::minimize) pass a replayable starting point.
+//! generators reach quiescence. A [`CaptureWorkload`] around it records
+//! the instrumented op stream, with completion latencies, into a
+//! [`Trace`], so a failing run hands the [`minimize`](crate::minimize)
+//! pass a replayable starting point.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,7 +23,7 @@ use bash_kernel::{pool, Duration, Time};
 use bash_net::{FaultPlaneConfig, Jitter, NodeId, OrderingMode, TopologyKind};
 use bash_sim::{FaultInjection, RunError, System, SystemConfig, WatchdogBudget, WedgeDiagnostic};
 use bash_trace::Trace;
-use bash_workloads::{catalog, TraceWorkload, WorkItem, Workload};
+use bash_workloads::{catalog, CaptureWorkload, TraceWorkload, WorkItem, Workload};
 
 use crate::checker::{CheckViolation, Oracle};
 use crate::harness::sweep_structural;
@@ -108,17 +109,14 @@ impl VerifyConfig {
     }
 
     /// The `SystemConfig` a verification run under this config uses.
-    /// Capture is always on — with completion events, so every
-    /// verification trace doubles as input to the differential latency
-    /// pass — and so is transition coverage, which feeds Table 1.
+    /// Transition coverage is always on; it feeds Table 1.
     pub fn system_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::paper_default(self.protocol, self.nodes, self.link_mbps)
             .with_topology(self.topology)
             .with_seed(self.seed)
             .with_cache(self.cache)
             .with_adaptor(self.adaptor.clone())
-            .with_coverage()
-            .with_capture_completions();
+            .with_coverage();
         cfg.retry_capacity = self.retry_capacity;
         if let Some(jitter) = &self.jitter {
             cfg = cfg.with_jitter(jitter.clone());
@@ -175,7 +173,8 @@ pub struct VerifyReport {
     /// whole truth. `None` on runs that reached quiescence, and on runs a
     /// protocol violation ended (its text is in `violations` alone).
     pub wedge: Option<WedgeDiagnostic>,
-    /// The instrumented op stream the run executed — replay it through
+    /// The instrumented op stream the run executed, each completed op
+    /// stamped with its issue→complete latency — replay it through
     /// [`run_verify_trace`] to reproduce this verdict, or feed it to
     /// [`minimize_trace`](crate::minimize::minimize_trace) on failure.
     pub trace: Trace,
@@ -255,10 +254,13 @@ impl<W: Workload> Workload for CheckedWorkload<W> {
 }
 
 /// Runs one workload through the full invariant suite to quiescence.
+/// The capture records completions, so every verification trace doubles
+/// as input to the differential latency pass.
 pub fn run_verify<W: Workload>(cfg: &VerifyConfig, workload: W) -> VerifyReport {
     let oracle = Rc::new(RefCell::new(Oracle::new()));
     let checked = CheckedWorkload::new(workload, cfg.nodes, cfg.ops_per_node, Rc::clone(&oracle));
-    let mut system = System::new(cfg.system_config(), checked);
+    let captured = CaptureWorkload::new(checked, cfg.nodes, cfg.seed, true);
+    let mut system = System::new(cfg.system_config(), captured);
     // `try_run_to_idle` returns `Ok` only on a quiescent system, so its
     // error is the one report of a run that did not finish.
     let outcome = system.try_run_to_idle();
@@ -285,9 +287,7 @@ pub fn run_verify<W: Workload>(cfg: &VerifyConfig, workload: W) -> VerifyReport 
         mem_stats.merge(m.stats());
     }
     let ordering = system.ordering();
-    let trace = system
-        .take_captured_trace()
-        .expect("verification runs always capture");
+    let trace = system.workload_mut().take_trace();
     let workload_name = trace.workload.clone();
     let ops = trace.records.len() as u64;
     drop(system); // releases the workload's clone of the oracle
@@ -333,7 +333,8 @@ pub fn run_verify_trace(cfg: &VerifyConfig, trace: &Trace) -> VerifyReport {
     let mut cfg = cfg.clone();
     cfg.nodes = trace.nodes;
     cfg.ops_per_node = u64::MAX;
-    let replay = TraceWorkload::from_trace(trace).expect("trace validated before verification");
+    let replay =
+        TraceWorkload::from_trace(trace.clone()).expect("trace validated before verification");
     run_verify(&cfg, replay)
 }
 

@@ -31,7 +31,7 @@
 //! pins this in CI). **Encode survives only as [`Trace::to_bytes_v1`]**:
 //! the current writer is the v2 chunked form (module
 //! [`stream`](crate::stream)), which adds per-chunk checksums, per-node
-//! delta-encoded block addresses, completion latencies and a seekable
+//! delta-encoded block addresses, completion latencies and a chunk
 //! index — none of which v1 can carry (completions are silently dropped
 //! by `to_bytes_v1`).
 

@@ -8,7 +8,9 @@
 //! only ever observes this op stream, a captured trace can be replayed
 //! through *any* protocol, bandwidth, or thread count and the replay is a
 //! pure function of the trace plus the system configuration — which is
-//! what lets CI gate on byte-exact golden reports.
+//! what lets CI gate on byte-exact golden reports. Both ends sit at that
+//! workload boundary: `bash_workloads::CaptureWorkload` records a run's
+//! trace, and `bash_workloads::TraceWorkload` replays one.
 //!
 //! Encodings:
 //!
@@ -16,7 +18,7 @@
 //!   on-disk format: a checksummed header followed by fixed-size record
 //!   chunks, each carrying its own record count, FNV-1a checksum and
 //!   per-node delta-encoded block addresses, terminated by an empty chunk
-//!   and an optional seekable chunk index. Written and read *streaming*
+//!   and an optional chunk index. Written and read *streaming*
 //!   through [`TraceWriter`]/[`TraceReader`], so multi-GB traces never
 //!   need to fit in memory; [`Trace::to_bytes`]/[`Trace::from_bytes`] are
 //!   the in-memory convenience wrappers.
@@ -50,7 +52,7 @@ use bash_coherence::ProcOp;
 use bash_kernel::Duration;
 use bash_net::NodeId;
 
-pub use stream::{ChunkIndex, SeekableTrace, TraceHeader, TraceReader, TraceWriter};
+pub use stream::{ChunkIndex, TraceHeader, TraceReader, TraceWriter};
 
 /// The binary/text format version this crate writes (decoders also accept
 /// [`FORMAT_V1`]).
@@ -291,118 +293,6 @@ impl Trace {
     }
 }
 
-/// The incremental in-memory capture buffer — what the simulation core's
-/// capture hook appends to while a run executes. (The *streaming* encoder
-/// is [`TraceWriter`]; this type exists because the capture hook must
-/// patch completion latencies into already-captured records, which a
-/// write-once stream cannot do.)
-///
-/// ```
-/// use bash_trace::{TraceCapture, TraceRecord};
-/// use bash_coherence::{BlockAddr, ProcOp};
-/// use bash_kernel::Duration;
-/// use bash_net::NodeId;
-///
-/// let mut c = TraceCapture::new(2, 42, "demo");
-/// c.record(TraceRecord {
-///     node: NodeId(0),
-///     think: Duration::from_ns(5),
-///     instructions: 20,
-///     op: ProcOp::Load { block: BlockAddr(7), word: 3 },
-///     completion: None,
-/// });
-/// c.record_completion(NodeId(0), Duration::from_ns(125));
-/// let trace = c.finish();
-/// assert_eq!(trace.records.len(), 1);
-/// assert_eq!(trace.records[0].completion, Some(Duration::from_ns(125)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceCapture {
-    trace: Trace,
-    /// Per-node index of the most recently captured record — the op whose
-    /// completion has not been observed yet (processors are blocking, so
-    /// at most one per node is in flight).
-    last: Vec<Option<usize>>,
-}
-
-impl TraceCapture {
-    /// Starts an empty capture for a `nodes`-node run.
-    pub fn new(nodes: u16, seed: u64, workload: impl Into<String>) -> Self {
-        TraceCapture {
-            trace: Trace {
-                nodes,
-                seed,
-                workload: workload.into(),
-                records: Vec::new(),
-            },
-            last: vec![None; nodes as usize],
-        }
-    }
-
-    /// Appends one captured op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record addresses a node outside the capture's
-    /// `0..nodes` range — the capture hook receives records the driver
-    /// built from its own node ids, so an out-of-range node is a
-    /// programming error, not data to tolerate. (The lenient encoders
-    /// accept such traces and defer to decode-time validation; see
-    /// `Trace::to_bytes_v1`.)
-    pub fn record(&mut self, record: TraceRecord) {
-        assert!(
-            record.node.0 < self.trace.nodes,
-            "captured record addresses node {} but the capture has {} nodes",
-            record.node.0,
-            self.trace.nodes
-        );
-        self.last[record.node.index()] = Some(self.trace.records.len());
-        self.trace.records.push(record);
-    }
-
-    /// Stamps the issue→complete latency onto `node`'s most recently
-    /// captured record (the op currently in flight at that processor).
-    /// A completion with no captured record is ignored — it belongs to an
-    /// op issued before capture was enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the capture's `0..nodes` range (see
-    /// [`record`](Self::record)).
-    pub fn record_completion(&mut self, node: NodeId, latency: Duration) {
-        assert!(
-            node.0 < self.trace.nodes,
-            "completion for node {} but the capture has {} nodes",
-            node.0,
-            self.trace.nodes
-        );
-        if let Some(idx) = self.last[node.index()] {
-            self.trace.records[idx].completion = Some(latency);
-        }
-    }
-
-    /// Number of records captured so far.
-    pub fn len(&self) -> usize {
-        self.trace.records.len()
-    }
-
-    /// True when nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.trace.records.is_empty()
-    }
-
-    /// Updates the workload display name (the capture hook only learns the
-    /// final name when the run finishes).
-    pub fn set_workload(&mut self, workload: impl Into<String>) {
-        self.trace.workload = workload.into();
-    }
-
-    /// Finalizes the capture into an owned [`Trace`].
-    pub fn finish(self) -> Trace {
-        self.trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,42 +371,6 @@ mod tests {
         assert_eq!(t.validate(), Err(TraceError::Empty));
         t.nodes = 0;
         assert_eq!(t.validate(), Err(TraceError::ZeroNodes));
-    }
-
-    #[test]
-    fn capture_accumulates_and_patches_completions() {
-        let mut c = TraceCapture::new(2, 1, "w");
-        assert!(c.is_empty());
-        let mut rec = sample_trace().records[0];
-        rec.node = NodeId(0);
-        rec.completion = None;
-        c.record(rec);
-        c.record_completion(NodeId(0), Duration::from_ns(99));
-        // A completion for a node with no captured record is ignored.
-        c.record_completion(NodeId(1), Duration::from_ns(5));
-        c.set_workload("renamed");
-        assert_eq!(c.len(), 1);
-        let t = c.finish();
-        assert_eq!(t.workload, "renamed");
-        assert_eq!(t.nodes, 2);
-        assert_eq!(t.records[0].completion, Some(Duration::from_ns(99)));
-    }
-
-    #[test]
-    fn completion_patch_targets_the_latest_record_per_node() {
-        let base = sample_trace().records[0];
-        let mut c = TraceCapture::new(1, 0, "w");
-        let mut first = base;
-        first.completion = None;
-        c.record(first);
-        c.record_completion(NodeId(0), Duration::from_ns(10));
-        let mut second = base;
-        second.completion = None;
-        c.record(second);
-        c.record_completion(NodeId(0), Duration::from_ns(20));
-        let t = c.finish();
-        assert_eq!(t.records[0].completion, Some(Duration::from_ns(10)));
-        assert_eq!(t.records[1].completion, Some(Duration::from_ns(20)));
     }
 
     #[test]

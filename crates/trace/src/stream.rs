@@ -63,17 +63,18 @@
 //! index_magic  4       b"BTIX"
 //! ```
 //!
-//! The fixed-size tail lets a seekable consumer ([`SeekableTrace`]) find
-//! the index from the end of the file without scanning the chunks, then
-//! jump straight to the chunk containing any record — seekable replay.
+//! The index and its fixed-size tail stay in the format for stability:
+//! every reader cross-checks the index against the chunks it decoded
+//! (a disagreeing index is a decode error), and `trace info` prints it as
+//! the file's chunk map.
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 
 use bash_coherence::{BlockAddr, ProcOp};
 use bash_kernel::Duration;
 use bash_net::NodeId;
 
-use crate::wire::{fnv1a, io_err, put_varint, unzigzag, zigzag, ByteReader, ByteWriter, Fnv1a};
+use crate::wire::{fnv1a, put_varint, unzigzag, zigzag, ByteReader, ByteWriter, Fnv1a};
 use crate::{validate_record, Trace, TraceError, TraceRecord, FORMAT_V1, FORMAT_VERSION};
 
 /// The 8-byte file magic (shared by v1 and v2).
@@ -134,30 +135,11 @@ pub struct ChunkEntry {
 }
 
 /// The trailing chunk index of a v2 trace: where every chunk starts and
-/// which records it holds, enabling seekable replay.
+/// which records it holds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChunkIndex {
     /// Per-chunk entries, in file order.
     pub entries: Vec<ChunkEntry>,
-}
-
-impl ChunkIndex {
-    /// The position of the chunk containing global record `record` — the
-    /// one containment search every lookup goes through. Entries are
-    /// sorted by `first_record` (chunks are contiguous in file order), so
-    /// this is a binary search: a multi-GB trace's million-entry index
-    /// answers in ~20 comparisons.
-    pub fn locate_index(&self, record: u64) -> Option<usize> {
-        let i = self
-            .entries
-            .partition_point(|e| e.first_record + e.count <= record);
-        (i < self.entries.len() && record >= self.entries[i].first_record).then_some(i)
-    }
-
-    /// The entry of the chunk containing global record `record`, if any.
-    pub fn locate(&self, record: u64) -> Option<&ChunkEntry> {
-        self.locate_index(record).map(|i| &self.entries[i])
-    }
 }
 
 // ---------------------------------------------------------------- writer
@@ -394,8 +376,6 @@ enum Mode {
 /// Reads the fields both versions share — magic, version (1 or 2),
 /// nodes, seed, workload name — leaving the source's running hash
 /// started at the version field, as both versions' checksums require.
-/// The one header parser: [`TraceReader::new`] and
-/// [`SeekableTrace::open`] both go through here.
 fn read_common_header<R: Read>(src: &mut ByteReader<R>) -> Result<TraceHeader, TraceError> {
     let mut magic = [0u8; 8];
     src.read_exact(&mut magic)?;
@@ -688,7 +668,7 @@ fn decode_v1_record<R: Read>(
 }
 
 /// Decodes one chunk's payload + checksum (the count varint has already
-/// been consumed). Shared by the streaming reader and [`SeekableTrace`].
+/// been consumed).
 fn decode_chunk_body<R: Read>(
     src: &mut ByteReader<R>,
     chunk: usize,
@@ -863,8 +843,7 @@ fn decode_v2_record<R: Read>(
 
 /// Parses `entry_count` index entries off any byte source, rebuilding
 /// absolute offsets and cumulative first-record numbers from the
-/// delta/count varint pairs. The one entry parser — the streaming
-/// trailing-index read and [`SeekableTrace::open`] both go through here.
+/// delta/count varint pairs.
 fn parse_index_entries<R: Read>(
     src: &mut ByteReader<R>,
     entry_count: usize,
@@ -956,115 +935,6 @@ fn read_trailing_index<R: Read>(
     Ok(Some(ChunkIndex { entries }))
 }
 
-// ------------------------------------------------------------- seekable
-
-/// Random access over an indexed v2 trace on any `Read + Seek` source:
-/// reads the header and the trailing index up front (never the chunks in
-/// between), then decodes individual chunks on demand — seekable replay
-/// for traces that do not fit in memory.
-pub struct SeekableTrace<R: Read + Seek> {
-    src: R,
-    header: TraceHeader,
-    index: ChunkIndex,
-    /// Absolute file offset of the first chunk.
-    data_start: u64,
-}
-
-impl<R: Read + Seek> SeekableTrace<R> {
-    /// Opens an indexed v2 trace: reads the header, then jumps to the
-    /// fixed-size tail to load the chunk index.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::BadIndex`] when the trace has no trailing index (use
-    /// the sequential [`TraceReader`] instead), plus the usual decode
-    /// errors for a corrupt header or index.
-    pub fn open(mut src: R) -> Result<Self, TraceError> {
-        let (header, data_start) = {
-            let mut br = ByteReader::new(&mut src);
-            let header = read_common_header(&mut br)?;
-            if header.version != FORMAT_VERSION {
-                // v1 decodes fine — sequentially. It has no chunk index,
-                // so seekable access specifically cannot serve it.
-                return Err(TraceError::BadIndex(
-                    "v1 traces have no chunk index; use TraceReader",
-                ));
-            }
-            let data_start = check_v2_header_checksum(&mut br)?;
-            (header, data_start)
-        };
-
-        // The fixed-size tail: … index_len(4) magic(4) EOF.
-        let end = src.seek(SeekFrom::End(0)).map_err(io_err)?;
-        if end < 8 {
-            return Err(TraceError::Truncated);
-        }
-        src.seek(SeekFrom::End(-8)).map_err(io_err)?;
-        let mut tail = [0u8; 8];
-        src.read_exact(&mut tail).map_err(io_err)?;
-        let index_len = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")) as u64;
-        if tail[4..] != INDEX_MAGIC {
-            return Err(TraceError::BadIndex("no trailing index"));
-        }
-        if !(9..=1 << 24).contains(&index_len) || index_len + 8 > end - data_start {
-            return Err(TraceError::BadIndex("implausible trailer length"));
-        }
-        src.seek(SeekFrom::End(-8 - index_len as i64))
-            .map_err(io_err)?;
-        let mut payload = vec![0u8; index_len as usize - 8];
-        src.read_exact(&mut payload).map_err(io_err)?;
-        let mut cksum = [0u8; 8];
-        src.read_exact(&mut cksum).map_err(io_err)?;
-        if fnv1a(&payload) != u64::from_le_bytes(cksum) {
-            return Err(TraceError::ChecksumMismatch);
-        }
-        let mut br = ByteReader::new(&payload[..]);
-        let entry_count = br.varint()?;
-        let entry_count = usize::try_from(entry_count).map_err(|_| TraceError::FieldOverflow)?;
-        let entries = parse_index_entries(&mut br, entry_count)?;
-        if br.byte_or_eof()?.is_some() {
-            return Err(TraceError::BadIndex("trailing bytes in index payload"));
-        }
-        Ok(SeekableTrace {
-            src,
-            header,
-            index: ChunkIndex { entries },
-            data_start,
-        })
-    }
-
-    /// The trace header.
-    pub fn header(&self) -> &TraceHeader {
-        &self.header
-    }
-
-    /// The chunk index.
-    pub fn index(&self) -> &ChunkIndex {
-        &self.index
-    }
-
-    /// Decodes chunk `i` (0-based, in file order) in isolation.
-    pub fn read_chunk(&mut self, i: usize) -> Result<Vec<TraceRecord>, TraceError> {
-        let entry = *self
-            .index
-            .entries
-            .get(i)
-            .ok_or(TraceError::BadIndex("chunk out of range"))?;
-        self.src
-            .seek(SeekFrom::Start(self.data_start + entry.offset))
-            .map_err(io_err)?;
-        let mut br = ByteReader::new(&mut self.src);
-        let count = br.varint()?;
-        if count != entry.count {
-            return Err(TraceError::BadChunk {
-                chunk: i,
-                what: "record count disagrees with the index",
-            });
-        }
-        decode_chunk_body(&mut br, i, count, entry.first_record, self.header.nodes)
-    }
-}
-
 impl Trace {
     /// Encodes the trace into the v2 chunked binary form (with a trailing
     /// index), in memory. The streaming equivalent is [`TraceWriter`].
@@ -1096,7 +966,6 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::tests::sample_trace;
-    use std::io::Cursor;
 
     fn strided_trace(records: usize) -> Trace {
         Trace {
@@ -1239,9 +1108,8 @@ mod tests {
         let index = reader.index().expect("index written by default");
         assert_eq!(index.entries.len(), 4); // 32+32+32+4
         assert_eq!(index.entries[0].offset, 0);
-        assert_eq!(index.locate(95).unwrap().first_record, 64);
-        assert_eq!(index.locate(96).unwrap().first_record, 96);
-        assert!(index.locate(100).is_none());
+        let first_records: Vec<u64> = index.entries.iter().map(|e| e.first_record).collect();
+        assert_eq!(first_records, [0, 32, 64, 96]);
     }
 
     #[test]
@@ -1261,45 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn seekable_trace_reads_chunks_in_isolation() {
-        let t = strided_trace(100);
-        let mut w = TraceWriter::new(Vec::new(), t.nodes, t.seed, t.workload.clone())
-            .unwrap()
-            .chunk_records(32);
-        for r in &t.records {
-            w.write(*r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let mut seekable = SeekableTrace::open(Cursor::new(&bytes)).unwrap();
-        assert_eq!(seekable.header().workload, "strided");
-        assert_eq!(seekable.index().entries.len(), 4);
-        // Read the *last* chunk without touching the others.
-        let last = seekable.read_chunk(3).unwrap();
-        assert_eq!(last.len(), 4);
-        assert_eq!(&last[..], &t.records[96..]);
-        assert!(matches!(
-            seekable.read_chunk(4),
-            Err(TraceError::BadIndex(_))
-        ));
-    }
-
-    #[test]
-    fn seekable_refuses_an_index_less_trace() {
-        let t = sample_trace();
-        let mut w = TraceWriter::new(Vec::new(), t.nodes, t.seed, t.workload.clone())
-            .unwrap()
-            .index(false);
-        for r in &t.records {
-            w.write(*r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        assert!(matches!(
-            SeekableTrace::open(Cursor::new(&bytes)),
-            Err(TraceError::BadIndex(_) | TraceError::Truncated)
-        ));
-    }
-
-    #[test]
     fn delta_encoding_shrinks_strided_traces() {
         let mut t = strided_trace(2000);
         for r in &mut t.records {
@@ -1316,26 +1145,10 @@ mod tests {
     #[test]
     fn corrupt_chunk_identifies_its_index() {
         let t = strided_trace(100);
-        let mut w = TraceWriter::new(Vec::new(), t.nodes, t.seed, t.workload.clone())
-            .unwrap()
-            .chunk_records(32);
-        for r in &t.records {
-            w.write(*r).unwrap();
-        }
-        let mut bytes = w.finish().unwrap();
-        // Find chunk 2's checksum via a seekable open, then flip one of
-        // its payload bytes.
-        let offset = {
-            let seekable = SeekableTrace::open(Cursor::new(&bytes)).unwrap();
-            seekable.index().entries[2].offset
-        };
-        let data_start = TraceReader::new(&bytes[..])
-            .unwrap()
-            .data_start()
-            .expect("v2 trace") as usize;
+        let (mut bytes, chunk2) = chunked_bytes_with_offset(&t, 2);
         // Flip a byte well inside chunk 2's payload (skip its two head
         // varints).
-        bytes[data_start + offset as usize + 6] ^= 0x01;
+        bytes[chunk2 + 6] ^= 0x01;
         let err = Trace::from_bytes(&bytes).unwrap_err();
         match err {
             TraceError::ChunkChecksumMismatch { chunk } => assert_eq!(chunk, 2),
@@ -1362,16 +1175,17 @@ mod tests {
             w.write(*r).unwrap();
         }
         let bytes = w.finish().unwrap();
-        let offset = SeekableTrace::open(Cursor::new(&bytes))
-            .unwrap()
-            .index()
-            .entries[i]
-            .offset;
-        let data_start = TraceReader::new(&bytes[..])
-            .unwrap()
-            .data_start()
-            .expect("v2 trace") as usize;
-        (bytes, data_start + offset as usize)
+        // A drained reader holds the trailing index, whose offsets count
+        // from the first chunk.
+        let offset = {
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            for r in &mut reader {
+                r.unwrap();
+            }
+            let index = reader.index().expect("index written by default");
+            reader.data_start().expect("v2 trace") + index.entries[i].offset
+        };
+        (bytes, offset as usize)
     }
 
     #[test]

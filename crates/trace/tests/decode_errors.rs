@@ -10,7 +10,8 @@
 use bash_coherence::{BlockAddr, ProcOp};
 use bash_kernel::Duration;
 use bash_net::NodeId;
-use bash_trace::{binary::MAGIC, Trace, TraceError, TraceRecord, TraceWriter};
+use bash_trace::stream::ChunkEntry;
+use bash_trace::{binary::MAGIC, Trace, TraceError, TraceReader, TraceRecord, TraceWriter};
 
 fn sample() -> Trace {
     Trace {
@@ -247,19 +248,29 @@ fn v2_every_single_byte_corruption_errors() {
     }
 }
 
+/// The trailing chunk index of v2 `bytes`, read off a drained reader,
+/// and the byte offset its entries count from.
+fn chunk_map(bytes: &[u8]) -> (Vec<ChunkEntry>, usize) {
+    let mut reader = TraceReader::new(bytes).unwrap();
+    for r in &mut reader {
+        r.unwrap();
+    }
+    let entries = reader
+        .index()
+        .expect("index written by default")
+        .entries
+        .clone();
+    (entries, reader.data_start().expect("v2 trace") as usize)
+}
+
 #[test]
 fn v2_corrupted_chunk_checksum_names_the_chunk() {
     let (_, bytes) = v2_multichunk();
     // Locate each chunk through the trailing index, then flip a byte in
     // the middle of its payload. The decoder must either name that chunk
     // (checksum or structure) or fail structurally inside it.
-    let seekable = bash_trace::SeekableTrace::open(std::io::Cursor::new(bytes.clone())).unwrap();
-    let entries = seekable.index().entries.clone();
+    let (entries, data_start) = chunk_map(&bytes);
     assert_eq!(entries.len(), 5, "40 records in 8-record chunks");
-    let data_start = bash_trace::TraceReader::new(&bytes[..])
-        .unwrap()
-        .data_start()
-        .expect("v2 trace") as usize;
     for (ci, e) in entries.iter().enumerate() {
         let target = data_start + e.offset as usize + 6; // inside the payload
         let mut corrupt = bytes.clone();
@@ -326,12 +337,8 @@ fn v2_index_corruption_is_typed() {
     // The index block is everything after the terminator chunk; its
     // trailer is the last 12 bytes (checksum-protected payload before
     // it). Flip every byte of the whole index region.
-    let seekable = bash_trace::SeekableTrace::open(std::io::Cursor::new(bytes.clone())).unwrap();
-    let last = *seekable.index().entries.last().unwrap();
-    let data_start = bash_trace::TraceReader::new(&bytes[..])
-        .unwrap()
-        .data_start()
-        .expect("v2 trace") as usize;
+    let (entries, data_start) = chunk_map(&bytes);
+    let last = *entries.last().unwrap();
     // Terminator sits after the last chunk; find it by decoding forward:
     // the index region starts one byte later.
     let index_start = {

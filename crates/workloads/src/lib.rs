@@ -13,8 +13,8 @@
 //! * [`patterns`] — the classic sharing patterns (producer-consumer,
 //!   migratory, false sharing, Zipf hot set, phase-shifting mixes).
 //! * [`catalog`] — every workload above as a named, seeded scenario.
-//! * [`trace_replay`] — feeds a captured [`bash_trace::Trace`] back
-//!   through any protocol.
+//! * [`trace_replay`] — captures a run's op stream into a
+//!   [`bash_trace::Trace`] and feeds it back through any protocol.
 //!
 //! All implement the [`Workload`] trait consumed by the `bash-sim` driver.
 
@@ -82,4 +82,4 @@ pub use microbench::LockingMicrobench;
 pub use patterns::{PatternKind, PatternParams, PatternWorkload};
 pub use script::{Completion, ScriptWorkload};
 pub use synthetic::{SyntheticWorkload, WorkloadParams};
-pub use trace_replay::{StreamingTraceWorkload, TraceWorkload};
+pub use trace_replay::{CaptureWorkload, TraceWorkload};

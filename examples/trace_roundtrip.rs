@@ -67,8 +67,8 @@ fn main() {
         std::process::exit(2);
     }
 
-    // 1. Capture: run the scenario once under BASH with the op-capture
-    //    hook enabled.
+    // 1. Capture: run the scenario once under BASH, recording the op
+    //    stream it issues.
     let (live, trace) = builder(ProtocolKind::Bash, &scenario).run_captured();
     println!(
         "captured {:>6} ops from a live '{scenario}' run ({} nodes, seed {:#x})",

@@ -22,7 +22,7 @@ use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
 use bash_sim::{ConfigError, RunError, RunStats, System, SystemConfig, WatchdogBudget};
 use bash_trace::{Trace, TraceReader};
 use bash_workloads::{
-    catalog, LockingMicrobench, StreamingTraceWorkload, SyntheticWorkload, TraceWorkload, Workload,
+    catalog, CaptureWorkload, LockingMicrobench, SyntheticWorkload, TraceWorkload, Workload,
     WorkloadParams,
 };
 
@@ -39,13 +39,17 @@ const PERTURBATION: Duration = Duration::from_ns(3);
 /// outside the controllers' contract checks.
 const PANIC_RETRIES: u32 = 1;
 
-/// One executed grid point: its measured stats plus (for the first grid
-/// point only, when enabled) the policy trace and the captured op trace.
+/// One measured grid point: its stats plus (for seed 0, when enabled)
+/// the policy trace.
 struct PointResult {
     stats: RunStats,
     policy_trace: Option<Vec<(Time, f64)>>,
-    captured: Option<Trace>,
 }
+
+/// One executed grid point: how it ended, and, when it was captured, the
+/// ops it issued — also when its run failed. `None` stands in for both
+/// when the point panicked.
+type PointRun = (Result<PointResult, PointError>, Option<Trace>);
 
 /// How a grid point can fail without sinking the rest of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,10 +289,10 @@ enum WorkloadSpec {
     /// A recorded reference stream, replayed per run (shared, not cloned,
     /// across the sweep grid — replay queues are rebuilt per run).
     Trace(Arc<Trace>),
-    /// A trace file replayed *streaming*: every run re-opens the file and
-    /// pulls records through a [`TraceReader`] on demand, so the trace is
-    /// never resident — the multi-GB path. The node count was read from
-    /// the header at [`SimBuilder::trace_in_path`] time.
+    /// A trace file replayed as it decodes: every run re-opens the file
+    /// and pulls records through a [`TraceReader`] on demand, so the
+    /// trace is never resident — the multi-GB path. The node count was
+    /// read from the header at [`SimBuilder::trace_in_path`] time.
     TraceFile {
         /// The on-disk trace (either format version).
         path: PathBuf,
@@ -314,7 +318,7 @@ impl WorkloadSpec {
                 catalog::build(name, nodes, seed ^ 0xA5).expect("validated scenario name")
             }
             WorkloadSpec::Trace(trace) => {
-                Box::new(TraceWorkload::from_trace(trace).expect("validated trace"))
+                Box::new(TraceWorkload::from_trace(Arc::clone(trace)).expect("validated trace"))
             }
             WorkloadSpec::TraceFile { path, .. } => {
                 // The header was validated when the path was configured; a
@@ -324,7 +328,7 @@ impl WorkloadSpec {
                     .unwrap_or_else(|e| panic!("trace file {}: {e}", path.display()));
                 let reader = TraceReader::new(std::io::BufReader::new(file))
                     .unwrap_or_else(|e| panic!("trace file {}: {e}", path.display()));
-                Box::new(StreamingTraceWorkload::new(reader))
+                Box::new(TraceWorkload::from_reader(reader))
             }
             WorkloadSpec::Factory(f) => f(nodes, seed),
         }
@@ -792,9 +796,10 @@ impl SimBuilder {
     /// index 0. It takes the cache only when [`cache`](Self::cache) set
     /// one, and otherwise keeps the harness's thrashing 4×2 cache.
     /// Endless workloads are capped at `ops_per_node` operations per node
-    /// so the run reaches quiescence; a [`trace_in`](Self::trace_in)
-    /// replay ignores the cap and always runs the whole trace (it is the
-    /// reproduction path for captured failures).
+    /// so the run reaches quiescence; a [`trace_in`](Self::trace_in) or
+    /// [`trace_in_path`](Self::trace_in_path) replay ignores the cap and
+    /// always runs the whole trace (it is the reproduction path for
+    /// captured failures).
     ///
     /// Unlike [`run`](Self::run), this ignores the measurement plan,
     /// [`seeds`](Self::seeds) and the
@@ -806,7 +811,9 @@ impl SimBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] when the configuration is invalid.
+    /// Returns a [`BuildError`] when the configuration is invalid, or
+    /// [`BuildError::TraceUnreadable`] when a
+    /// [`trace_in_path`](Self::trace_in_path) file fails to decode.
     pub fn try_verify(&self, ops_per_node: u64) -> Result<bash_tester::VerifyReport, BuildError> {
         let spec = self.check_runnable()?;
         let cfg = self.config(self.bandwidths[0], 0);
@@ -825,19 +832,18 @@ impl SimBuilder {
         if self.cache.is_some() {
             vcfg.cache = cfg.cache_geometry;
         }
-        if let WorkloadSpec::Trace(trace) = spec {
-            // A replay must reproduce the whole captured stream: the
-            // trace's own length, not the op cap, bounds the run.
-            return Ok(bash_tester::run_verify_trace(&vcfg, trace));
-        }
         if let WorkloadSpec::TraceFile { path, .. } = spec {
-            // Verification re-captures and may minimize, so it wants the
-            // whole trace in hand; load it once here.
-            let trace = Trace::read_from(path).map_err(|e| BuildError::TraceUnreadable {
+            // Decode every chunk before the run, so a corrupt file is a
+            // typed error instead of a panic mid-replay.
+            Trace::read_from(path).map_err(|e| BuildError::TraceUnreadable {
                 path: path.clone(),
                 error: e.to_string(),
             })?;
-            return Ok(bash_tester::run_verify_trace(&vcfg, &trace));
+        }
+        if let WorkloadSpec::Trace(_) | WorkloadSpec::TraceFile { .. } = spec {
+            // A replay must reproduce the whole captured stream: the
+            // trace's own length, not the op cap, bounds the run.
+            vcfg.ops_per_node = u64::MAX;
         }
         let workload = spec.build(vcfg.nodes, vcfg.seed);
         Ok(bash_tester::run_verify(&vcfg, workload))
@@ -921,16 +927,18 @@ impl SimBuilder {
     /// stream (under the usual per-seed injection perturbation), so the
     /// aggregates differ.
     ///
+    /// A first point that wedged or hit a protocol violation is an error
+    /// row of the report, and its capture holds every op it issued up to
+    /// that point: replayed the same way, it ends in the same error. The
+    /// trace is `None` only when the point panicked.
+    ///
     /// # Errors
     ///
     /// Returns a [`BuildError`] when the configuration is invalid.
-    pub fn try_run_captured(&self) -> Result<(RunReport, Trace), BuildError> {
+    pub fn try_run_captured(&self) -> Result<(RunReport, Option<Trace>), BuildError> {
         self.validate()?;
         let (mut reports, trace) = self.run_grid(&self.bandwidths[..1], true);
-        Ok((
-            reports.pop().expect("one bandwidth point"),
-            trace.expect("capture ran (did the first grid point wedge or panic?)"),
-        ))
+        Ok((reports.pop().expect("one bandwidth point"), trace))
     }
 
     /// Runs the first bandwidth point and returns the report plus the
@@ -938,32 +946,42 @@ impl SimBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is invalid.
+    /// Panics when the configuration is invalid, or when the first grid
+    /// point panicked, so that it captured nothing.
     pub fn run_captured(&self) -> (RunReport, Trace) {
-        self.try_run_captured()
-            .expect("invalid SimBuilder configuration")
+        let (report, trace) = self
+            .try_run_captured()
+            .expect("invalid SimBuilder configuration");
+        (report, trace.expect("the first grid point panicked"))
     }
 
-    /// Executes one (bandwidth, seed) grid point: build, warm up, measure.
-    /// A watchdog trip or a protocol violation surfaces as a
-    /// [`PointError`] instead of spinning or panicking.
-    fn run_point(
-        &self,
-        mbps: u64,
-        seed_index: u32,
-        capture: bool,
-    ) -> Result<PointResult, PointError> {
+    /// Executes one (bandwidth, seed) grid point; with `capture`, its
+    /// workload is wrapped to record the ops it issues.
+    fn run_point(&self, mbps: u64, seed_index: u32, capture: bool) -> PointRun {
         let spec = self.workload.as_ref().expect("validated");
-        let mut cfg = self.config(mbps, seed_index);
-        if capture {
-            cfg = if self.capture_completions {
-                cfg.with_capture_completions()
-            } else {
-                cfg.with_capture()
-            };
-        }
+        let cfg = self.config(mbps, seed_index);
         let workload = spec.build(cfg.nodes, cfg.seed);
+        if !capture {
+            return (
+                self.measure_point(&mut System::new(cfg, workload), seed_index),
+                None,
+            );
+        }
+        let workload =
+            CaptureWorkload::new(workload, cfg.nodes, cfg.seed, self.capture_completions);
         let mut sys = System::new(cfg, workload);
+        let outcome = self.measure_point(&mut sys, seed_index);
+        (outcome, Some(sys.workload_mut().take_trace()))
+    }
+
+    /// Warms `sys` up and measures it. A watchdog trip or a protocol
+    /// violation surfaces as a [`PointError`] instead of spinning or
+    /// panicking.
+    fn measure_point<W: Workload>(
+        &self,
+        sys: &mut System<W>,
+        seed_index: u32,
+    ) -> Result<PointResult, PointError> {
         let trace = self.policy_trace && seed_index == 0;
         if trace {
             sys.enable_policy_trace();
@@ -973,33 +991,26 @@ impl SimBuilder {
             sys.begin_measurement();
             sys.try_finish(Time::ZERO + self.warmup + self.measure)
         })();
-        let stats = match measured {
-            Ok(stats) => stats,
-            Err(err) => {
-                // A run error is deterministic, so one attempt is
-                // definitive.
-                let kind = match err {
+        match measured {
+            Ok(stats) => Ok(PointResult {
+                stats,
+                policy_trace: if trace {
+                    sys.policy_trace().map(|t| t.to_vec())
+                } else {
+                    None
+                },
+            }),
+            // A run error is deterministic, so one attempt is definitive.
+            Err(err) => Err(PointError {
+                seed_index,
+                attempts: 1,
+                kind: match err {
                     RunError::Wedged(_) => PointErrorKind::Wedged,
                     RunError::ProtocolViolation { .. } => PointErrorKind::Violation,
-                };
-                return Err(PointError {
-                    seed_index,
-                    attempts: 1,
-                    kind,
-                    message: err.to_string(),
-                });
-            }
-        };
-        let policy_trace = if trace {
-            sys.policy_trace().map(|t| t.to_vec())
-        } else {
-            None
-        };
-        Ok(PointResult {
-            stats,
-            policy_trace,
-            captured: sys.take_captured_trace(),
-        })
+                },
+                message: err.to_string(),
+            }),
+        }
     }
 
     /// Fans the full (bandwidth × seed) grid out across the thread pool
@@ -1035,7 +1046,7 @@ impl SimBuilder {
         // of unwinding through the whole sweep. Wedges and violations come
         // back as `Err(PointError)` from `run_point` itself and are never
         // retried.
-        let mut results: Vec<Result<PointResult, PointError>> =
+        let mut results: Vec<PointRun> =
             pool::run_indexed_isolated(tasks, threads, PANIC_RETRIES, |i| {
                 self.run_point(
                     bandwidths[i / seeds],
@@ -1044,53 +1055,45 @@ impl SimBuilder {
                 )
             })
             .into_iter()
-            .map(|slot| match slot {
-                Ok(point) => point,
-                Err(panic) => Err(PointError {
-                    seed_index: (panic.index % seeds) as u32,
-                    attempts: panic.attempts,
-                    kind: PointErrorKind::Panicked,
-                    message: panic.message,
-                }),
+            .map(|slot| {
+                slot.unwrap_or_else(|panic| {
+                    let error = PointError {
+                        seed_index: (panic.index % seeds) as u32,
+                        attempts: panic.attempts,
+                        kind: PointErrorKind::Panicked,
+                        message: panic.message,
+                    };
+                    (Err(error), None)
+                })
             })
             .collect();
-        let captured = results[0].as_mut().ok().and_then(|p| p.captured.take());
-        if let Some(trace) = &captured {
+        for (i, (_, trace)) in results.iter().enumerate() {
+            let Some(trace) = trace else { continue };
             // A capture that fails validation (e.g. the workload yielded
             // zero ops) would be unloadable by every decode path; fail at
             // the source instead of persisting a poisoned artifact.
             trace
                 .validate()
                 .unwrap_or_else(|e| panic!("captured trace is unusable: {e}"));
-        }
-        if let (Some(path), Some(trace)) = (&self.ops_out, &captured) {
-            trace
-                .write_to(path)
-                .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-            if capture_all {
-                self.write_point_trace(path, bandwidths[0], 0, trace);
-            }
-        }
-        if capture_all {
-            let path = self.ops_out.as_ref().expect("checked above");
-            for (i, result) in results.iter_mut().enumerate().skip(1) {
-                // A failed point captured nothing; its error row stands in.
-                let Ok(point) = result else { continue };
-                let trace = point.captured.take().expect("all points captured");
+            let Some(path) = &self.ops_out else { continue };
+            if i == 0 {
                 trace
-                    .validate()
-                    .unwrap_or_else(|e| panic!("captured trace is unusable: {e}"));
-                self.write_point_trace(path, bandwidths[i / seeds], (i % seeds) as u32, &trace);
+                    .write_to(path)
+                    .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
+            }
+            if capture_all {
+                self.write_point_trace(path, bandwidths[i / seeds], (i % seeds) as u32, trace);
             }
         }
+        let captured = results[0].1.take();
         let reports = bandwidths
             .iter()
             .map(|&mbps| {
                 let mut policy_trace = None;
                 let mut runs = Vec::new();
                 let mut errors = Vec::new();
-                for slot in results.drain(..seeds) {
-                    match slot {
+                for (outcome, _) in results.drain(..seeds) {
+                    match outcome {
                         Ok(mut p) => {
                             if policy_trace.is_none() {
                                 policy_trace = p.policy_trace.take();

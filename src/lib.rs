@@ -75,13 +75,12 @@ pub use bash_tester::{
     DifferentialReport, LatencyDiff, LatencySummary, MinimizeOutcome, VerifyConfig, VerifyReport,
 };
 pub use bash_trace::{
-    ChunkIndex, SeekableTrace, Trace, TraceCapture, TraceError, TraceHeader, TraceReader,
-    TraceRecord, TraceWriter,
+    ChunkIndex, Trace, TraceError, TraceHeader, TraceReader, TraceRecord, TraceWriter,
 };
 pub use bash_workloads::{
-    catalog, Completion, LockingMicrobench, PatternKind, PatternParams, PatternWorkload, Scenario,
-    ScriptWorkload, StreamingTraceWorkload, SyntheticWorkload, TraceWorkload, WorkItem, Workload,
-    WorkloadParams,
+    catalog, CaptureWorkload, Completion, LockingMicrobench, PatternKind, PatternParams,
+    PatternWorkload, Scenario, ScriptWorkload, SyntheticWorkload, TraceWorkload, WorkItem,
+    Workload, WorkloadParams,
 };
 
 mod builder;

@@ -302,9 +302,6 @@ fn every_config_rule_is_a_typed_error_not_a_panic() {
     assert_eq!(period_0.check(), Err(E::ZeroFaultPeriod));
     let window_1 = cfg().with_fault(FaultInjection::ReorderOrdered { window: 1 });
     assert_eq!(window_1.check(), Err(E::ReorderWindowTooSmall));
-    let mut completions = cfg();
-    completions.capture_completions = true;
-    assert_eq!(completions.check(), Err(E::CompletionsWithoutCapture));
 }
 
 #[test]

@@ -2,7 +2,11 @@
 //! it, and get the same report back — across encodings, protocols and
 //! thread counts.
 
-use bash::{ProtocolKind, SimBuilder, Trace};
+use bash::{
+    BlockAddr, CaptureWorkload, Duration, FaultPlaneConfig, NodeId, PointErrorKind, ProcOp,
+    ProtocolKind, ScriptWorkload, SimBuilder, System, SystemConfig, Time, TopologyKind, Trace,
+    WatchdogBudget, WorkItem, Workload,
+};
 
 const WARMUP_NS: u64 = 5_000;
 const MEASURE_NS: u64 = 20_000;
@@ -200,6 +204,137 @@ fn completion_capture_is_replay_invisible_and_persistent() {
     let b = capture_builder(ProtocolKind::Bash).trace_in(lean).run();
     assert_eq!(a.canonical_text(), b.canonical_text());
     let _ = report;
+}
+
+/// A first grid point that wedges is an error row, not a panic, and
+/// still returns the ops it issued; `ops_out` writes them, and replaying
+/// that partial capture ends in the same wedge.
+#[test]
+fn a_wedged_first_point_keeps_its_capture() {
+    let lossy = || {
+        SimBuilder::new(ProtocolKind::Bash)
+            .nodes(8)
+            .topology(TopologyKind::Star)
+            .fault_plane(FaultPlaneConfig::lossy(0x51, 0.2).unprotected())
+            .watchdog(WatchdogBudget::events(200_000))
+            .warmup_ns(5_000)
+            .measure_ns(200_000)
+    };
+    let (report, trace) = lossy()
+        .scenario("migratory")
+        .try_run_captured()
+        .expect("valid config");
+    let trace = trace.expect("a wedged point still holds its capture");
+    assert_eq!(report.errors.len(), 1);
+    let wedge = &report.errors[0];
+    assert_eq!(wedge.kind, PointErrorKind::Wedged);
+    assert!(wedge.message.contains("stalled"), "{}", wedge.message);
+    assert_eq!(trace.validate(), Ok(()));
+
+    let replayed = lossy().trace_in(trace.clone()).run();
+    assert_eq!(replayed.errors.len(), 1);
+    assert_eq!(replayed.errors[0].message, wedge.message);
+
+    let dir = std::env::temp_dir().join("bash_trace_wedged_capture_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wedged.trace");
+    lossy().scenario("migratory").ops_out(&path).run();
+    assert_eq!(Trace::read_from(&path).unwrap(), trace);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Lends a workload to one run, so the test still holds it afterwards.
+struct Lent<'a, W>(&'a mut W);
+
+impl<W: Workload> Workload for Lent<'_, W> {
+    fn next_item(&mut self, node: NodeId, now: Time) -> Option<WorkItem> {
+        self.0.next_item(node, now)
+    }
+
+    fn on_complete(&mut self, node: NodeId, now: Time, op: &ProcOp, value: u64) {
+        self.0.on_complete(node, now, op, value)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// Pins what a completion-bearing capture records: each op's latency is
+/// the time from its issue to its completion, exactly as the scripted
+/// workload itself times it — hits included, at 0 ps.
+#[test]
+fn captured_completions_equal_the_workloads_own_timing() {
+    let (shared, cold) = (BlockAddr(1), BlockAddr(9));
+    let store = |block, value| ProcOp::Store {
+        block,
+        word: 0,
+        value,
+    };
+    for proto in ProtocolKind::ALL {
+        let mut script = ScriptWorkload::new(4);
+        let ns = Duration::from_ns;
+        script
+            .push(NodeId(0), Duration::ZERO, store(shared, 1))
+            // A hit on the block node 0 now owns.
+            .push(
+                NodeId(0),
+                ns(1_000),
+                ProcOp::Load {
+                    block: shared,
+                    word: 0,
+                },
+            )
+            // A cache-to-cache load.
+            .push(
+                NodeId(1),
+                ns(5_000),
+                ProcOp::Load {
+                    block: shared,
+                    word: 0,
+                },
+            )
+            // A store to the now-shared block.
+            .push(NodeId(2), ns(10_000), store(shared, 2))
+            // A miss to memory.
+            .push(
+                NodeId(3),
+                ns(15_000),
+                ProcOp::Load {
+                    block: cold,
+                    word: 0,
+                },
+            );
+        let cfg = SystemConfig::paper_default(proto, 4, 1600);
+        let mut sys = System::new(cfg, CaptureWorkload::new(Lent(&mut script), 4, 1, true));
+        sys.try_run_to_idle().expect("the script drains");
+        let trace = sys.workload_mut().take_trace();
+        drop(sys);
+        assert_eq!(trace.records.len(), 5, "{proto:?}");
+        assert_eq!(script.completions().len(), 5, "{proto:?}");
+        for node in 0..4 {
+            let captured = trace.records.iter().filter(|r| r.node == NodeId(node));
+            let timed = script
+                .completions()
+                .iter()
+                .filter(|c| c.node == NodeId(node));
+            for (r, c) in captured.zip(timed) {
+                assert_eq!(r.op, c.op, "{proto:?} node {node}");
+                assert_eq!(
+                    r.completion,
+                    Some(c.at.since(c.issued_at)),
+                    "{proto:?} node {node}: {:?}",
+                    r.op
+                );
+            }
+        }
+        // Priming pulls every node's first op; node 0's hit comes last.
+        assert_eq!(
+            trace.records[4].completion,
+            Some(Duration::ZERO),
+            "{proto:?}: the hit"
+        );
+    }
 }
 
 #[test]
