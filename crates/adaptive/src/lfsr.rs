@@ -1,34 +1,9 @@
-//! Linear feedback shift registers.
+//! The linear feedback shift register behind the unicast draw.
 //!
 //! The paper: "Pseudo-random numbers can be generated easily by a linear
-//! feedback shift register" (citing Golomb). These are Galois-form LFSRs
-//! with maximal-period taps: the 8-bit register cycles through all 255
-//! non-zero states, the 16-bit one through all 65535.
-
-/// An 8-bit maximal-period Galois LFSR (taps x^8 + x^6 + x^5 + x^4 + 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lfsr8 {
-    state: u8,
-}
-
-impl Lfsr8 {
-    /// Creates an LFSR; a zero seed (the lock-up state) is mapped to 1.
-    pub fn new(seed: u8) -> Self {
-        Lfsr8 {
-            state: if seed == 0 { 1 } else { seed },
-        }
-    }
-
-    /// Advances one step and returns the new 8-bit state (never zero).
-    pub fn next_value(&mut self) -> u8 {
-        let lsb = self.state & 1;
-        self.state >>= 1;
-        if lsb != 0 {
-            self.state ^= 0xB8; // taps 8,6,5,4
-        }
-        self.state
-    }
-}
+//! feedback shift register" (citing Golomb). This is a Galois-form LFSR
+//! with maximal-period taps: the 16-bit register cycles through all 65535
+//! non-zero states.
 
 /// A 16-bit maximal-period Galois LFSR (taps x^16 + x^14 + x^13 + x^11 + 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,20 +35,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lfsr8_has_maximal_period() {
-        let mut l = Lfsr8::new(1);
-        let mut seen = [false; 256];
-        for _ in 0..255 {
-            let v = l.next_value();
-            assert_ne!(v, 0, "LFSR must never reach the lock-up state");
-            assert!(!seen[v as usize], "state repeated before full period");
-            seen[v as usize] = true;
-        }
-        // After 255 steps we are back at the start.
-        assert_eq!(l, Lfsr8::new(1));
-    }
-
-    #[test]
     fn lfsr16_has_maximal_period() {
         let mut l = Lfsr16::new(0xACE1);
         let start = l;
@@ -91,18 +52,7 @@ mod tests {
 
     #[test]
     fn zero_seed_is_remapped() {
-        let mut l = Lfsr8::new(0);
+        let mut l = Lfsr16::new(0);
         assert_ne!(l.next_value(), 0);
-        let mut l16 = Lfsr16::new(0);
-        assert_ne!(l16.next_value(), 0);
-    }
-
-    #[test]
-    fn lfsr8_is_roughly_uniform() {
-        // Over the full period every non-zero byte appears exactly once, so
-        // the mean is 128.
-        let mut l = Lfsr8::new(7);
-        let sum: u32 = (0..255).map(|_| l.next_value() as u32).sum();
-        assert_eq!(sum, (1..=255u32).sum::<u32>());
     }
 }

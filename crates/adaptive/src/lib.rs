@@ -8,8 +8,10 @@
 //!    target threshold (+1 per busy cycle, −3 per idle cycle ⇒ 75 %);
 //! 2. every 512 cycles the counter's sign bumps an 8-bit saturating
 //!    [`PolicyCounter`] up (too busy ⇒ more unicast) or down;
-//! 3. each outgoing request is unicast iff an [`Lfsr8`] pseudo-random byte is
-//!    below the policy counter, giving P(unicast) = policy/256.
+//! 3. each outgoing request is unicast iff a pseudo-random draw is below the
+//!    policy counter: the next state of a 16-bit [`Lfsr16`], masked to the
+//!    counter's [`AdaptorConfig::policy_bits`] (8 by default, giving
+//!    P(unicast) ≈ policy/256).
 //!
 //! The numbers above are the paper's defaults; everything is configurable
 //! via [`AdaptorConfig`]. The full pipeline is packaged as
@@ -34,7 +36,7 @@ pub mod mechanism;
 pub mod policy;
 pub mod util_counter;
 
-pub use lfsr::{Lfsr16, Lfsr8};
+pub use lfsr::Lfsr16;
 pub use mechanism::{AdaptorConfig, BandwidthAdaptor, Cast, DecisionMode};
 pub use policy::PolicyCounter;
 pub use util_counter::UtilizationCounter;

@@ -419,5 +419,23 @@ mod tests {
         let healthy = dir.join("healthy.trace");
         std::fs::write(&healthy, fixture_bytes()).unwrap();
         assert!(info(healthy.to_str().unwrap()));
+
+        // The fixture's header, then a chunk head claiming 2^40 records in
+        // a 2^45-byte payload, then 16 bytes: a typed decode failure for
+        // both commands, not an allocation that aborts the process.
+        let bytes = fixture_bytes();
+        let data_start = TraceReader::new(&bytes[..]).unwrap().data_start().unwrap();
+        let mut crafted = bytes[..data_start as usize].to_vec();
+        crafted.extend_from_slice(b"\x80\x80\x80\x80\x80\x20"); // 2^40
+        crafted.extend_from_slice(b"\x80\x80\x80\x80\x80\x80\x08"); // 2^45
+        crafted.extend_from_slice(&[0; 16]);
+        let crafted_path = dir.join("crafted.trace");
+        std::fs::write(&crafted_path, crafted).unwrap();
+        let crafted_path = crafted_path.to_str().unwrap();
+        assert!(!info(crafted_path), "info must refuse a crafted chunk head");
+        assert!(
+            !replay(&Options::default(), crafted_path),
+            "replay must refuse a crafted chunk head"
+        );
     }
 }

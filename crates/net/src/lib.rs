@@ -31,8 +31,8 @@
 //! (timeout + exponential-backoff retransmission, link death after a
 //! retransmit budget, routing failover over the surviving links).
 //!
-//! The crate is payload-agnostic: protocol crates instantiate
-//! [`Crossbar`]`<P>` with their own message payloads.
+//! The crate is payload-agnostic: the simulator driver instantiates
+//! [`Interconnect`]`<P>` with the coherence protocols' message payload.
 
 pub mod arena;
 pub mod crossbar;

@@ -18,17 +18,18 @@
 //!   on-disk format: a checksummed header followed by fixed-size record
 //!   chunks, each carrying its own record count, FNV-1a checksum and
 //!   per-node delta-encoded block addresses, terminated by an empty chunk
-//!   and an optional chunk index. Written and read *streaming*
-//!   through [`TraceWriter`]/[`TraceReader`], so multi-GB traces never
-//!   need to fit in memory; [`Trace::to_bytes`]/[`Trace::from_bytes`] are
-//!   the in-memory convenience wrappers.
+//!   and a chunk index. Written and read *streaming* through
+//!   [`TraceWriter`]/[`TraceReader`], so multi-GB traces never need to fit
+//!   in memory: the reader holds one chunk of the bytes it actually read,
+//!   and checks each chunk's checksum before decoding it, strict and
+//!   [`recovering`](TraceReader::recovering) alike.
+//!   [`Trace::to_bytes`]/[`Trace::from_bytes`] are the in-memory
+//!   convenience wrappers.
 //! * the **v1 binary form** (module [`binary`]) — the original
 //!   whole-buffer format. Decode support is permanent ([`Trace::from_bytes`]
 //!   and [`TraceReader`] dispatch on the version header); encode survives
 //!   as [`Trace::to_bytes_v1`] for compatibility fixtures and size
 //!   comparisons.
-//! * a **text debug form** ([`Trace::to_text`] / [`Trace::from_text`],
-//!   module [`text`]) — one record per line, diffable and hand-editable.
 //!
 //! Every decode path runs the [`Trace::validate`] checks (streaming
 //! decoders validate records as they go), so a corrupt or hand-mangled
@@ -40,7 +41,6 @@
 
 pub mod binary;
 pub mod stream;
-pub mod text;
 mod wire;
 
 use std::fmt;
@@ -54,7 +54,7 @@ use bash_net::NodeId;
 
 pub use stream::{ChunkIndex, TraceHeader, TraceReader, TraceWriter};
 
-/// The binary/text format version this crate writes (decoders also accept
+/// The format version this crate writes (decoders also accept
 /// [`FORMAT_V1`]).
 pub const FORMAT_VERSION: u16 = 2;
 
@@ -153,13 +153,6 @@ pub enum TraceError {
         /// The out-of-range word index.
         word: usize,
     },
-    /// A text line could not be parsed.
-    BadTextLine {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong with it.
-        what: &'static str,
-    },
     /// An I/O error while reading or writing a trace file.
     Io(String),
 }
@@ -200,9 +193,6 @@ impl fmt::Display for TraceError {
                 f,
                 "record {record} addresses word {word} (blocks have {WORDS_PER_BLOCK} words)"
             ),
-            TraceError::BadTextLine { line, what } => {
-                write!(f, "text trace line {line}: {what}")
-            }
             TraceError::Io(e) => write!(f, "trace i/o: {e}"),
         }
     }

@@ -10,7 +10,7 @@
 //! name       varint length + UTF-8 bytes
 //! hdr_cksum  8  u64 FNV-1a over every byte after the magic, before this field
 //! chunks     …  see below; an empty chunk (count = 0) terminates the stream
-//! index      …  optional trailing chunk index (see below)
+//! index      …  trailing chunk index (see below)
 //! ```
 //!
 //! One chunk:
@@ -49,8 +49,8 @@
 //! useful. A delta flag on a node's first record in a chunk is a decode
 //! error ([`TraceError::BadOpKind`]) — there is nothing to delta from.
 //!
-//! The optional index (written by default, skipped by
-//! [`TraceWriter::index`]`(false)`):
+//! The trailing index (always written; a file that ends right after the
+//! terminator, index cut away, still reads):
 //!
 //! ```text
 //! entry_count  varint  number of chunks
@@ -68,6 +68,7 @@
 //! (a disagreeing index is a decode error), and `trace info` prints it as
 //! the file's chunk map.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 
 use bash_coherence::{BlockAddr, ProcOp};
@@ -80,7 +81,7 @@ use crate::{validate_record, Trace, TraceError, TraceRecord, FORMAT_V1, FORMAT_V
 /// The 8-byte file magic (shared by v1 and v2).
 pub use crate::binary::MAGIC;
 
-/// The 4-byte trailer magic closing the optional chunk index.
+/// The 4-byte trailer magic closing the chunk index.
 pub const INDEX_MAGIC: [u8; 4] = *b"BTIX";
 
 /// Records per chunk unless overridden with
@@ -170,7 +171,6 @@ pub struct TraceWriter<W: Write> {
     out: ByteWriter<W>,
     nodes: u16,
     chunk_records: usize,
-    write_index: bool,
     /// Encoded records of the chunk being assembled.
     buf: Vec<u8>,
     buf_count: usize,
@@ -216,7 +216,6 @@ impl<W: Write> TraceWriter<W> {
             out,
             nodes,
             chunk_records: DEFAULT_CHUNK_RECORDS,
-            write_index: true,
             buf: Vec::with_capacity(DEFAULT_CHUNK_RECORDS * 12),
             buf_count: 0,
             last_block: vec![None; nodes as usize],
@@ -233,12 +232,6 @@ impl<W: Write> TraceWriter<W> {
     pub fn chunk_records(mut self, records: usize) -> Self {
         assert!(records >= 1, "chunks hold at least one record");
         self.chunk_records = records;
-        self
-    }
-
-    /// Enables or disables the trailing chunk index (on by default).
-    pub fn index(mut self, on: bool) -> Self {
-        self.write_index = on;
         self
     }
 
@@ -329,22 +322,20 @@ impl<W: Write> TraceWriter<W> {
     pub fn finish(mut self) -> Result<W, TraceError> {
         self.flush_chunk()?;
         self.out.write_all(&[0])?; // terminator: an empty chunk
-        if self.write_index {
-            let mut payload = Vec::with_capacity(4 + self.chunks.len() * 4);
-            put_varint(&mut payload, self.chunks.len() as u64);
-            let mut prev = 0u64;
-            for &(offset, count) in &self.chunks {
-                put_varint(&mut payload, offset - prev);
-                put_varint(&mut payload, count);
-                prev = offset;
-            }
-            let checksum = fnv1a(&payload);
-            let index_len = (payload.len() + 8) as u32;
-            self.out.write_all(&payload)?;
-            self.out.write_all(&checksum.to_le_bytes())?;
-            self.out.write_all(&index_len.to_le_bytes())?;
-            self.out.write_all(&INDEX_MAGIC)?;
+        let mut payload = Vec::with_capacity(4 + self.chunks.len() * 4);
+        put_varint(&mut payload, self.chunks.len() as u64);
+        let mut prev = 0u64;
+        for &(offset, count) in &self.chunks {
+            put_varint(&mut payload, offset - prev);
+            put_varint(&mut payload, count);
+            prev = offset;
         }
+        let checksum = fnv1a(&payload);
+        let index_len = (payload.len() + 8) as u32;
+        self.out.write_all(&payload)?;
+        self.out.write_all(&checksum.to_le_bytes())?;
+        self.out.write_all(&index_len.to_le_bytes())?;
+        self.out.write_all(&INDEX_MAGIC)?;
         Ok(self.out.into_inner())
     }
 }
@@ -359,7 +350,9 @@ enum Mode {
     V1 { remaining: u64 },
     V2 {
         /// Records decoded but not yet handed out (at most one chunk).
-        pending: std::collections::VecDeque<TraceRecord>,
+        pending: VecDeque<TraceRecord>,
+        /// The current chunk's payload bytes, reused from chunk to chunk.
+        payload: Vec<u8>,
         /// Chunks fully read so far.
         chunks_read: u64,
         /// Rolling FNV-1a over every read chunk's `(offset, count)` pair
@@ -425,8 +418,15 @@ fn check_v2_header_checksum<R: Read>(src: &mut ByteReader<R>) -> Result<u64, Tra
 /// The streaming decoder: pull records one at a time off any [`Read`] —
 /// including a v1 buffer — without materializing the trace. Implements
 /// [`Iterator`] over `Result<TraceRecord, TraceError>`; after an error the
-/// iterator is fused. Memory use is bounded by one chunk regardless of
-/// trace size.
+/// iterator is fused.
+///
+/// A v2 chunk is read the same way in both modes: its declared payload is
+/// buffered and its checksum verified before any of its records decodes,
+/// and the `count` records must use the payload exactly. The buffer is
+/// reused from chunk to chunk and grows only as payload bytes actually
+/// arrive, so memory stays bounded by one chunk of bytes actually read:
+/// no header field can make the reader allocate more than the file holds.
+/// A payload or checksum cut short is [`TraceError::Truncated`].
 pub struct TraceReader<R: Read> {
     src: ByteReader<R>,
     header: TraceHeader,
@@ -452,7 +452,8 @@ impl<R: Read> TraceReader<R> {
             Mode::V1 { remaining }
         } else {
             Mode::V2 {
-                pending: std::collections::VecDeque::new(),
+                pending: VecDeque::new(),
+                payload: Vec::new(),
                 chunks_read: 0,
                 chunks_fnv: Fnv1a::new(),
                 data_start: check_v2_header_checksum(&mut src)?,
@@ -475,13 +476,14 @@ impl<R: Read> TraceReader<R> {
     /// payload checksum fails (or whose checksummed payload still refuses
     /// to decode) is *skipped* — the reader resumes at the next chunk
     /// boundary and counts the loss in [`skipped_chunks`](Self::skipped_chunks)
-    /// — instead of poisoning the whole stream. Chunk framing stays
-    /// load-bearing: a corrupt count or payload-length varint (the bytes
-    /// that say where the next boundary *is*) remains a hard error, as
-    /// does every v1 failure (v1 has no chunk boundaries to resume at).
-    /// The trailing-index cross-check still runs against the *declared*
-    /// chunk framing, so an index that disagrees with the file is still
-    /// rejected even when payloads were skipped.
+    /// — where a strict reader returns the typed error naming the chunk.
+    /// Chunk framing stays load-bearing: a corrupt count or payload-length
+    /// varint (the bytes that say where the next boundary *is*) and a
+    /// payload or checksum cut short remain hard errors, as does every v1
+    /// failure (v1 has no chunk boundaries to resume at). The
+    /// trailing-index cross-check still runs against the *declared* chunk
+    /// framing, so an index that disagrees with the file is still rejected
+    /// even when payloads were skipped.
     pub fn recovering(mut self) -> Self {
         self.recover = true;
         self
@@ -498,11 +500,6 @@ impl<R: Read> TraceReader<R> {
         &self.header
     }
 
-    /// Records decoded so far.
-    pub fn records_read(&self) -> usize {
-        self.record_idx
-    }
-
     /// Byte offset of the first chunk — the anchor every chunk-index
     /// offset is relative to (`None` for v1 traces, which have no
     /// chunks).
@@ -514,7 +511,8 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// The trailing chunk index, available once the stream has been fully
-    /// consumed (`None` for v1 traces or index-less v2 traces).
+    /// consumed (`None` for v1 traces, and for a v2 file cut right after
+    /// its terminator).
     pub fn index(&self) -> Option<&ChunkIndex> {
         self.index.as_ref()
     }
@@ -561,57 +559,46 @@ impl<R: Read> TraceReader<R> {
             }
             Mode::V2 {
                 pending,
+                payload,
                 chunks_read,
                 chunks_fnv,
                 data_start,
-            } => {
+            } => loop {
                 if let Some(r) = pending.pop_front() {
                     self.record_idx += 1;
                     return Ok(Some(r));
                 }
-                loop {
-                    let offset = self.src.consumed() - *data_start;
-                    let count = self.src.varint()?;
-                    if count == 0 {
-                        self.index =
-                            read_trailing_index(&mut self.src, *chunks_read, chunks_fnv.finish())?;
-                        self.done = true;
-                        return Ok(None);
-                    }
-                    let decoded = if self.recover {
-                        decode_chunk_body_recovering(
-                            &mut self.src,
-                            *chunks_read as usize,
-                            count,
-                            self.record_idx as u64,
-                            self.header.nodes,
-                        )?
-                    } else {
-                        Some(decode_chunk_body(
-                            &mut self.src,
-                            *chunks_read as usize,
-                            count,
-                            self.record_idx as u64,
-                            self.header.nodes,
-                        )?)
-                    };
-                    // Skipped or not, the chunk's *declared* framing feeds
-                    // the fingerprint — the trailing index describes the
-                    // file's layout, which skipping does not change.
-                    *chunks_read += 1;
-                    chunks_fnv.update(&offset.to_le_bytes());
-                    chunks_fnv.update(&count.to_le_bytes());
-                    let Some(decoded) = decoded else {
-                        self.skipped += 1;
-                        continue;
-                    };
-                    pending.extend(decoded);
-                    if let Some(r) = pending.pop_front() {
-                        self.record_idx += 1;
-                        return Ok(Some(r));
-                    }
+                let offset = self.src.consumed() - *data_start;
+                let count = self.src.varint()?;
+                if count == 0 {
+                    self.index =
+                        read_trailing_index(&mut self.src, *chunks_read, chunks_fnv.finish())?;
+                    self.done = true;
+                    return Ok(None);
                 }
-            }
+                let decoded = decode_chunk(
+                    &mut self.src,
+                    payload,
+                    pending,
+                    *chunks_read as usize,
+                    count,
+                    self.record_idx,
+                    self.header.nodes,
+                )?;
+                // Skipped or not, the chunk's *declared* framing feeds the
+                // fingerprint — the trailing index describes the file's
+                // layout, which skipping does not change.
+                *chunks_read += 1;
+                chunks_fnv.update(&offset.to_le_bytes());
+                chunks_fnv.update(&count.to_le_bytes());
+                if let Err(e) = decoded {
+                    if !self.recover {
+                        return Err(e);
+                    }
+                    pending.clear();
+                    self.skipped += 1;
+                }
+            },
         }
     }
 }
@@ -667,15 +654,27 @@ fn decode_v1_record<R: Read>(
     Ok(r)
 }
 
-/// Decodes one chunk's payload + checksum (the count varint has already
-/// been consumed).
-fn decode_chunk_body<R: Read>(
+/// Reads one chunk — payload length, payload, checksum; its count varint
+/// has already been consumed — and decodes its `count` records onto
+/// `records`, numbering them from `first_record`. The payload is read into
+/// `payload` (reused across chunks, growing only as bytes arrive) and its
+/// checksum verified before any record decodes.
+///
+/// The outer error means the stream itself is unusable: an implausible
+/// payload length, or a payload or checksum cut short. The inner error
+/// means only this chunk is bad — a checksum mismatch, a record that does
+/// not decode, or records that do not use the payload exactly — and the
+/// source already sits at the next chunk boundary, so a recovering reader
+/// can skip it.
+fn decode_chunk<R: Read>(
     src: &mut ByteReader<R>,
+    payload: &mut Vec<u8>,
+    records: &mut VecDeque<TraceRecord>,
     chunk: usize,
     count: u64,
-    base_record: u64,
+    first_record: usize,
     nodes: u16,
-) -> Result<Vec<TraceRecord>, TraceError> {
+) -> Result<Result<(), TraceError>, TraceError> {
     let payload_len = src.varint()?;
     if payload_len < count.saturating_mul(MIN_RECORD_BYTES) {
         return Err(TraceError::BadChunk {
@@ -689,91 +688,36 @@ fn decode_chunk_body<R: Read>(
             what: "payload too long for its record count",
         });
     }
-    let count = usize::try_from(count).map_err(|_| TraceError::FieldOverflow)?;
-    src.start_hash();
-    let payload_start = src.consumed();
-    let mut last_block: Vec<Option<u64>> = vec![None; nodes as usize];
-    // The count is corruption-controlled until the payload proves it, so
-    // cap the pre-allocation: a crafted header must produce a typed
-    // decode error (Truncated/BadChunk), never a failed multi-terabyte
-    // allocation. The vector still grows to any genuine count.
-    let mut records = Vec::with_capacity(count.min(1 << 20));
-    for i in 0..count {
-        let r = decode_v2_record(src, &mut last_block, base_record as usize + i, nodes)?;
-        if src.consumed() - payload_start > payload_len {
-            return Err(TraceError::BadChunk {
-                chunk,
-                what: "record ran past the declared payload length",
-            });
-        }
-        records.push(r);
+    src.read_to_vec(payload_len, payload)?;
+    let stored = src.u64_le()?;
+    if fnv1a(payload) != stored {
+        return Ok(Err(TraceError::ChunkChecksumMismatch { chunk }));
     }
-    if src.consumed() - payload_start != payload_len {
-        return Err(TraceError::BadChunk {
+    // The checksum vouches for the bytes: a record error past this point
+    // means the chunk was written corrupt (or crafted).
+    let mut body = ByteReader::new(&payload[..]);
+    let mut last_block: Vec<Option<u64>> = vec![None; nodes as usize];
+    // The payload holds at least `MIN_RECORD_BYTES` per record, so `count`
+    // is bounded by the bytes actually read.
+    for i in 0..count as usize {
+        match decode_v2_record(&mut body, &mut last_block, first_record + i, nodes) {
+            Ok(r) => records.push_back(r),
+            Err(TraceError::Truncated) => {
+                return Ok(Err(TraceError::BadChunk {
+                    chunk,
+                    what: "record ran past the declared payload length",
+                }))
+            }
+            Err(e) => return Ok(Err(e)),
+        }
+    }
+    if body.consumed() != payload_len {
+        return Ok(Err(TraceError::BadChunk {
             chunk,
             what: "payload length disagrees with its records",
-        });
+        }));
     }
-    let computed = src.take_hash();
-    let stored = src.u64_le()?;
-    if computed != stored {
-        return Err(TraceError::ChunkChecksumMismatch { chunk });
-    }
-    Ok(records)
-}
-
-/// The recovering variant of [`decode_chunk_body`]: buffers the declared
-/// payload plus its checksum, verifies the checksum *first*, and only
-/// then decodes — so a rotted payload is skipped (`Ok(None)`) with the
-/// source already positioned at the next chunk boundary. Structural
-/// corruption stays a hard error: the payload-length plausibility bounds
-/// (which also cap the allocation) and a truncated source give the reader
-/// no boundary to resume at.
-fn decode_chunk_body_recovering<R: Read>(
-    src: &mut ByteReader<R>,
-    chunk: usize,
-    count: u64,
-    base_record: u64,
-    nodes: u16,
-) -> Result<Option<Vec<TraceRecord>>, TraceError> {
-    let payload_len = src.varint()?;
-    if payload_len < count.saturating_mul(MIN_RECORD_BYTES) {
-        return Err(TraceError::BadChunk {
-            chunk,
-            what: "payload too short for its record count",
-        });
-    }
-    if payload_len > count.saturating_mul(MAX_RECORD_BYTES) {
-        return Err(TraceError::BadChunk {
-            chunk,
-            what: "payload too long for its record count",
-        });
-    }
-    let payload_len = usize::try_from(payload_len).map_err(|_| TraceError::FieldOverflow)?;
-    let mut payload = vec![0u8; payload_len];
-    src.read_exact(&mut payload)?;
-    let stored = src.u64_le()?;
-    if fnv1a(&payload) != stored {
-        return Ok(None);
-    }
-    // The checksum vouches for the bytes; a decode failure past this
-    // point means the chunk was *written* corrupt. Skip it all the same —
-    // recovering mode promises forward progress over any one bad chunk.
-    let count = usize::try_from(count).map_err(|_| TraceError::FieldOverflow)?;
-    let mut br = ByteReader::new(&payload[..]);
-    let mut last_block: Vec<Option<u64>> = vec![None; nodes as usize];
-    let mut records = Vec::with_capacity(count.min(1 << 20));
-    for i in 0..count {
-        match decode_v2_record(&mut br, &mut last_block, base_record as usize + i, nodes) {
-            Ok(r) => records.push(r),
-            Err(_) => return Ok(None),
-        }
-    }
-    match br.byte_or_eof() {
-        Ok(None) => Ok(Some(records)),
-        // Leftover payload bytes: the count and payload disagree.
-        Ok(Some(_)) | Err(_) => Ok(None),
-    }
+    Ok(Ok(()))
 }
 
 /// Decodes one v2 record from a chunk payload, updating the per-node
@@ -1114,17 +1058,18 @@ mod tests {
 
     #[test]
     fn index_can_be_disabled() {
+        // The writer always ends with the index; a file cut right after
+        // the terminator (dropping the index and its `index_len` + magic
+        // tail) still reads in full, with no index.
         let t = sample_trace();
-        let mut w = TraceWriter::new(Vec::new(), t.nodes, t.seed, t.workload.clone())
-            .unwrap()
-            .index(false);
-        for r in &t.records {
-            w.write(*r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
+        let mut bytes = t.to_bytes();
+        let tail = bytes.len() - 8;
+        let index_len = u32::from_le_bytes(bytes[tail..tail + 4].try_into().unwrap());
+        bytes.truncate(tail - index_len as usize);
+        assert_eq!(bytes.last(), Some(&0), "the cut ends at the terminator");
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let decoded: Result<Vec<_>, _> = (&mut reader).collect();
-        assert_eq!(decoded.unwrap().len(), 2);
+        assert_eq!(decoded.unwrap(), t.records);
         assert!(reader.index().is_none());
     }
 
@@ -1147,22 +1092,13 @@ mod tests {
         let t = strided_trace(100);
         let (mut bytes, chunk2) = chunked_bytes_with_offset(&t, 2);
         // Flip a byte well inside chunk 2's payload (skip its two head
-        // varints).
+        // varints). The checksum is verified before any record decodes,
+        // so whatever the flip did to the records, the chunk is named.
         bytes[chunk2 + 6] ^= 0x01;
-        let err = Trace::from_bytes(&bytes).unwrap_err();
-        match err {
-            TraceError::ChunkChecksumMismatch { chunk } => assert_eq!(chunk, 2),
-            TraceError::BadChunk { chunk, .. } => assert_eq!(chunk, 2),
-            // A flip that lands in a varint continuation bit can also
-            // surface as a structural or range error — typed either way.
-            TraceError::Truncated
-            | TraceError::BadVarint
-            | TraceError::BadOpKind(_)
-            | TraceError::FieldOverflow
-            | TraceError::NodeOutOfRange { .. }
-            | TraceError::WordOutOfRange { .. } => {}
-            other => panic!("unexpected error {other:?}"),
-        }
+        assert_eq!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::ChunkChecksumMismatch { chunk: 2 })
+        );
     }
 
     /// Writes `t` with 32-record chunks and returns the encoded bytes
@@ -1203,9 +1139,9 @@ mod tests {
         // The trailing index cross-check survives skipping: it describes
         // the file's declared framing, which the flip did not change.
         assert_eq!(reader.index().expect("index survives").entries.len(), 4);
-        // The same bytes poison a strict reader.
+        // The same bytes poison a strict reader, which names the chunk.
         let strict: Result<Vec<_>, _> = TraceReader::new(&bytes[..]).unwrap().collect();
-        assert!(strict.is_err());
+        assert_eq!(strict, Err(TraceError::ChunkChecksumMismatch { chunk: 2 }));
     }
 
     #[test]
@@ -1233,10 +1169,11 @@ mod tests {
 
     #[test]
     fn implausible_chunk_count_is_an_error_not_an_allocation() {
-        // A crafted chunk header claiming 2^40 records (with a payload
-        // length that passes the plausibility bounds) must fail as a
-        // typed decode error; pre-capped allocation means it cannot
-        // abort the process with a failed multi-terabyte allocation.
+        // A crafted chunk header claiming 2^40 records and a 2^45-byte
+        // payload (inside the [6c, 64c] plausibility bounds), followed by
+        // 16 bytes. Both modes read the payload only as far as the bytes
+        // go, so it is a typed truncation, never a failed multi-terabyte
+        // allocation that aborts the process.
         let t = sample_trace();
         let bytes = t.to_bytes();
         let data_start = TraceReader::new(&bytes[..])
@@ -1244,14 +1181,17 @@ mod tests {
             .data_start()
             .expect("v2 trace") as usize;
         let mut crafted = bytes[..data_start].to_vec();
-        let count = 1u64 << 40;
-        crate::wire::put_varint(&mut crafted, count);
-        crate::wire::put_varint(&mut crafted, count * 7); // inside [6c, 64c]
-        let err = Trace::from_bytes(&crafted).unwrap_err();
-        assert!(
-            matches!(err, TraceError::Truncated | TraceError::BadChunk { .. }),
-            "got {err:?}"
-        );
+        crate::wire::put_varint(&mut crafted, 1 << 40);
+        crate::wire::put_varint(&mut crafted, 1 << 45);
+        crafted.extend_from_slice(&[0; 16]);
+        for recover in [false, true] {
+            let mut reader = TraceReader::new(&crafted[..]).unwrap();
+            if recover {
+                reader = reader.recovering();
+            }
+            let outcome: Result<Vec<_>, _> = reader.collect();
+            assert_eq!(outcome, Err(TraceError::Truncated), "recovering: {recover}");
+        }
     }
 
     #[test]

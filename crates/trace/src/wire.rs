@@ -1,7 +1,7 @@
 //! Shared low-level wire helpers for both trace encodings: FNV-1a
-//! checksums (one-shot and incremental), LEB128 varints over byte slices
-//! and `io` streams, and the zigzag transform used by the v2 per-node
-//! block-address deltas.
+//! checksums (one-shot and incremental), LEB128 varints (appended to byte
+//! buffers, read off `io` streams), and the zigzag transform used by the
+//! v2 per-node block-address deltas.
 
 use std::io::{self, Read, Write};
 
@@ -62,8 +62,7 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 }
 
 /// Maps an `io` failure to the trace error type, folding an unexpected EOF
-/// into [`TraceError::Truncated`] so stream decode errors read identically
-/// to slice decode errors.
+/// into [`TraceError::Truncated`].
 pub(crate) fn io_err(e: io::Error) -> TraceError {
     if e.kind() == io::ErrorKind::UnexpectedEof {
         TraceError::Truncated
@@ -123,6 +122,26 @@ impl<R: Read> ByteReader<R> {
         Ok(())
     }
 
+    /// Reads exactly `len` bytes into `buf`, replacing its contents. The
+    /// buffer grows only as bytes arrive, so a corrupt `len` costs no more
+    /// memory than the source holds; a source that ends first is
+    /// [`TraceError::Truncated`].
+    pub(crate) fn read_to_vec(&mut self, len: u64, buf: &mut Vec<u8>) -> Result<(), TraceError> {
+        buf.clear();
+        let got = (&mut self.inner)
+            .take(len)
+            .read_to_end(buf)
+            .map_err(io_err)?;
+        if let Some(h) = &mut self.hash {
+            h.update(buf);
+        }
+        self.consumed += got as u64;
+        if (got as u64) < len {
+            return Err(TraceError::Truncated);
+        }
+        Ok(())
+    }
+
     pub(crate) fn byte(&mut self) -> Result<u8, TraceError> {
         let mut b = [0u8; 1];
         self.read_exact(&mut b)?;
@@ -173,37 +192,27 @@ impl<R: Read> ByteReader<R> {
         self.varint_cont(first)
     }
 
-    /// Continues a varint whose first byte was already consumed (e.g. by
-    /// [`byte_or_eof`](Self::byte_or_eof) while probing for the optional
-    /// trailing index). The one canonical decode loop — [`varint`]
-    /// (Self::varint) and [`slice_varint`] delegate here.
+    /// Continues a varint whose first byte was already consumed (by
+    /// [`varint`](Self::varint), or by [`byte_or_eof`](Self::byte_or_eof)
+    /// while probing for the trailing index). Rejects non-canonical u64s
+    /// (more than 10 bytes, or a 10th byte above 1).
     pub(crate) fn varint_cont(&mut self, first: u8) -> Result<u64, TraceError> {
-        decode_varint(first, || self.byte())
-    }
-}
-
-/// The LEB128 decode loop shared by every byte source: `first` has been
-/// consumed already, `next` supplies continuation bytes. Rejects
-/// non-canonical u64s (more than 10 bytes, or a 10th byte above 1).
-fn decode_varint(
-    first: u8,
-    mut next: impl FnMut() -> Result<u8, TraceError>,
-) -> Result<u64, TraceError> {
-    let mut value = (first & 0x7f) as u64;
-    let mut byte = first;
-    let mut shift = 0u32;
-    while byte & 0x80 != 0 {
-        shift += 7;
-        if shift > 63 {
-            return Err(TraceError::BadVarint);
+        let mut value = (first & 0x7f) as u64;
+        let mut byte = first;
+        let mut shift = 0u32;
+        while byte & 0x80 != 0 {
+            shift += 7;
+            if shift > 63 {
+                return Err(TraceError::BadVarint);
+            }
+            byte = self.byte()?;
+            if shift == 63 && byte > 1 {
+                return Err(TraceError::BadVarint);
+            }
+            value |= ((byte & 0x7f) as u64) << shift;
         }
-        byte = next()?;
-        if shift == 63 && byte > 1 {
-            return Err(TraceError::BadVarint);
-        }
-        value |= ((byte & 0x7f) as u64) << shift;
+        Ok(value)
     }
-    Ok(value)
 }
 
 /// A byte sink for the streaming writer: wraps any [`Write`] and counts

@@ -77,23 +77,19 @@ fn main() {
         trace.seed
     );
 
-    // 2. Round-trip through both encodings (and the legacy v1 container).
+    // 2. Round-trip through both encodings: the v2 chunked form and the
+    //    legacy v1 container.
     let bytes = trace.to_bytes();
-    let via_binary = Trace::from_bytes(&bytes).expect("binary decode");
-    let text = trace.to_text();
-    let via_text = Trace::from_text(&text).expect("text decode");
-    assert_eq!(via_binary, trace);
-    assert_eq!(via_text, trace);
+    assert_eq!(Trace::from_bytes(&bytes).expect("v2 decode"), trace);
     let v1 = trace.to_bytes_v1();
     assert_eq!(Trace::from_bytes(&v1).expect("v1 decode"), trace);
     println!(
-        "v2 chunked form: {} bytes ({:.2} B/record); v1 form: {} bytes (ratio {:.3}); \
-         text form: {} bytes — all decode identically",
+        "v2 chunked form: {} bytes ({:.2} B/record); v1 form: {} bytes (ratio {:.3}) \
+         — both decode identically",
         bytes.len(),
         bytes.len() as f64 / trace.records.len() as f64,
         v1.len(),
         bytes.len() as f64 / v1.len() as f64,
-        text.len()
     );
 
     // 2b. Where the v2 per-node delta encoding pays off: strided streams

@@ -10,7 +10,7 @@
 //! bandwidths.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use bash_adaptive::AdaptorConfig;
@@ -39,17 +39,10 @@ const PERTURBATION: Duration = Duration::from_ns(3);
 /// outside the controllers' contract checks.
 const PANIC_RETRIES: u32 = 1;
 
-/// One measured grid point: its stats plus (for seed 0, when enabled)
-/// the policy trace.
-struct PointResult {
-    stats: RunStats,
-    policy_trace: Option<Vec<(Time, f64)>>,
-}
-
 /// One executed grid point: how it ended, and, when it was captured, the
 /// ops it issued — also when its run failed. `None` stands in for both
 /// when the point panicked.
-type PointRun = (Result<PointResult, PointError>, Option<Trace>);
+type PointRun = (Result<RunStats, PointError>, Option<Trace>);
 
 /// How a grid point can fail without sinking the rest of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,9 +126,6 @@ pub enum BuildError {
         /// Node count the builder is configured for.
         nodes: u16,
     },
-    /// [`SimBuilder::capture_all_points`] was enabled without a
-    /// [`SimBuilder::ops_out`] path to derive the bundle paths from.
-    AllPointsWithoutTraceOut,
     /// [`SimBuilder::trace_in_path`] could not open or decode the trace
     /// file's header.
     TraceUnreadable {
@@ -171,9 +161,6 @@ impl fmt::Display for BuildError {
                 f,
                 "trace was captured on {trace} nodes but the builder is configured for {nodes}"
             ),
-            BuildError::AllPointsWithoutTraceOut => {
-                f.write_str("capture_all_points needs an ops_out path to derive bundle paths")
-            }
             BuildError::TraceUnreadable { path, error } => {
                 write!(f, "trace file {}: {error}", path.display())
             }
@@ -253,9 +240,6 @@ pub struct RunReport {
     pub link_utilization: Metric,
     /// Fraction of cache requests broadcast (1 = snooping-like behaviour).
     pub broadcast_fraction: Metric,
-    /// Per-sampling-window mean policy-counter trace of the first seed,
-    /// when enabled with [`SimBuilder::policy_trace`].
-    pub policy_trace: Option<Vec<(Time, f64)>>,
     /// The raw measured-window statistics of every seed that completed,
     /// in seed order. Failed seeds appear in [`errors`](Self::errors)
     /// instead, so `runs.len() + errors.len() == seeds`.
@@ -354,10 +338,7 @@ pub struct SimBuilder {
     /// [`try_verify`](Self::try_verify) keeps the harness's thrashing one.
     cache: Option<CacheGeometry>,
     allow_unprotected_wedges: bool,
-    ops_out: Option<PathBuf>,
-    capture_all_points: bool,
     capture_completions: bool,
-    policy_trace: bool,
     warmup: Duration,
     measure: Duration,
     seeds: u32,
@@ -374,10 +355,7 @@ impl SimBuilder {
             bandwidths: vec![1600],
             cache: None,
             allow_unprotected_wedges: false,
-            ops_out: None,
-            capture_all_points: false,
             capture_completions: false,
-            policy_trace: false,
             warmup: Duration::from_ns(100_000),
             measure: Duration::from_ns(400_000),
             seeds: 1,
@@ -556,28 +534,6 @@ impl SimBuilder {
         self
     }
 
-    /// Captures the op stream of the first grid point (first bandwidth,
-    /// seed 0) and writes it to `path` in the compact binary form when
-    /// the run finishes; feed the file back through
-    /// [`trace_in_path`](Self::trace_in_path) to replay it under any
-    /// protocol, bandwidth, or thread count. The run **panics** if the
-    /// path cannot be opened for writing (probed up front) or the capture
-    /// turns out unusable — capture failures are programmer errors, not
-    /// configuration errors.
-    pub fn ops_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.ops_out = Some(path.into());
-        self
-    }
-
-    /// Captures **every** (bandwidth × seed) grid point into a trace
-    /// bundle next to the [`ops_out`](Self::ops_out) path (with a
-    /// `.b<mbps>.s<seed>` infix), not just the first. Requires `ops_out`;
-    /// [`validate`](Self::validate) rejects the combination otherwise.
-    pub fn capture_all_points(mut self, on: bool) -> Self {
-        self.capture_all_points = on;
-        self
-    }
-
     /// Stamps every captured op with its issue→complete latency, so the
     /// captures are **completion-bearing** traces — the input the
     /// differential latency pass ([`bash_tester::differential_trace`])
@@ -585,14 +541,6 @@ impl SimBuilder {
     /// stay lean and timing-free.
     pub fn capture_completions(mut self, on: bool) -> Self {
         self.capture_completions = on;
-        self
-    }
-
-    /// Records the mean policy-counter trace (one point per adaptive
-    /// sampling window) of the first seed into
-    /// [`RunReport::policy_trace`].
-    pub fn policy_trace(mut self, on: bool) -> Self {
-        self.policy_trace = on;
         self
     }
 
@@ -709,9 +657,6 @@ impl SimBuilder {
         }
         for &mbps in &self.bandwidths {
             self.config(mbps, 0).check().map_err(BuildError::Config)?;
-        }
-        if self.capture_all_points && self.ops_out.is_none() {
-            return Err(BuildError::AllPointsWithoutTraceOut);
         }
         if self.cfg.fault_plane.as_ref().is_some_and(|plane| {
             plane.breaks_delivery() && self.cfg.watchdog.is_none() && !self.allow_unprotected_wedges
@@ -870,7 +815,7 @@ impl SimBuilder {
         self.validate()?;
         let bandwidths = &self.bandwidths[..1];
         Ok(self
-            .run_grid(bandwidths, self.ops_out.is_some())
+            .run_grid(bandwidths, false)
             .0
             .pop()
             .expect("one bandwidth point"))
@@ -899,7 +844,7 @@ impl SimBuilder {
     /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_run_sweep(&self) -> Result<Vec<RunReport>, BuildError> {
         self.validate()?;
-        Ok(self.run_grid(&self.bandwidths, self.ops_out.is_some()).0)
+        Ok(self.run_grid(&self.bandwidths, false).0)
     }
 
     /// Runs every configured bandwidth point in order, one report each
@@ -915,10 +860,11 @@ impl SimBuilder {
     }
 
     /// Runs the first bandwidth point and also returns the reference
-    /// trace captured from its first seed — the programmatic form of
-    /// [`ops_out`](Self::ops_out). Feed the trace back through
-    /// [`trace_in`](Self::trace_in) (same plan and config) and the replay
-    /// reproduces the returned report byte-for-byte, at any thread count.
+    /// trace captured from its first seed — the one way a capture leaves
+    /// the builder; [`Trace::write_to`] puts it on disk. Feed the trace
+    /// back through [`trace_in`](Self::trace_in) (same plan and config)
+    /// and the replay reproduces the returned report byte-for-byte, at any
+    /// thread count.
     ///
     /// The byte-for-byte contract holds for single-seed runs (the
     /// default). With [`seeds`](Self::seeds) `> 1`, only seed 0's stream
@@ -981,36 +927,22 @@ impl SimBuilder {
         &self,
         sys: &mut System<W>,
         seed_index: u32,
-    ) -> Result<PointResult, PointError> {
-        let trace = self.policy_trace && seed_index == 0;
-        if trace {
-            sys.enable_policy_trace();
-        }
+    ) -> Result<RunStats, PointError> {
         let measured = (|| -> Result<RunStats, RunError> {
             sys.try_run_until(Time::ZERO + self.warmup)?;
             sys.begin_measurement();
             sys.try_finish(Time::ZERO + self.warmup + self.measure)
         })();
-        match measured {
-            Ok(stats) => Ok(PointResult {
-                stats,
-                policy_trace: if trace {
-                    sys.policy_trace().map(|t| t.to_vec())
-                } else {
-                    None
-                },
-            }),
-            // A run error is deterministic, so one attempt is definitive.
-            Err(err) => Err(PointError {
-                seed_index,
-                attempts: 1,
-                kind: match err {
-                    RunError::Wedged(_) => PointErrorKind::Wedged,
-                    RunError::ProtocolViolation { .. } => PointErrorKind::Violation,
-                },
-                message: err.to_string(),
-            }),
-        }
+        // A run error is deterministic, so one attempt is definitive.
+        measured.map_err(|err| PointError {
+            seed_index,
+            attempts: 1,
+            kind: match err {
+                RunError::Wedged(_) => PointErrorKind::Wedged,
+                RunError::ProtocolViolation { .. } => PointErrorKind::Violation,
+            },
+            message: err.to_string(),
+        })
     }
 
     /// Fans the full (bandwidth × seed) grid out across the thread pool
@@ -1020,27 +952,14 @@ impl SimBuilder {
     /// reported number — only the wall-clock time.
     ///
     /// With `capture`, the first grid point (first bandwidth, seed 0) also
-    /// records its op stream; the trace is returned and, when
-    /// [`ops_out`](Self::ops_out) is set, written to disk.
+    /// records its op stream, and the trace is returned.
     fn run_grid(&self, bandwidths: &[u64], capture: bool) -> (Vec<RunReport>, Option<Trace>) {
-        if let (true, Some(path)) = (capture, &self.ops_out) {
-            // Probe the output path before burning the whole grid's
-            // compute on it: open-for-append creates a missing file and
-            // surfaces an unwritable one, without clobbering any existing
-            // trace should the run itself fail.
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .unwrap_or_else(|e| panic!("ops_out path {} unwritable: {e}", path.display()));
-        }
         let seeds = self.seeds as usize;
         let tasks = bandwidths.len() * seeds;
         let threads = self
             .threads
             .unwrap_or_else(pool::available_threads)
             .min(tasks.max(1));
-        let capture_all = capture && self.capture_all_points && self.ops_out.is_some();
         // Panic isolation: a grid point that panics (after one retry, for
         // environmental flakes) becomes an error row of its report instead
         // of unwinding through the whole sweep. Wedges and violations come
@@ -1048,11 +967,7 @@ impl SimBuilder {
         // retried.
         let mut results: Vec<PointRun> =
             pool::run_indexed_isolated(tasks, threads, PANIC_RETRIES, |i| {
-                self.run_point(
-                    bandwidths[i / seeds],
-                    (i % seeds) as u32,
-                    capture && (i == 0 || capture_all),
-                )
+                self.run_point(bandwidths[i / seeds], (i % seeds) as u32, capture && i == 0)
             })
             .into_iter()
             .map(|slot| {
@@ -1067,77 +982,37 @@ impl SimBuilder {
                 })
             })
             .collect();
-        for (i, (_, trace)) in results.iter().enumerate() {
-            let Some(trace) = trace else { continue };
+        let captured = results[0].1.take();
+        if let Some(trace) = &captured {
             // A capture that fails validation (e.g. the workload yielded
             // zero ops) would be unloadable by every decode path; fail at
-            // the source instead of persisting a poisoned artifact.
+            // the source instead of handing out a poisoned trace.
             trace
                 .validate()
                 .unwrap_or_else(|e| panic!("captured trace is unusable: {e}"));
-            let Some(path) = &self.ops_out else { continue };
-            if i == 0 {
-                trace
-                    .write_to(path)
-                    .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-            }
-            if capture_all {
-                self.write_point_trace(path, bandwidths[i / seeds], (i % seeds) as u32, trace);
-            }
         }
-        let captured = results[0].1.take();
         let reports = bandwidths
             .iter()
             .map(|&mbps| {
-                let mut policy_trace = None;
                 let mut runs = Vec::new();
                 let mut errors = Vec::new();
                 for (outcome, _) in results.drain(..seeds) {
                     match outcome {
-                        Ok(mut p) => {
-                            if policy_trace.is_none() {
-                                policy_trace = p.policy_trace.take();
-                            }
-                            runs.push(p.stats);
-                        }
+                        Ok(stats) => runs.push(stats),
                         Err(e) => errors.push(e),
                     }
                 }
-                self.report_for(mbps, runs, errors, policy_trace)
+                self.report_for(mbps, runs, errors)
             })
             .collect();
         (reports, captured)
-    }
-
-    /// Writes one grid point's captured trace next to the `ops_out`
-    /// base path, tagged with its bandwidth and seed index:
-    /// `run.trace` → `run.b<mbps>.s<seed>.trace`.
-    fn write_point_trace(&self, base: &Path, mbps: u64, seed_index: u32, trace: &Trace) {
-        let stem = base
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "trace".to_string());
-        let ext = base
-            .extension()
-            .map(|e| format!(".{}", e.to_string_lossy()))
-            .unwrap_or_default();
-        let path = base.with_file_name(format!("{stem}.b{mbps}.s{seed_index}{ext}"));
-        trace
-            .write_to(&path)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
     }
 
     /// Aggregates one bandwidth point's per-seed runs into a report.
     /// Failed seeds contribute error rows instead of samples; when every
     /// seed failed, the metrics degrade to zeros rather than panicking, so
     /// the rest of the sweep still reports.
-    fn report_for(
-        &self,
-        mbps: u64,
-        runs: Vec<RunStats>,
-        errors: Vec<PointError>,
-        policy_trace: Option<Vec<(Time, f64)>>,
-    ) -> RunReport {
+    fn report_for(&self, mbps: u64, runs: Vec<RunStats>, errors: Vec<PointError>) -> RunReport {
         let workload_name = runs
             .last()
             .map(|r| r.workload.clone())
@@ -1174,7 +1049,6 @@ impl SimBuilder {
             miss_latency_ns: metric(&|r| r.avg_miss_latency_ns),
             link_utilization: metric(&|r| r.link_utilization),
             broadcast_fraction: metric(&|r| r.broadcast_fraction()),
-            policy_trace,
             runs,
             errors,
         }

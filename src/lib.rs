@@ -48,7 +48,7 @@ pub use bash_queueing as queueing;
 pub use bash_sim as sim;
 /// The randomized protocol tester.
 pub use bash_tester as tester;
-/// Versioned on-disk reference traces (binary + text, capture/replay).
+/// Versioned on-disk reference traces (v2 chunked binary, v1 decode).
 pub use bash_trace as trace;
 /// Workload generators (microbenchmark, synthetic macros, scripts,
 /// sharing patterns, the scenario catalog, trace replay).

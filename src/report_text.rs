@@ -56,17 +56,10 @@ impl RunReport {
                 );
             }
         }
-        match &self.policy_trace {
-            None => {
-                let _ = writeln!(out, "policy_trace none");
-            }
-            Some(points) => {
-                let _ = writeln!(out, "policy_trace points={}", points.len());
-                for (t, v) in points {
-                    let _ = writeln!(out, "  {} {:?}", t.as_ps(), v);
-                }
-            }
-        }
+        // A report carries no policy trace (a `System` records one on
+        // request); the constant line keeps every golden byte-identical
+        // under `REPORT_TEXT_VERSION` 1.
+        let _ = writeln!(out, "policy_trace none");
         for (i, r) in self.runs.iter().enumerate() {
             let _ = writeln!(out, "run {i}");
             let _ = writeln!(out, "  duration_ps={}", r.duration.as_ps());

@@ -148,15 +148,15 @@ fn policy_counter_adapts_to_a_bandwidth_phase_change() {
 fn adaptation_is_gradual_not_oscillating() {
     // §2.1: "our mechanism avoids oscillation by adapting relatively slowly
     // and using a probabilistic mechanism". In steady state at mid
-    // bandwidth the policy should hover, not swing rail to rail. The
-    // policy trace comes straight off the RunReport here.
-    let report = builder(ProtocolKind::Bash, 800)
+    // bandwidth the policy should hover, not swing rail to rail.
+    let mut sys = builder(ProtocolKind::Bash, 800)
         .seed(17)
-        .policy_trace(true)
-        .warmup(Duration::ZERO)
-        .measure_ns(800_000)
-        .run();
-    let trace = report.policy_trace.as_deref().expect("trace enabled");
+        .build_system()
+        .expect("valid configuration");
+    sys.enable_policy_trace();
+    sys.try_run_until(Time::from_ns(800_000))
+        .expect("a locking run never wedges");
+    let trace = sys.policy_trace().expect("trace enabled");
     // Steady state: the second half of the trace.
     let steady = &trace[trace.len() / 2..];
     let min = steady.iter().map(|&(_, p)| p).fold(f64::INFINITY, f64::min);

@@ -368,7 +368,6 @@ fn committed_traces_validate_and_roundtrip() {
         assert_eq!(trace.nodes, NODES);
         assert!(trace.validate().is_ok());
         assert_eq!(Trace::from_bytes(&trace.to_bytes()).unwrap(), trace);
-        assert_eq!(Trace::from_text(&trace.to_text()).unwrap(), trace);
     }
 }
 

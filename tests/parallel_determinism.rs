@@ -56,25 +56,3 @@ fn default_thread_count_matches_sequential() {
     let serial = sweep(ProtocolKind::Bash).threads(1).run_sweep();
     assert_identical(&serial, &auto);
 }
-
-#[test]
-fn policy_trace_survives_parallel_execution() {
-    // The first-seed policy trace is collected from a worker thread; it
-    // must come back identical to the sequential run's.
-    let mk = || {
-        SimBuilder::new(ProtocolKind::Bash)
-            .nodes(8)
-            .bandwidths([200, 1600])
-            .seeds(2)
-            .policy_trace(true)
-            .locking_microbench(128, Duration::ZERO)
-            .warmup_ns(20_000)
-            .measure_ns(60_000)
-    };
-    let serial = mk().threads(1).run_sweep();
-    let parallel = mk().threads(4).run_sweep();
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert!(s.policy_trace.is_some());
-        assert_eq!(s.policy_trace, p.policy_trace);
-    }
-}

@@ -304,19 +304,6 @@ fn every_config_rule_is_a_typed_error_not_a_panic() {
     assert_eq!(window_1.check(), Err(E::ReorderWindowTooSmall));
 }
 
-#[test]
-fn trace_policy_lands_in_the_report() {
-    let report = valid()
-        .policy_trace(true)
-        .warmup(Duration::ZERO)
-        .measure_ns(100_000)
-        .run();
-    let trace = report.policy_trace.as_deref().expect("trace recorded");
-    assert!(!trace.is_empty());
-    let without = valid().run();
-    assert!(without.policy_trace.is_none());
-}
-
 /// Each setter writes the one value it names and nothing else, so the
 /// order of the setters cannot matter. Applied forwards and then
 /// backwards, every pair of setters meets in both orders: bandwidths
@@ -381,25 +368,5 @@ fn setters_write_only_their_own_value() {
             assert_eq!(cfg.seed, 99 + s as u64 * 7919);
             assert!(matches!(cfg.jitter, Jitter::Uniform { .. }));
         }
-    }
-
-    // The capture setters: in either order, the run writes the op trace
-    // and reports the policy trace.
-    let dir = std::env::temp_dir().join("bash_sim_builder_setter_order");
-    std::fs::create_dir_all(&dir).unwrap();
-    for policy_first in [false, true] {
-        let path = dir.join(format!("policy_first_{policy_first}.trace"));
-        std::fs::remove_file(&path).ok();
-        let b = valid().warmup(Duration::ZERO).measure_ns(20_000);
-        let b = if policy_first {
-            b.policy_trace(true).ops_out(&path)
-        } else {
-            b.ops_out(&path).policy_trace(true)
-        };
-        let report = b.run();
-        assert!(report.policy_trace.is_some(), "policy trace lost");
-        let trace = bash::Trace::read_from(&path).expect("op trace written");
-        assert!(!trace.records.is_empty());
-        std::fs::remove_file(&path).ok();
     }
 }

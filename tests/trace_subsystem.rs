@@ -77,24 +77,9 @@ fn one_capture_replays_through_every_protocol() {
 }
 
 #[test]
-fn binary_and_text_roundtrips_preserve_replay_results() {
+fn binary_roundtrip_preserves_a_live_capture() {
     let (_, trace) = capture_builder(ProtocolKind::Bash).run_captured();
-    let via_bytes = Trace::from_bytes(&trace.to_bytes()).unwrap();
-    let via_text = Trace::from_text(&trace.to_text()).unwrap();
-    assert_eq!(trace, via_bytes);
-    assert_eq!(trace, via_text);
-}
-
-#[test]
-fn trace_out_writes_a_loadable_file() {
-    let dir = std::env::temp_dir().join("bash_trace_subsystem_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("out.trace");
-    let report = capture_builder(ProtocolKind::Bash).ops_out(&path).run();
-    let trace = Trace::read_from(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let replayed = capture_builder(ProtocolKind::Bash).trace_in(trace).run();
-    assert_eq!(report.canonical_text(), replayed.canonical_text());
+    assert_eq!(Trace::from_bytes(&trace.to_bytes()).unwrap(), trace);
 }
 
 /// The streaming file replay path (`trace_in_path`) is report-identical
@@ -196,9 +181,8 @@ fn completion_capture_is_replay_invisible_and_persistent() {
         .filter_map(|r| r.completion.map(|d| d.as_ns()))
         .collect();
     assert!(latencies.iter().any(|&l| l >= 100), "no miss latencies");
-    // Completions survive binary, text and file round trips.
+    // Completions survive the binary round trip.
     assert_eq!(Trace::from_bytes(&bearing.to_bytes()).unwrap(), bearing);
-    assert_eq!(Trace::from_text(&bearing.to_text()).unwrap(), bearing);
     // And the replay is report-identical to a replay of the lean trace.
     let a = capture_builder(ProtocolKind::Bash).trace_in(bearing).run();
     let b = capture_builder(ProtocolKind::Bash).trace_in(lean).run();
@@ -207,8 +191,8 @@ fn completion_capture_is_replay_invisible_and_persistent() {
 }
 
 /// A first grid point that wedges is an error row, not a panic, and
-/// still returns the ops it issued; `ops_out` writes them, and replaying
-/// that partial capture ends in the same wedge.
+/// still returns the ops it issued; replaying that partial capture ends in
+/// the same wedge.
 #[test]
 fn a_wedged_first_point_keeps_its_capture() {
     let lossy = || {
@@ -231,16 +215,9 @@ fn a_wedged_first_point_keeps_its_capture() {
     assert!(wedge.message.contains("stalled"), "{}", wedge.message);
     assert_eq!(trace.validate(), Ok(()));
 
-    let replayed = lossy().trace_in(trace.clone()).run();
+    let replayed = lossy().trace_in(trace).run();
     assert_eq!(replayed.errors.len(), 1);
     assert_eq!(replayed.errors[0].message, wedge.message);
-
-    let dir = std::env::temp_dir().join("bash_trace_wedged_capture_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wedged.trace");
-    lossy().scenario("migratory").ops_out(&path).run();
-    assert_eq!(Trace::read_from(&path).unwrap(), trace);
-    std::fs::remove_file(&path).ok();
 }
 
 /// Lends a workload to one run, so the test still holds it afterwards.
@@ -335,55 +312,6 @@ fn captured_completions_equal_the_workloads_own_timing() {
             "{proto:?}: the hit"
         );
     }
-}
-
-#[test]
-fn trace_out_all_points_writes_the_whole_grid() {
-    let dir = std::env::temp_dir().join("bash_trace_allpoints_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("grid.trace");
-    capture_builder(ProtocolKind::Snooping)
-        .bandwidths([400, 1600])
-        .seeds(2)
-        .ops_out(&base)
-        .capture_all_points(true)
-        .run_sweep();
-    // One file per (bandwidth, seed) grid point, plus the plain base path
-    // carrying the first point.
-    let mut traces = Vec::new();
-    for name in [
-        "grid.trace",
-        "grid.b400.s0.trace",
-        "grid.b400.s1.trace",
-        "grid.b1600.s0.trace",
-        "grid.b1600.s1.trace",
-    ] {
-        let path = dir.join(name);
-        let trace =
-            Trace::read_from(&path).unwrap_or_else(|e| panic!("{name} missing or invalid: {e}"));
-        assert!(trace.validate().is_ok(), "{name}");
-        assert_eq!(trace.nodes, 4, "{name}");
-        traces.push(trace);
-        std::fs::remove_file(&path).ok();
-    }
-    // The base path and the first grid point are the same capture, and
-    // every captured point replays.
-    assert_eq!(traces[0], traces[1]);
-    for trace in traces {
-        let report = capture_builder(ProtocolKind::Snooping)
-            .trace_in(trace)
-            .run();
-        assert!(report.stats().misses > 0);
-    }
-}
-
-#[test]
-fn trace_out_all_points_requires_a_path() {
-    let err = capture_builder(ProtocolKind::Snooping)
-        .capture_all_points(true)
-        .validate()
-        .unwrap_err();
-    assert!(matches!(err, bash::BuildError::AllPointsWithoutTraceOut));
 }
 
 #[test]
