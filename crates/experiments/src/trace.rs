@@ -319,8 +319,10 @@ fn diff(path: &str) -> bool {
     crate::verify::print_latency_diff(&report);
     if !report.passed() {
         eprintln!(
-            "trace: differential FAILED: {} single-writer mismatches",
-            report.mismatches.len()
+            "trace: differential FAILED: {} of {} replays failed the harness, replay exact: {:?}",
+            report.failed_replays(),
+            report.replays.len(),
+            report.replay_exact
         );
         return false;
     }
@@ -404,6 +406,34 @@ mod tests {
             skipped_warning(2, 36),
             "WARNING: skipped 2 corrupted chunks (36 records survive)"
         );
+    }
+
+    #[test]
+    fn diff_gates_on_the_oracle_and_one_exact_replay() {
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/zipf.trace");
+        assert!(diff(golden), "a timing-free golden replays clean");
+
+        // A completion-bearing capture made under Directory: its Directory
+        // replay is the exact one, whatever protocol `diff` starts from.
+        let mut cfg = VerifyConfig::new(ProtocolKind::Directory, 0xF00D);
+        cfg.ops_per_node = 100;
+        let mut trace = bash::tester::run_verify_scenario(&cfg, "phase-shift").trace;
+        let dir = std::env::temp_dir().join("bash-trace-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("directory-capture.trace");
+        trace.write_to(&path).unwrap();
+        let path = path.to_str().unwrap();
+        assert!(diff(path), "the Directory replay reproduces its capture");
+
+        // One completion moved by 1 ps: no replay reproduces the capture.
+        let moved = trace
+            .records
+            .iter_mut()
+            .find_map(|r| r.completion.as_mut())
+            .expect("verify captures carry completions");
+        *moved = Duration::from_ps(moved.as_ps() + 1);
+        trace.write_to(path).unwrap();
+        assert!(!diff(path), "a drifted completion fails the exactness gate");
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //!
 //! After a clean matrix the gate additionally runs the **differential
 //! latency pass**: one completion-bearing trace from the matrix is
-//! replayed through all three protocols and the per-node issue→complete
-//! latency distributions (mean/p50/p99) are diffed against the configured
-//! tolerance — printed per protocol and written to `latency_diff.csv`.
-//! Latency divergence is informational (the protocols are *supposed* to
-//! trade latency for bandwidth); only value divergence fails the gate.
+//! replayed through all three protocols, each replay under the invariant
+//! harness, and the per-node issue→complete latency distributions
+//! (mean/p50/p99) are diffed against a 25 % tolerance — printed per
+//! protocol and written to `latency_diff.csv`. Latency divergence is
+//! informational (the protocols are *supposed* to trade latency for
+//! bandwidth); a replay that fails the harness, or no replay reproducing
+//! the captured latencies exactly, fails the gate.
 
 use bash::tester::{minimize_trace, run_verify_trace, verify_catalog_reports, VerifyConfig};
 use bash::{differential_trace, kernel::pool, DifferentialReport, ProtocolKind};
@@ -119,11 +121,11 @@ fn latency_diff(opts: &Options, reports: &[(&'static str, bash::VerifyReport)]) 
             .node
             .map(|n| n.to_string())
             .unwrap_or_else(|| "all".into());
-        for (proto, summary) in diff.protocols.iter().zip(&d.per_protocol) {
+        for (replay, summary) in diff.replays.iter().zip(&d.per_protocol) {
             let Some(s) = summary else { continue };
             rows.push(format!(
                 "{node},{},{},{:.3},{:.3},{:.3},{:.4},{}",
-                proto.name(),
+                replay.protocol.name(),
                 s.count,
                 s.mean_ns,
                 s.p50_ns,
@@ -142,8 +144,10 @@ fn latency_diff(opts: &Options, reports: &[(&'static str, bash::VerifyReport)]) 
     println!("wrote {}", path.display());
     if !diff.passed() {
         eprintln!(
-            "verify: differential latency pass found {} single-writer value mismatches",
-            diff.mismatches.len()
+            "verify: differential latency pass FAILED: {} of {} replays failed the harness, replay exact: {:?}",
+            diff.failed_replays(),
+            diff.replays.len(),
+            diff.replay_exact
         );
         return false;
     }
@@ -167,12 +171,12 @@ pub(crate) fn print_latency_diff(diff: &DifferentialReport) {
             .node
             .map(|n| n.to_string())
             .unwrap_or_else(|| "all".into());
-        for (proto, summary) in diff.protocols.iter().zip(&d.per_protocol) {
+        for (replay, summary) in diff.replays.iter().zip(&d.per_protocol) {
             let Some(s) = summary else { continue };
             println!(
                 "{:<6} {:<10} {:>7} {:>8.1}ns {:>8.1}ns {:>8.1}ns",
                 node,
-                proto.name(),
+                replay.protocol.name(),
                 s.count,
                 s.mean_ns,
                 s.p50_ns,
@@ -195,7 +199,7 @@ pub(crate) fn print_latency_diff(diff: &DifferentialReport) {
         "latency rows over tolerance: {} of {} (informational; hard failures: {})",
         diff.latency_divergences,
         diff.latency.len(),
-        diff.mismatches.len()
+        diff.failed_replays()
     );
 }
 

@@ -1,6 +1,6 @@
 //! The post-quiescence checks every verification run shares: the
-//! structural invariant sweep, and the rule for a block's authoritative
-//! data that the differential diff also reads.
+//! structural invariant sweep over every touched block, ending in the
+//! final-value check against each block's authoritative data.
 
 use bash_coherence::types::WORDS_PER_BLOCK;
 use bash_coherence::{home_of, BlockAddr, BlockData, Mosi, Owner};
@@ -12,9 +12,9 @@ use crate::checker::Oracle;
 
 /// The authoritative copy of `block` at quiescence: the owning cache's
 /// data if any node holds it in M or O, the home memory's otherwise.
-/// This is *the* definition of "truth" the invariant sweep and the
-/// differential diff both check against.
-pub fn authoritative_data<W: Workload>(system: &System<W>, block: BlockAddr) -> BlockData {
+/// This is *the* definition of "truth" the sweep checks every copy and
+/// final value against.
+fn authoritative_data<W: Workload>(system: &System<W>, block: BlockAddr) -> BlockData {
     let cfg = system.config();
     let owner = (0..cfg.nodes).map(NodeId).find(|n| {
         matches!(

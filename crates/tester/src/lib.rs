@@ -34,8 +34,8 @@
 //!   workload through any protocol with the (generalized) value oracle,
 //!   quiescence and structural invariants enabled;
 //! * [`differential`] — replay one captured trace through all three
-//!   protocols and diff final memory images and per-location value
-//!   histories;
+//!   protocols, each replay under the full invariant suite, and compare
+//!   their per-node latency distributions;
 //! * [`minimize`] — greedily shrink a failing trace while the violation
 //!   reproduces, yielding a minimal `.trace` repro.
 
@@ -47,9 +47,7 @@ pub mod verify;
 pub mod workload;
 
 pub use checker::{CheckViolation, Oracle};
-pub use differential::{
-    differential_trace, DiffMismatch, DifferentialReport, LatencyDiff, LatencySummary,
-};
+pub use differential::{differential_trace, DifferentialReport, LatencyDiff, LatencySummary};
 pub use harness::sweep_structural;
 pub use minimize::{minimize_trace, MinimizeOutcome};
 pub use verify::{

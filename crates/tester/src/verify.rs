@@ -71,12 +71,6 @@ pub struct VerifyConfig {
     pub adaptor: AdaptorConfig,
     /// BASH home retry-buffer capacity (1 forces the nack path).
     pub retry_capacity: usize,
-    /// Relative spread of per-node mean latencies across protocols above
-    /// which a differential run counts the location as a latency
-    /// divergence (informational — latency differences are *expected*
-    /// across protocols; the diff exists to quantify them, and only value
-    /// divergence ever fails a run). 0.25 = 25 %.
-    pub latency_tolerance: f64,
 }
 
 impl VerifyConfig {
@@ -104,7 +98,6 @@ impl VerifyConfig {
             hierarchy: None,
             adaptor: paper.adaptor,
             retry_capacity: paper.retry_capacity,
-            latency_tolerance: 0.25,
         }
     }
 

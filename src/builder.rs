@@ -20,7 +20,7 @@ use bash_kernel::stats::RunningStat;
 use bash_kernel::{Duration, Time};
 use bash_net::{FaultPlaneConfig, Jitter, TopologyKind};
 use bash_sim::{ConfigError, RunError, RunStats, System, SystemConfig, WatchdogBudget};
-use bash_trace::{Trace, TraceReader};
+use bash_trace::{Trace, TraceError, TraceReader};
 use bash_workloads::{
     catalog, CaptureWorkload, LockingMicrobench, SyntheticWorkload, TraceWorkload, Workload,
     WorkloadParams,
@@ -126,8 +126,8 @@ pub enum BuildError {
         /// Node count the builder is configured for.
         nodes: u16,
     },
-    /// [`SimBuilder::trace_in_path`] could not open or decode the trace
-    /// file's header.
+    /// [`SimBuilder::trace_in_path`] could not open the trace file, or
+    /// one of its chunks (or its header) failed to decode.
     TraceUnreadable {
         /// The offending path.
         path: PathBuf,
@@ -138,9 +138,8 @@ pub enum BuildError {
     /// watchdog budget: messages are silently lost, so wedges are the
     /// expected outcome, and an unbudgeted run can only be cut off by the
     /// drained-queue stall check — which never fires while retransmission
-    /// timers or samplers keep the queue alive. Either arm a
-    /// [`SimBuilder::watchdog`], or opt in to unguarded wedges with
-    /// [`SimBuilder::allow_unprotected_wedges`].
+    /// timers or samplers keep the queue alive. Arm a
+    /// [`SimBuilder::watchdog`].
     UnprotectedLossyNeedsWatchdog,
 }
 
@@ -164,10 +163,9 @@ impl fmt::Display for BuildError {
             BuildError::TraceUnreadable { path, error } => {
                 write!(f, "trace file {}: {error}", path.display())
             }
-            BuildError::UnprotectedLossyNeedsWatchdog => f.write_str(
-                "an unprotected lossy fault plane needs a watchdog budget \
-                 (or allow_unprotected_wedges to opt in to unguarded wedges)",
-            ),
+            BuildError::UnprotectedLossyNeedsWatchdog => {
+                f.write_str("an unprotected lossy fault plane needs a watchdog budget")
+            }
         }
     }
 }
@@ -275,8 +273,9 @@ enum WorkloadSpec {
     Trace(Arc<Trace>),
     /// A trace file replayed as it decodes: every run re-opens the file
     /// and pulls records through a [`TraceReader`] on demand, so the
-    /// trace is never resident — the multi-GB path. The node count was
-    /// read from the header at [`SimBuilder::trace_in_path`] time.
+    /// trace is never resident — the multi-GB path. Every chunk was
+    /// decoded, and the node count read, at [`SimBuilder::trace_in_path`]
+    /// time.
     TraceFile {
         /// The on-disk trace (either format version).
         path: PathBuf,
@@ -305,9 +304,9 @@ impl WorkloadSpec {
                 Box::new(TraceWorkload::from_trace(Arc::clone(trace)).expect("validated trace"))
             }
             WorkloadSpec::TraceFile { path, .. } => {
-                // The header was validated when the path was configured; a
-                // file that vanished or rotted since is an environment
-                // failure, kept loud like the capture-side panics.
+                // Every chunk decoded when the path was configured; a file
+                // that vanished or rotted since is an environment failure,
+                // kept loud like the capture-side panics.
                 let file = std::fs::File::open(path)
                     .unwrap_or_else(|e| panic!("trace file {}: {e}", path.display()));
                 let reader = TraceReader::new(std::io::BufReader::new(file))
@@ -325,10 +324,9 @@ impl WorkloadSpec {
 /// [`SystemConfig::paper_default`] (the paper's latencies, cache geometry,
 /// adaptive mechanism, retry capacity and seed, with 16 nodes at
 /// 1600 MB/s), plus the campaign around it: the bandwidth sweep, the
-/// measurement plan, the seeds, what to capture and the workload. Each
-/// setter writes the one value it names; [`config`](Self::config) clones
-/// the system for one grid point. See the crate-level docs for a
-/// quickstart.
+/// measurement plan, the seeds and the workload. Each setter writes the
+/// one value it names; [`config`](Self::config) clones the system for one
+/// grid point. See the crate-level docs for a quickstart.
 pub struct SimBuilder {
     /// The system every grid point clones; its `link_mbps` is replaced by
     /// the point's bandwidth and its `seed` is the base seed.
@@ -337,8 +335,6 @@ pub struct SimBuilder {
     /// The L2 override. Unset, timed runs keep the paper's L2 while
     /// [`try_verify`](Self::try_verify) keeps the harness's thrashing one.
     cache: Option<CacheGeometry>,
-    allow_unprotected_wedges: bool,
-    capture_completions: bool,
     warmup: Duration,
     measure: Duration,
     seeds: u32,
@@ -354,20 +350,12 @@ impl SimBuilder {
             cfg: SystemConfig::paper_default(protocol, 16, 1600),
             bandwidths: vec![1600],
             cache: None,
-            allow_unprotected_wedges: false,
-            capture_completions: false,
             warmup: Duration::from_ns(100_000),
             measure: Duration::from_ns(400_000),
             seeds: 1,
             threads: None,
             workload: None,
         }
-    }
-
-    /// Switches the protocol.
-    pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.cfg.protocol = protocol;
-        self
     }
 
     /// Sets the system size in nodes.
@@ -510,8 +498,7 @@ impl SimBuilder {
     /// (transport enabled) the reliable-delivery layer retransmits until
     /// every message lands; with [`FaultPlaneConfig::unprotected`]
     /// messages are simply lost, and [`validate`](Self::validate) then
-    /// asks for a [`watchdog`](Self::watchdog) or an
-    /// [`allow_unprotected_wedges`](Self::allow_unprotected_wedges) opt-in.
+    /// asks for a [`watchdog`](Self::watchdog).
     pub fn fault_plane(mut self, plane: FaultPlaneConfig) -> Self {
         self.cfg.fault_plane = Some(plane);
         self
@@ -523,24 +510,6 @@ impl SimBuilder {
     /// row.
     pub fn watchdog(mut self, budget: WatchdogBudget) -> Self {
         self.cfg.watchdog = Some(budget);
-        self
-    }
-
-    /// Opts out of [`BuildError::UnprotectedLossyNeedsWatchdog`]: run an
-    /// unprotected lossy plane with no watchdog budget, relying on the
-    /// drained-queue stall check alone to diagnose the expected wedges.
-    pub fn allow_unprotected_wedges(mut self, on: bool) -> Self {
-        self.allow_unprotected_wedges = on;
-        self
-    }
-
-    /// Stamps every captured op with its issue→complete latency, so the
-    /// captures are **completion-bearing** traces — the input the
-    /// differential latency pass ([`bash_tester::differential_trace`])
-    /// summarizes per protocol. Off by default: reference-stream goldens
-    /// stay lean and timing-free.
-    pub fn capture_completions(mut self, on: bool) -> Self {
-        self.capture_completions = on;
         self
     }
 
@@ -582,23 +551,33 @@ impl SimBuilder {
     /// it *streaming*: every run of the grid re-opens `path` and pulls
     /// records through a [`TraceReader`] on demand, so a multi-GB trace
     /// never has to fit in memory (unlike [`trace_in`](Self::trace_in),
-    /// which buffers the whole record list). The file header is read here,
-    /// and, as with `trace_in`, the node count is set to the trace's; a
-    /// missing or corrupt header is reported immediately.
+    /// which buffers the whole record list). The whole file is decoded
+    /// once here, one chunk at a time, so a missing file, a corrupt header
+    /// or chunk, or a file with no records is reported immediately rather
+    /// than in the middle of a run; as with `trace_in`, the node count is
+    /// set to the trace's.
     ///
     /// # Errors
     ///
-    /// [`BuildError::TraceUnreadable`] when `path` cannot be opened or its
-    /// header fails to decode.
+    /// [`BuildError::TraceUnreadable`] when `path` cannot be opened, any
+    /// part of it fails to decode, or it holds no records.
     pub fn trace_in_path(mut self, path: impl Into<PathBuf>) -> Result<Self, BuildError> {
         let path = path.into();
-        let unreadable = |error: String, path: &PathBuf| BuildError::TraceUnreadable {
+        let unreadable = |error: &dyn fmt::Display| BuildError::TraceUnreadable {
             path: path.clone(),
-            error,
+            error: error.to_string(),
         };
-        let file = std::fs::File::open(&path).map_err(|e| unreadable(e.to_string(), &path))?;
-        let reader = TraceReader::new(std::io::BufReader::new(file))
-            .map_err(|e| unreadable(e.to_string(), &path))?;
+        let file = std::fs::File::open(&path).map_err(|e| unreadable(&e))?;
+        let mut reader =
+            TraceReader::new(std::io::BufReader::new(file)).map_err(|e| unreadable(&e))?;
+        let mut records = 0u64;
+        for record in &mut reader {
+            record.map_err(|e| unreadable(&e))?;
+            records += 1;
+        }
+        if records == 0 {
+            return Err(unreadable(&TraceError::Empty));
+        }
         let nodes = reader.header().nodes;
         self.cfg.nodes = nodes;
         self.workload = Some(WorkloadSpec::TraceFile { path, nodes });
@@ -658,9 +637,12 @@ impl SimBuilder {
         for &mbps in &self.bandwidths {
             self.config(mbps, 0).check().map_err(BuildError::Config)?;
         }
-        if self.cfg.fault_plane.as_ref().is_some_and(|plane| {
-            plane.breaks_delivery() && self.cfg.watchdog.is_none() && !self.allow_unprotected_wedges
-        }) {
+        if self
+            .cfg
+            .fault_plane
+            .as_ref()
+            .is_some_and(|plane| plane.breaks_delivery() && self.cfg.watchdog.is_none())
+        {
             return Err(BuildError::UnprotectedLossyNeedsWatchdog);
         }
         if let Some(spec) = &self.workload {
@@ -751,14 +733,14 @@ impl SimBuilder {
     /// [`broadcast_cost`](Self::broadcast_cost): a verification run is
     /// one run that always executes to idle and sweeps invariants at
     /// quiescence. The returned report carries the instrumented op trace,
-    /// ready for [`tester::minimize_trace`](bash_tester::minimize_trace)
-    /// if the run failed.
+    /// each completed op stamped with its issue→complete latency: ready
+    /// for [`tester::minimize_trace`](bash_tester::minimize_trace) if the
+    /// run failed, and a completion-bearing input for
+    /// [`differential_trace`](bash_tester::differential_trace).
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildError`] when the configuration is invalid, or
-    /// [`BuildError::TraceUnreadable`] when a
-    /// [`trace_in_path`](Self::trace_in_path) file fails to decode.
+    /// Returns a [`BuildError`] when the configuration is invalid.
     pub fn try_verify(&self, ops_per_node: u64) -> Result<bash_tester::VerifyReport, BuildError> {
         let spec = self.check_runnable()?;
         let cfg = self.config(self.bandwidths[0], 0);
@@ -776,14 +758,6 @@ impl SimBuilder {
         };
         if self.cache.is_some() {
             vcfg.cache = cfg.cache_geometry;
-        }
-        if let WorkloadSpec::TraceFile { path, .. } = spec {
-            // Decode every chunk before the run, so a corrupt file is a
-            // typed error instead of a panic mid-replay.
-            Trace::read_from(path).map_err(|e| BuildError::TraceUnreadable {
-                path: path.clone(),
-                error: e.to_string(),
-            })?;
         }
         if let WorkloadSpec::Trace(_) | WorkloadSpec::TraceFile { .. } = spec {
             // A replay must reproduce the whole captured stream: the
@@ -864,7 +838,8 @@ impl SimBuilder {
     /// the builder; [`Trace::write_to`] puts it on disk. Feed the trace
     /// back through [`trace_in`](Self::trace_in) (same plan and config)
     /// and the replay reproduces the returned report byte-for-byte, at any
-    /// thread count.
+    /// thread count. The trace is a timing-free reference stream; a
+    /// completion-bearing one comes from [`verify`](Self::verify).
     ///
     /// The byte-for-byte contract holds for single-seed runs (the
     /// default). With [`seeds`](Self::seeds) `> 1`, only seed 0's stream
@@ -913,8 +888,7 @@ impl SimBuilder {
                 None,
             );
         }
-        let workload =
-            CaptureWorkload::new(workload, cfg.nodes, cfg.seed, self.capture_completions);
+        let workload = CaptureWorkload::new(workload, cfg.nodes, cfg.seed, false);
         let mut sys = System::new(cfg, workload);
         let outcome = self.measure_point(&mut sys, seed_index);
         (outcome, Some(sys.workload_mut().take_trace()))

@@ -71,7 +71,7 @@ pub use bash_sim::{
     SystemConfig, WatchdogBudget, WedgeCause, WedgeDiagnostic,
 };
 pub use bash_tester::{
-    differential_trace, minimize_trace, run_verify, run_verify_trace, CheckViolation, DiffMismatch,
+    differential_trace, minimize_trace, run_verify, run_verify_trace, CheckViolation,
     DifferentialReport, LatencyDiff, LatencySummary, MinimizeOutcome, VerifyConfig, VerifyReport,
 };
 pub use bash_trace::{

@@ -184,9 +184,10 @@ fn a_panicking_grid_point_becomes_an_error_row() {
 
 /// A wedged grid point becomes an error row with `kind=wedged` and is
 /// *not* retried (wedges are deterministic). Unprotected loss kills the
-/// system *quietly* — fewer events, so no event budget can trip — and
-/// the drained-but-not-quiescent check converts the silence into a
-/// structured wedge with no watchdog armed at all.
+/// system *quietly* — fewer events, so the event budget, armed far above
+/// anything the run could reach, never trips — and the
+/// drained-but-not-quiescent check converts the silence into a
+/// structured `stalled` wedge.
 #[test]
 fn a_wedged_grid_point_becomes_an_error_row() {
     let report = SimBuilder::new(ProtocolKind::Snooping)
@@ -195,7 +196,7 @@ fn a_wedged_grid_point_becomes_an_error_row() {
         .locking_microbench(64, Duration::ZERO)
         .seed(0xF00D)
         .fault_plane(FaultPlaneConfig::lossy(0xDEAD, 0.3).unprotected())
-        .allow_unprotected_wedges(true)
+        .watchdog(WatchdogBudget::events(50_000_000))
         .warmup_ns(20_000)
         .measure_ns(40_000)
         .run();
@@ -205,6 +206,7 @@ fn a_wedged_grid_point_becomes_an_error_row() {
     assert!(matches!(err.kind, PointErrorKind::Wedged));
     assert_eq!(err.attempts, 1, "wedges are deterministic; never retried");
     assert!(err.message.starts_with("Wedged: "), "got: {}", err.message);
+    assert!(err.message.contains("stalled"), "got: {}", err.message);
     assert_eq!(report.workload, "<all seeds failed>");
 }
 

@@ -204,8 +204,8 @@ fn perf_picks_the_paper_metric_per_workload_kind() {
 #[test]
 fn unprotected_lossy_without_watchdog_rejected() {
     // The cross-field rule: an unprotected lossy plane silently loses
-    // messages, so the builder demands a watchdog budget (or an explicit
-    // opt-in) before it will run one.
+    // messages, so the builder demands a watchdog budget before it will
+    // run one.
     let lossy = || {
         valid()
             .topology(TopologyKind::Ring)
@@ -215,11 +215,9 @@ fn unprotected_lossy_without_watchdog_rejected() {
         lossy().try_run().unwrap_err(),
         BuildError::UnprotectedLossyNeedsWatchdog
     );
-    // Either arming a watchdog or opting into unguarded wedges clears it.
+    // Arming a watchdog clears it.
     let armed = lossy().watchdog(WatchdogBudget::events(1_000_000));
     assert!(armed.validate().is_ok());
-    let opted = lossy().allow_unprotected_wedges(true);
-    assert!(opted.validate().is_ok());
     // A *protected* lossy plane retransmits, so it never needs one.
     let protected = valid()
         .topology(TopologyKind::Ring)

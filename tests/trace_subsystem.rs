@@ -5,7 +5,7 @@
 use bash::{
     BlockAddr, CaptureWorkload, Duration, FaultPlaneConfig, NodeId, PointErrorKind, ProcOp,
     ProtocolKind, ScriptWorkload, SimBuilder, System, SystemConfig, Time, TopologyKind, Trace,
-    WatchdogBudget, WorkItem, Workload,
+    TraceReader, TraceWriter, WatchdogBudget, WorkItem, Workload,
 };
 
 const WARMUP_NS: u64 = 5_000;
@@ -144,35 +144,61 @@ fn trace_in_path_rejects_missing_and_corrupt_files() {
         .err()
         .expect("corrupt header must be rejected");
     assert!(matches!(err, bash::BuildError::TraceUnreadable { .. }));
+
+    // Every chunk is decoded when the path is set, so one flipped payload
+    // byte deep in the file is a typed error here, not a panic mid-run.
+    let (_, trace) = capture_builder(ProtocolKind::Bash).run_captured();
+    let mut writer = TraceWriter::new(Vec::new(), trace.nodes, trace.seed, &trace.workload)
+        .unwrap()
+        .chunk_records(32);
+    for &r in &trace.records {
+        writer.write(r).unwrap();
+    }
+    let mut bytes = writer.finish().unwrap();
+    let chunk3 = {
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
+        for r in &mut reader {
+            r.unwrap();
+        }
+        reader.data_start().unwrap() + reader.index().unwrap().entries[3].offset
+    };
+    bytes[chunk3 as usize + 6] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    let err = SimBuilder::new(ProtocolKind::Bash)
+        .trace_in_path(&path)
+        .err()
+        .expect("a rotted chunk must be rejected");
+    assert!(
+        matches!(&err, bash::BuildError::TraceUnreadable { error, .. } if error.contains("chunk 3")),
+        "{err}"
+    );
+
+    // A well-formed file with no records has nothing to replay.
+    let empty = TraceWriter::new(Vec::new(), 4, 0, "empty")
+        .unwrap()
+        .finish()
+        .unwrap();
+    std::fs::write(&path, empty).unwrap();
+    let err = SimBuilder::new(ProtocolKind::Bash)
+        .trace_in_path(&path)
+        .err()
+        .expect("an empty trace must be rejected");
+    assert!(matches!(err, bash::BuildError::TraceUnreadable { .. }));
     std::fs::remove_file(&path).ok();
 }
 
-/// `capture_completions` stamps issue→complete latencies onto the
-/// captured records; the reference stream itself (and therefore the
-/// replay) is unchanged, and the latencies survive the on-disk round
-/// trip.
+/// A verification run stamps every op of its capture with its
+/// issue→complete latency, while a timed capture stays timing-free. The
+/// latencies survive the on-disk round trip and are invisible to replay:
+/// a completion-bearing trace replays to the same report as the same
+/// stream with its latencies stripped.
 #[test]
 fn completion_capture_is_replay_invisible_and_persistent() {
     let (_, lean) = capture_builder(ProtocolKind::Bash).run_captured();
-    let (report, bearing) = capture_builder(ProtocolKind::Bash)
-        .capture_completions(true)
-        .run_captured();
-    assert_eq!(lean.completions(), 0, "plain capture stays timing-free");
-    // Every record completes except, at most, the one op still in flight
-    // per node when the run's time window closed.
-    assert!(
-        bearing.completions() >= bearing.records.len() - bearing.nodes as usize
-            && bearing.completions() > 0,
-        "{} of {} records carry latencies",
-        bearing.completions(),
-        bearing.records.len()
-    );
-    // Same reference stream either way.
-    let mut stripped = bearing.clone();
-    for r in &mut stripped.records {
-        r.completion = None;
-    }
-    assert_eq!(stripped, lean);
+    assert_eq!(lean.completions(), 0, "a timed capture stays timing-free");
+    let bearing = capture_builder(ProtocolKind::Bash).verify(100).trace;
+    // A verification run drains to quiescence, so every op completes.
+    assert_eq!(bearing.completions(), bearing.records.len());
     // Misses take at least a crossbar round trip, so real latencies must
     // appear (migratory is all sharing misses — no zero-latency hits).
     let latencies: Vec<u64> = bearing
@@ -183,11 +209,15 @@ fn completion_capture_is_replay_invisible_and_persistent() {
     assert!(latencies.iter().any(|&l| l >= 100), "no miss latencies");
     // Completions survive the binary round trip.
     assert_eq!(Trace::from_bytes(&bearing.to_bytes()).unwrap(), bearing);
-    // And the replay is report-identical to a replay of the lean trace.
+    // And the replay is report-identical to a replay of the stripped
+    // stream.
+    let mut stripped = bearing.clone();
+    for r in &mut stripped.records {
+        r.completion = None;
+    }
     let a = capture_builder(ProtocolKind::Bash).trace_in(bearing).run();
-    let b = capture_builder(ProtocolKind::Bash).trace_in(lean).run();
+    let b = capture_builder(ProtocolKind::Bash).trace_in(stripped).run();
     assert_eq!(a.canonical_text(), b.canonical_text());
-    let _ = report;
 }
 
 /// A first grid point that wedges is an error row, not a panic, and

@@ -400,25 +400,75 @@ fn snooping_sharer_records_are_checked() {
     }
 }
 
-/// Differential mode over a captured catalog trace: all three protocols
-/// replay the same stream, reach quiescence, and agree on every
-/// single-writer final value.
-#[test]
-fn differential_replay_agrees_across_protocols() {
+/// A phase-shift capture: Snooping, seed 0xD1FF, 150 ops per node.
+fn phase_shift_capture() -> (VerifyConfig, VerifyReport) {
     let mut cfg = VerifyConfig::new(ProtocolKind::Snooping, 0xD1FF);
     cfg.ops_per_node = 150;
     let report = run_verify_scenario(&cfg, "phase-shift");
     assert!(report.passed(), "first: {:?}", report.first_violation());
+    (cfg, report)
+}
 
+/// Differential mode over a captured catalog trace: all three protocols
+/// replay the same stream under the value oracle, reach quiescence, pass
+/// the structural sweep, and one replay reproduces the capture's
+/// latencies exactly.
+#[test]
+fn differential_replay_agrees_across_protocols() {
+    let (cfg, report) = phase_shift_capture();
     let diff = differential_trace(&cfg, &report.trace);
     assert!(
         diff.passed(),
-        "single-writer mismatches: {:?}",
-        diff.mismatches
+        "{} failed replays, replay exact {:?}",
+        diff.failed_replays(),
+        diff.replay_exact
     );
-    assert_eq!(diff.quiescent, vec![true, true, true]);
-    assert_eq!(diff.protocols.len(), 3);
-    assert!(diff.locations > 0);
+    let protocols: Vec<ProtocolKind> = diff.replays.iter().map(|r| r.protocol).collect();
+    assert_eq!(protocols, ProtocolKind::ALL);
+    for replay in &diff.replays {
+        assert!(replay.wedge.is_none() && replay.loads_checked > 0);
+        assert_eq!(replay.ops, report.ops);
+    }
+}
+
+/// Each replay of the differential is checked by the value oracle: a
+/// protocol that corrupts load results fails the differential under all
+/// three protocols, even though memory ends up holding the right values.
+#[test]
+fn differential_replay_checks_every_load() {
+    let (mut cfg, report) = phase_shift_capture();
+    cfg.fault = Some(FaultInjection::CorruptLoads { period: 3 });
+    let diff = differential_trace(&cfg, &report.trace);
+    assert!(!diff.passed());
+    assert_eq!(diff.failed_replays(), 3);
+    for replay in &diff.replays {
+        assert!(
+            replay
+                .violations
+                .iter()
+                .any(|v| v.what.contains("thin air")),
+            "{:?}: first violation {:?}",
+            replay.protocol,
+            replay.first_violation()
+        );
+    }
+}
+
+/// The exactness gate does not assume which protocol captured the trace:
+/// a Directory capture passes when the differential is handed a Snooping
+/// config, because its Directory replay reproduces it bit-exactly.
+#[test]
+fn differential_exactness_holds_for_any_capturing_protocol() {
+    let mut cfg = VerifyConfig::new(ProtocolKind::Directory, 0xF00D);
+    cfg.ops_per_node = 150;
+    let report = run_verify_scenario(&cfg, "phase-shift");
+    assert!(report.passed(), "first: {:?}", report.first_violation());
+    assert!(report.trace.completions() > 0);
+
+    cfg.protocol = ProtocolKind::Snooping;
+    let diff = differential_trace(&cfg, &report.trace);
+    assert_eq!(diff.replay_exact, Some(true));
+    assert!(diff.passed(), "{} failed replays", diff.failed_replays());
 }
 
 /// A verification run under fault injection still produces a valid,
